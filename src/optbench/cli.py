@@ -35,10 +35,16 @@ EXIT_INVALID_CONFIG = 2
 EXIT_NO_VIABLE_TRIAL = 3
 
 
-def _parse_list(value: str, universe, parse_one):
+def _parse_list(value: str, universe, parse_one) -> list:
+    """Parse a name, a comma list or 'all'; an unknown name or an empty list
+    raises before any experiment runs."""
     if value.strip().lower() == "all":
-        return list(universe)
-    return [parse_one(item) for item in value.split(",") if item.strip()]
+        items = list(universe)
+    else:
+        items = [item for item in value.split(",") if item.strip()]
+    if not items:
+        raise ConfigError(f"empty list: {value!r}")
+    return [parse_one(item) for item in items]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,12 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    tasks = _parse_list(args.task, TASK_NAMES, str)
+    tasks = _parse_list(args.task, TASK_NAMES, make_task_spec)
     optimizers = _parse_list(args.optimizer, list(OptimizerKind), OptimizerKind.parse)
     regimes = _parse_list(args.regime, list(Regime), Regime.parse)
     results = []
-    for task_name in tasks:
-        task = make_task_spec(task_name)
+    for task in tasks:
         for optimizer in optimizers:
             for regime in regimes:
                 run = RunSpec(task=task, optimizer=optimizer, regime=regime,
@@ -84,11 +89,11 @@ def _cmd_run(args) -> int:
                               n_splits=args.splits, master_seed=args.seed,
                               trial_budget=args.trials, dataset_size=args.size)
                 if not args.quiet:
-                    print(f"running {task_name} / {optimizer.value} / {regime.value} ...",
+                    print(f"running {task.name} / {optimizer.value} / {regime.value} ...",
                           file=sys.stderr)
                 results.append(run_experiment(run))
     write_run_outputs(results, args.out)
-    write_report(results, args.out)
+    write_report([res.record for res in results], args.out)
     if not args.quiet:
         print(f"wrote {len(results)} experiment(s) to {args.out}", file=sys.stderr)
     return EXIT_OK

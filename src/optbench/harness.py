@@ -43,6 +43,7 @@ from optbench.tasks import (
     init_params,
     loss_and_grad,
     make_dataset,
+    make_task_spec,
     predict,
     stratified_split,
 )
@@ -52,6 +53,7 @@ from optbench.tuning import (
     StudyRecord,
     TrialRecord,
     TrialStatus,
+    best_trial,
     save_study_json,
     search_space,
     should_prune,
@@ -63,6 +65,7 @@ __all__ = [
     "LearningCurve",
     "SplitResult",
     "ExperimentResult",
+    "ScoreRecord",
     "NoViableTrialError",
     "labeled_rng",
     "labeled_seed",
@@ -235,7 +238,6 @@ class StudyOutcome:
     """A finished study plus the artifacts of its best completed trial."""
 
     record: StudyRecord
-    best_config: OptimizerConfig
     best_params: ModelParams
     best_curve: LearningCurve
     best_record: TrialRecord
@@ -259,7 +261,7 @@ def run_study(run: RunSpec, dataset: Dataset, split: DataSplit, repetition: int
                         sampler_seed=sampler_seed, max_trials=budget)
     sampler_rng = np.random.default_rng(sampler_seed)
     defaults = default_config(run.optimizer)
-    best: StudyOutcome | None = None
+    artifacts = []  # (params, curve) of each trial, in study.trials order
     for trial_index in range(budget):
         if run.regime is Regime.DEFAULTS:
             config = defaults
@@ -275,16 +277,17 @@ def run_study(run: RunSpec, dataset: Dataset, split: DataSplit, repetition: int
             prune_hook=lambda epoch, score: should_prune(study, epoch, score),
         )
         study.add(record)
-        if record.status is TrialStatus.COMPLETED and (
-                best is None or record.best_dev > best.best_record.best_dev):
-            best = StudyOutcome(record=study, best_config=config, best_params=params,
-                                best_curve=curve, best_record=record)
-    if best is None:
+        artifacts.append((params, curve))
+    try:
+        best = best_trial(study)
+    except ValueError:
         raise NoViableTrialError(
             f"every trial diverged: {run.task.name}/{run.optimizer.value}"
             f"/{run.regime.value} repetition {repetition}"
-        )
-    return best
+        ) from None
+    params, curve = artifacts[next(i for i, t in enumerate(study.trials) if t is best)]
+    return StudyOutcome(record=study, best_params=params, best_curve=curve,
+                        best_record=best)
 
 
 @dataclass(frozen=True)
@@ -299,8 +302,29 @@ class SplitResult:
 
 
 @dataclass(frozen=True)
+class ScoreRecord:
+    """What a report needs of one experiment: its key, its metric and the
+    test score of each split, in split order."""
+
+    task: str
+    optimizer: OptimizerKind
+    regime: Regime
+    metric: MetricKind
+    scores: tuple[float, ...]
+
+    @property
+    def mean(self) -> float:
+        return float(np.mean(self.scores))
+
+    @property
+    def std(self) -> float:
+        """Population standard deviation (ddof=0) across splits."""
+        return float(np.std(self.scores))
+
+
+@dataclass(frozen=True)
 class ExperimentResult:
-    """Per-(task, optimizer, regime) aggregate over the five splits."""
+    """Per-(task, optimizer, regime) outcome of every split."""
 
     task: TaskSpec
     optimizer: OptimizerKind
@@ -308,16 +332,10 @@ class ExperimentResult:
     splits: tuple[SplitResult, ...]
 
     @property
-    def test_scores(self) -> np.ndarray:
-        return np.array([s.test.value for s in self.splits])
-
-    @property
-    def mean(self) -> float:
-        return float(self.test_scores.mean())
-
-    @property
-    def std(self) -> float:
-        return float(self.test_scores.std(ddof=0))
+    def record(self) -> ScoreRecord:
+        return ScoreRecord(task=self.task.name, optimizer=self.optimizer,
+                           regime=self.regime, metric=self.task.metric,
+                           scores=tuple(s.test.value for s in self.splits))
 
 
 def experiment_data(run: RunSpec, repetition: int) -> tuple[Dataset, DataSplit]:
@@ -352,7 +370,7 @@ def run_experiment(run: RunSpec) -> ExperimentResult:
             repetition=repetition, test=score,
             best_dev=outcome.best_record.best_dev,
             best_epoch=outcome.best_record.best_epoch,
-            config=outcome.best_config, curve=outcome.best_curve,
+            config=outcome.best_record.config, curve=outcome.best_curve,
             study=outcome.record,
         ))
     return ExperimentResult(task=task, optimizer=run.optimizer, regime=run.regime,
@@ -371,20 +389,21 @@ def format_cell(kind: MetricKind, mean: float, std: float) -> str:
     return f"{mean:.2f} ({std:.2f})"
 
 
-def _grouped(results) -> dict[Regime, dict[str, dict[OptimizerKind, tuple]]]:
+def _grouped(records) -> dict[Regime, dict[str, dict[OptimizerKind, tuple]]]:
     tables: dict = {}
-    for res in results:
-        cell = (res.task.metric, res.mean, res.std)
-        tables.setdefault(res.regime, {}).setdefault(res.task.name, {})[res.optimizer] = cell
+    for rec in records:
+        cell = (rec.metric, rec.mean, rec.std)
+        tables.setdefault(rec.regime, {}).setdefault(rec.task, {})[rec.optimizer] = cell
     return tables
 
 
-def format_report(results) -> str:
-    """Text table per regime: rows are optimizers, columns tasks, cells
-    ``mean (std)`` with the best per column flagged ``*``."""
-    if not results:
+def format_report(records) -> str:
+    """Text table per regime from ``ScoreRecord``s: rows are optimizers,
+    columns tasks, cells ``mean (std)`` with the best per column flagged
+    ``*``."""
+    if not records:
         raise ValueError("no results to report")
-    tables = _grouped(results)
+    tables = _grouped(records)
     lines = []
     for regime in Regime:
         if regime not in tables:
@@ -414,20 +433,20 @@ def format_report(results) -> str:
     return "\n".join(lines)
 
 
-def write_report(results, out_dir) -> None:
-    """report.txt (formatted) and report.csv (machine-readable) in out_dir."""
+def write_report(records, out_dir) -> None:
+    """report.txt (formatted) and report.csv (machine-readable) in out_dir,
+    from ``ScoreRecord``s."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.txt").write_text(format_report(results))
+    (out / "report.txt").write_text(format_report(records))
     with open(out / "report.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["task", "optimizer", "regime", "metric", "mean", "std", "cell"])
-        for res in sorted(results, key=lambda r: (r.regime.value, r.task.name,
+        for rec in sorted(records, key=lambda r: (r.regime.value, r.task,
                                                   _REPORT_ORDER.index(r.optimizer))):
             writer.writerow([
-                res.task.name, res.optimizer.value, res.regime.value,
-                res.task.metric.value, repr(res.mean), repr(res.std),
-                format_cell(res.task.metric, res.mean, res.std),
+                rec.task, rec.optimizer.value, rec.regime.value, rec.metric.value,
+                repr(rec.mean), repr(rec.std), format_cell(rec.metric, rec.mean, rec.std),
             ])
 
 
@@ -554,13 +573,14 @@ def aggregate_curve_files(in_dir) -> list[Path]:
     """Rebuild curve_<...>.csv files from the raw per-split curves in a run
     directory."""
     in_dir = Path(in_dir)
-    groups: dict[str, list[Path]] = {}
-    for path in sorted(in_dir.glob("curve_raw_*_split*.csv")):
-        stem = path.name[len("curve_raw_"):path.name.rindex("_split")]
-        groups.setdefault(stem, []).append(path)
+    groups: dict[str, list[tuple[int, Path]]] = {}
+    for path in in_dir.glob("curve_raw_*_split*.csv"):
+        stem, _, split = path.stem[len("curve_raw_"):].rpartition("_split")
+        groups.setdefault(stem, []).append((int(split), path))
     written = []
     for stem, paths in sorted(groups.items()):
-        curves = [_read_raw_curve(p) for p in paths]
+        # split order, as `run` aggregated them: the float sums depend on it
+        curves = [_read_raw_curve(p) for _, p in sorted(paths)]
         out_path = in_dir / f"curve_{stem}.csv"
         _write_curve_csv(out_path, _aggregate_curves(curves))
         written.append(out_path)
@@ -569,41 +589,18 @@ def aggregate_curve_files(in_dir) -> list[Path]:
 
 def report_from_results_csv(in_dir) -> str:
     """Build report.txt/report.csv from a run directory's results.csv."""
-    from optbench.tasks import make_task_spec  # local import to avoid cycles
-
     in_dir = Path(in_dir)
-    rows_by_key: dict[tuple, dict[int, tuple]] = {}
+    scores: dict[tuple[str, str, str], dict[int, float]] = {}
     with open(in_dir / "results.csv", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
+        for row in csv.DictReader(fh):
             key = (row["task"], row["optimizer"], row["regime"])
             # last write wins so re-running into a directory stays sane
-            rows_by_key.setdefault(key, {})[int(row["split"])] = (
-                float(row["test_score"]), float(row["best_dev"]), row["best_epoch"])
-    results = []
-    for (task_name, opt, regime), by_split in sorted(rows_by_key.items()):
-        task = make_task_spec(task_name)
-        splits = []
-        for rep in sorted(by_split):
-            score, best_dev, best_epoch = by_split[rep]
-            splits.append(SplitResult(
-                repetition=rep,
-                test=MetricValue(kind=task.metric, value=score),
-                best_dev=best_dev,
-                best_epoch=int(best_epoch) if best_epoch not in ("", "None") else None,
-                config=default_config(OptimizerKind.parse(opt)),
-                curve=_EMPTY_CURVE, study=_EMPTY_STUDY,
-            ))
-        results.append(ExperimentResult(task=task, optimizer=OptimizerKind.parse(opt),
-                                        regime=Regime.parse(regime),
-                                        splits=tuple(splits)))
-    write_report(results, in_dir)
-    return format_report(results)
-
-
-_EMPTY_CURVE = LearningCurve(steps=np.empty(0, dtype=np.int64),
-                             losses=np.empty(0),
-                             dev_steps=np.empty(0, dtype=np.int64),
-                             dev_scores=np.empty(0))
-_EMPTY_STUDY = StudyRecord(optimizer=OptimizerKind.SGD, regime=Regime.DEFAULTS,
-                           sampler_seed=0, max_trials=1)
+            scores.setdefault(key, {})[int(row["split"])] = float(row["test_score"])
+    records = [
+        ScoreRecord(task=task, optimizer=OptimizerKind.parse(optimizer),
+                    regime=Regime.parse(regime), metric=make_task_spec(task).metric,
+                    scores=tuple(by_split[k] for k in sorted(by_split)))
+        for (task, optimizer, regime), by_split in sorted(scores.items())
+    ]
+    write_report(records, in_dir)
+    return format_report(records)

@@ -132,7 +132,7 @@ class OptimizerConfig:
     rho1      first-moment decay in [0, 1)
     rho2      second-moment decay in [0, 1)
     delta     numerical stability constant (> 0)
-    alpha     momentum: SGDM velocity decay / Nadam momentum strength (>= 0)
+    alpha     momentum: SGDM velocity decay in [0, 1) / Nadam momentum strength (>= 0)
     lambda_   AdamW decoupled weight decay in (0, 1)
     eps_star  AdaBound terminal learning rate (> 0)
     gamma     AdaBound bound-convergence speed (> 0)
@@ -161,6 +161,8 @@ class OptimizerConfig:
             raise ConfigError(f"delta must be > 0, got {self.delta}")
         if not self.alpha >= 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+        if self.kind is OptimizerKind.SGDM and not self.alpha < 1.0:
+            raise ConfigError(f"SGDM momentum alpha must be in [0, 1), got {self.alpha}")
         if not 0.0 < self.lambda_ < 1.0:
             raise ConfigError(f"lambda must be in (0, 1), got {self.lambda_}")
         if not self.eps_star > 0:
@@ -304,8 +306,6 @@ def sgdm_step(state, theta, g, config):
     """
     theta, g = _check_step_inputs(state, theta, g)
     alpha = config.alpha
-    if not 0.0 <= alpha < 1.0:
-        raise ConfigError(f"SGDM momentum alpha must be in [0, 1), got {alpha}")
     if alpha == 0.0:
         theta2 = theta - config.epsilon * g
     else:

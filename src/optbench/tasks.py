@@ -19,8 +19,6 @@ weight initialization are deterministic functions of their inputs.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator
@@ -45,10 +43,6 @@ __all__ = [
     "segments",
     "loss_and_grad",
     "predict",
-    "save_dataset_csv",
-    "load_dataset_csv",
-    "save_split_json",
-    "load_split_json",
 ]
 
 TASK_NAMES = ("sst2_like", "mrpc_like", "cola_like", "stsb_like", "mnli_like")
@@ -403,57 +397,3 @@ def predict(params: ModelParams, x: np.ndarray, spec: TaskSpec) -> np.ndarray:
         return np.clip(x @ seg["w"] + seg["b"][0], lo, hi)
     logits, _ = _logits(params, x, spec)
     return np.argmax(logits, axis=1)
-
-
-# ---------------------------------------------------------------------------
-# On-disk formats
-# ---------------------------------------------------------------------------
-
-def save_dataset_csv(data: Dataset, path) -> None:
-    """Write ``f0..f{d-1},target`` rows."""
-    d = data.spec.feature_dim
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(d)] + ["target"])
-        for row, target in zip(data.features, data.targets):
-            writer.writerow([repr(float(v)) for v in row] + [repr(target.item())])
-
-
-def load_dataset_csv(path, spec: TaskSpec) -> Dataset:
-    d = spec.feature_dim
-    expected = [f"f{i}" for i in range(d)] + ["target"]
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != expected:
-            raise ValueError(f"bad CSV header: {header}")
-        rows = [[float(v) for v in row] for row in reader]
-    arr = np.asarray(rows, dtype=np.float64)
-    features = arr[:, :d]
-    if spec.task_type == "classification":
-        targets = arr[:, d].astype(np.int64)
-    else:
-        targets = arr[:, d]
-    return Dataset(features=features, targets=targets, spec=spec)
-
-
-def save_split_json(split: DataSplit, path) -> None:
-    doc = {
-        "train": split.train.tolist(),
-        "dev": split.dev.tolist(),
-        "test": split.test.tolist(),
-        "split_seed": split.split_seed,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def load_split_json(path) -> DataSplit:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return DataSplit(
-        train=np.asarray(doc["train"], dtype=np.int64),
-        dev=np.asarray(doc["dev"], dtype=np.int64),
-        test=np.asarray(doc["test"], dtype=np.int64),
-        split_seed=int(doc.get("split_seed", 0)),
-    )

@@ -136,13 +136,10 @@ _RANGES = {
     "gamma": (1e-4, 2e-3, "log"),
 }
 
-_MOMENT_KINDS = (OptimizerKind.ADAM, OptimizerKind.NADAM, OptimizerKind.ADAMW,
-                 OptimizerKind.ADAMAX, OptimizerKind.ADABOUND)
-
 
 def _searchable_names(kind: OptimizerKind) -> list[str]:
     names = ["epsilon"]
-    if kind in _MOMENT_KINDS:
+    if kind in ADAPTIVE_KINDS:
         names += ["rho1", "rho2", "delta"]
     if kind in (OptimizerKind.NADAM, OptimizerKind.SGDM):
         names.append("alpha")

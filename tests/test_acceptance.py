@@ -364,9 +364,10 @@ def test_criterion_7_tuning_helps_on_cola():
         results[regime] = run_experiment(run)
     tuned = results[Regime.LR_ONLY]
     defaults = results[Regime.DEFAULTS]
+    tuned_mean, defaults_mean = tuned.record.mean, defaults.record.mean
     assert defaults.splits[0].config.epsilon == 1e-3  # far outside [1e-7, 1e-5]
     assert all(1e-7 <= s.config.epsilon <= 1e-5 for s in tuned.splits)
-    assert tuned.mean >= defaults.mean
+    assert tuned_mean >= defaults_mean
 
     for res in results.values():
         for split in res.splits:
@@ -374,5 +375,5 @@ def test_criterion_7_tuning_helps_on_cola():
             assert all(a <= b for a, b in zip(seq, seq[1:]))
 
     report("7 qualitative sanity",
-           f"tuned-lr Adam MCC {tuned.mean:.3f} >= defaults {defaults.mean:.3f}; "
+           f"tuned-lr Adam MCC {tuned_mean:.3f} >= defaults {defaults_mean:.3f}; "
            f"best-so-far nondecreasing in all studies")

@@ -49,6 +49,19 @@ def test_run_rejects_unknown_task(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task", ["stsb_like,qqp_like", ","])
+def test_run_checks_task_list_before_any_experiment(tmp_path, capsys, monkeypatch, task):
+    import optbench.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", calls.append)
+    out = tmp_path / "out"
+    assert run_cli(*small_run_args(out, task=task)) == EXIT_INVALID_CONFIG
+    assert calls == []
+    assert not out.exists()
+    assert "error" in capsys.readouterr().err
+
+
 def test_run_rejects_unknown_optimizer_and_regime(tmp_path):
     assert run_cli(*small_run_args(tmp_path, optimizer="lion")) == EXIT_INVALID_CONFIG
     assert run_cli(*small_run_args(tmp_path, regime="half")) == EXIT_INVALID_CONFIG

@@ -11,8 +11,8 @@ from optbench.harness import (
     LearningCurve,
     NoViableTrialError,
     RunSpec,
+    ScoreRecord,
     SplitResult,
-    _EMPTY_STUDY,
     aggregate_curve_files,
     experiment_data,
     export_curves,
@@ -38,7 +38,7 @@ from optbench.tasks import (
     predict,
     stratified_split,
 )
-from optbench.tuning import Regime, TrialStatus
+from optbench.tuning import Regime, StudyRecord, TrialStatus
 
 COLA = make_task_spec("cola_like")
 STSB = make_task_spec("stsb_like")
@@ -259,9 +259,11 @@ def test_run_experiment_cardinality_and_aggregates():
     run = run_spec(optimizer=OptimizerKind.SGD, task=STSB, n_splits=3, trial_budget=3)
     res = run_experiment(run)
     assert len(res.splits) == 3
-    scores = res.test_scores
-    assert res.mean == pytest.approx(scores.mean(), abs=1e-15)
-    assert res.std == pytest.approx(scores.std(ddof=0), abs=1e-15)
+    rec = res.record
+    scores = np.array([s.test.value for s in res.splits])
+    assert rec.scores == tuple(scores)
+    assert rec.mean == pytest.approx(scores.mean(), abs=1e-15)
+    assert rec.std == pytest.approx(scores.std(ddof=0), abs=1e-15)
 
 
 def test_run_experiment_deterministic():
@@ -298,19 +300,20 @@ def test_run_experiment_error_names_split():
 # ---------------------------------------------------------------------------
 
 def fake_result(values, metric=MetricKind.ACCURACY, task=COLA,
-                optimizer=OptimizerKind.ADAM, regime=Regime.FULL, curves=None):
-    splits = []
-    for i, v in enumerate(values, start=1):
-        curve = curves[i - 1] if curves else LearningCurve(
-            steps=np.array([1, 2]), losses=np.array([0.5, 0.4]),
-            dev_steps=np.array([2]), dev_scores=np.array([v]))
-        splits.append(SplitResult(repetition=i, test=MetricValue(metric, v),
-                                  best_dev=v, best_epoch=0,
-                                  config=default_config(optimizer), curve=curve,
-                                  study=_EMPTY_STUDY))
-    task = task.with_values(metric=metric)
-    return ExperimentResult(task=task, optimizer=optimizer, regime=regime,
-                            splits=tuple(splits))
+                optimizer=OptimizerKind.ADAM, regime=Regime.FULL):
+    return ScoreRecord(task=task.name, optimizer=optimizer, regime=regime,
+                       metric=metric, scores=tuple(values))
+
+
+def curve_result(curves):
+    """An experiment whose splits carry the given learning curves."""
+    kind, regime = OptimizerKind.ADAM, Regime.FULL
+    study = StudyRecord(optimizer=kind, regime=regime, sampler_seed=0)
+    splits = tuple(
+        SplitResult(repetition=i, test=MetricValue(COLA.metric, 0.5), best_dev=0.5,
+                    best_epoch=0, config=default_config(kind), curve=curve, study=study)
+        for i, curve in enumerate(curves, start=1))
+    return ExperimentResult(task=COLA, optimizer=kind, regime=regime, splits=splits)
 
 
 def test_population_std_worked_example():
@@ -354,8 +357,7 @@ def make_curve(losses, dev_steps, dev_scores, start=1):
 
 def test_export_curves_mean_and_std(tmp_path):
     curves = [make_curve([0.4, 0.4], [2], [0.5]), make_curve([0.6, 0.6], [2], [0.7])]
-    res = fake_result([0.5, 0.5], curves=curves)
-    (path,) = export_curves([res], tmp_path)
+    (path,) = export_curves([curve_result(curves)], tmp_path)
     rows = list(csv.DictReader(open(path)))
     assert [r["step"] for r in rows] == ["1", "2"]
     assert float(rows[0]["mean_loss"]) == pytest.approx(0.5)
@@ -367,8 +369,7 @@ def test_export_curves_mean_and_std(tmp_path):
 
 def test_export_curves_identical_splits_zero_std(tmp_path):
     curves = [make_curve([0.5, 0.3, 0.2], [3], [0.8]) for _ in range(5)]
-    res = fake_result([0.8] * 5, curves=curves)
-    (path,) = export_curves([res], tmp_path)
+    (path,) = export_curves([curve_result(curves)], tmp_path)
     rows = list(csv.DictReader(open(path)))
     assert all(float(r["std_loss"]) == 0.0 for r in rows)
     assert float(rows[0]["mean_loss"]) == pytest.approx(0.5)
@@ -376,9 +377,8 @@ def test_export_curves_identical_splits_zero_std(tmp_path):
 
 def test_export_curves_truncates_unequal_with_warning(tmp_path):
     curves = [make_curve([0.4, 0.4, 0.4], [3], [0.5]), make_curve([0.6, 0.6], [2], [0.7])]
-    res = fake_result([0.5, 0.5], curves=curves)
     with pytest.warns(UserWarning, match="truncating"):
-        (path,) = export_curves([res], tmp_path)
+        (path,) = export_curves([curve_result(curves)], tmp_path)
     rows = list(csv.DictReader(open(path)))
     assert len(rows) == 2
 
@@ -391,7 +391,7 @@ def test_write_run_outputs_and_rebuild(tmp_path):
     run = run_spec(task=STSB, optimizer=OptimizerKind.SGD, n_splits=2, trial_budget=3)
     res = run_experiment(run)
     write_run_outputs([res], tmp_path)
-    write_report([res], tmp_path)
+    write_report([res.record], tmp_path)
     expected = {
         "results.csv", "report.txt", "report.csv",
         "curve_stsb_like_sgd_lr_only.csv",
@@ -405,11 +405,31 @@ def test_write_run_outputs_and_rebuild(tmp_path):
     assert len(rows) == 2
     assert rows[0]["task"] == "stsb_like"
     assert float(rows[0]["test_score"]) == pytest.approx(res.splits[0].test.value)
-    # report and curves rebuild from the directory contents alone
+    # report and curves rebuild from the directory contents alone, byte for byte
+    written = {name: (tmp_path / name).read_bytes()
+               for name in ("report.txt", "report.csv")}
     text = report_from_results_csv(tmp_path)
+    assert text == written["report.txt"].decode()
+    for name, content in written.items():
+        assert (tmp_path / name).read_bytes() == content, name
     assert "SGD" in text and "stsb_like" in text
     agg = aggregate_curve_files(tmp_path)
     assert [p.name for p in agg] == ["curve_stsb_like_sgd_lr_only.csv"]
+
+
+def test_aggregate_curve_files_matches_run_with_ten_plus_splits(tmp_path):
+    # split10 sorts before split2 by name; the float sums depend on the order
+    runs = [run_spec(task=STSB, optimizer=kind, regime=Regime.DEFAULTS, n_splits=12,
+                     epochs=2, dataset_size=60)
+            for kind in (OptimizerKind.SGD, OptimizerKind.ADAM)]
+    write_run_outputs([run_experiment(run) for run in runs], tmp_path)
+    paths = sorted(tmp_path.glob("curve_stsb_like_*.csv"))
+    assert len(paths) == 2
+    written = {p.name: p.read_bytes() for p in paths}
+    rebuilt = aggregate_curve_files(tmp_path)
+    assert sorted(p.name for p in rebuilt) == sorted(written)
+    for path in rebuilt:
+        assert path.read_bytes() == written[path.name], path.name
 
 
 # ---------------------------------------------------------------------------

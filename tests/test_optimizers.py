@@ -362,9 +362,12 @@ def test_invalid_adam_variant_rejected():
 
 
 def test_sgdm_rejects_alpha_at_or_above_one():
-    c = cfg(OptimizerKind.SGDM, alpha=1.0)
     with pytest.raises(ConfigError):
-        sgdm_step(init_state(c, 1), [0.0], [1.0], c)
+        cfg(OptimizerKind.SGDM, alpha=1.0)
+    text = default_config(OptimizerKind.SGDM).to_text()
+    text = text.replace("alpha = 0.9", "alpha = 1.0")
+    with pytest.raises(ConfigError):
+        OptimizerConfig.from_text(text)
 
 
 @pytest.mark.parametrize("bad", [

@@ -1,4 +1,4 @@
-"""Unit tests for synthetic tasks, splits, batching, models, and IO."""
+"""Unit tests for synthetic tasks, splits, batching, and models."""
 
 import numpy as np
 import pytest
@@ -12,15 +12,11 @@ from optbench.tasks import (
     TaskSpec,
     epoch_batches,
     init_params,
-    load_dataset_csv,
-    load_split_json,
     loss_and_grad,
     make_dataset,
     make_task_spec,
     param_layout,
     predict,
-    save_dataset_csv,
-    save_split_json,
     segments,
     stratified_split,
 )
@@ -298,7 +294,7 @@ def test_segments_cover_theta():
 
 
 # ---------------------------------------------------------------------------
-# Spec validation and IO
+# Spec validation
 # ---------------------------------------------------------------------------
 
 def test_taskspec_validation():
@@ -311,28 +307,3 @@ def test_taskspec_validation():
     with pytest.raises(ValueError):
         make_task_spec("qqp_like")
 
-
-def test_dataset_csv_roundtrip(tmp_path):
-    for name in ("cola_like", "stsb_like"):
-        spec = make_task_spec(name)
-        data = make_dataset(spec, 60, seed=4)
-        path = tmp_path / f"{name}.csv"
-        save_dataset_csv(data, path)
-        header = path.read_text().splitlines()[0]
-        assert header == ",".join([f"f{i}" for i in range(spec.feature_dim)] + ["target"])
-        back = load_dataset_csv(path, spec)
-        np.testing.assert_array_equal(back.features, data.features)
-        np.testing.assert_array_equal(back.targets, data.targets)
-        assert back.targets.dtype == data.targets.dtype
-
-
-def test_split_json_roundtrip(tmp_path):
-    data = make_dataset(make_task_spec("cola_like"), 80, seed=4)
-    split = stratified_split(data, split_seed=9)
-    path = tmp_path / "split.json"
-    save_split_json(split, path)
-    back = load_split_json(path)
-    np.testing.assert_array_equal(back.train, split.train)
-    np.testing.assert_array_equal(back.dev, split.dev)
-    np.testing.assert_array_equal(back.test, split.test)
-    assert back.split_seed == split.split_seed
