@@ -4,7 +4,6 @@ from optbench.optimizers import (
     ADAPTIVE_KINDS,
     ConfigError,
     DimensionError,
-    NonFiniteError,
     OptimizerConfig,
     OptimizerKind,
     OptimizerState,
@@ -19,7 +18,6 @@ __all__ = [
     "ADAPTIVE_KINDS",
     "ConfigError",
     "DimensionError",
-    "NonFiniteError",
     "OptimizerConfig",
     "OptimizerKind",
     "OptimizerState",

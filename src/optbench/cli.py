@@ -36,15 +36,16 @@ EXIT_NO_VIABLE_TRIAL = 3
 
 
 def _parse_list(value: str, universe, parse_one) -> list:
-    """Parse a name, a comma list or 'all'; an unknown name or an empty list
-    raises before any experiment runs."""
+    """Parse a name, a comma list or 'all' into distinct items in
+    first-occurrence order; an unknown name or an empty list raises before
+    any experiment runs."""
     if value.strip().lower() == "all":
-        items = list(universe)
+        names = list(universe)
     else:
-        items = [item for item in value.split(",") if item.strip()]
-    if not items:
+        names = [name for name in map(str.strip, value.split(",")) if name]
+    if not names:
         raise ConfigError(f"empty list: {value!r}")
-    return [parse_one(item) for item in items]
+    return list(dict.fromkeys(parse_one(name) for name in names))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -26,7 +26,6 @@ import numpy as np
 
 from optbench.metrics import MetricKind, MetricValue, evaluate
 from optbench.optimizers import (
-    NonFiniteError,
     OptimizerConfig,
     OptimizerKind,
     apply_step,
@@ -37,7 +36,6 @@ from optbench.tasks import (
     DataSplit,
     Dataset,
     ModelParams,
-    NonFiniteLossError,
     TaskSpec,
     epoch_batches,
     init_params,
@@ -172,53 +170,47 @@ def train(config: OptimizerConfig, dataset: Dataset, split: DataSplit, *,
 
     Runs ``epochs`` passes of shuffled mini-batches, logging the training
     loss at every step and the dev score after every epoch. Returns the
-    parameter snapshot from the epoch with the highest dev score (earliest
-    epoch on ties). ``prune_hook(epoch, dev_score) -> bool`` may stop the
-    trial early (status ``pruned``); a non-finite loss or update stops it
-    with status ``diverged``, whose score is treated as -inf downstream.
+    parameter snapshot of the record's ``best_epoch``, or the initial
+    parameters if no epoch finished. ``prune_hook(epoch, dev_score) -> bool``
+    may stop the trial early (status ``pruned``). A non-finite loss or
+    updated parameter vector stops it with status ``diverged``, whose score
+    is treated as -inf downstream; these two checks are the only place a
+    trial is judged diverged.
     """
     spec = dataset.spec
     params = init_params(spec, labeled_rng(seed, "init"))
+    theta0 = params.theta
     batch_rng = labeled_rng(seed, "batches")
     state = init_state(config, params.theta.shape[0])
     features, targets = dataset.features, dataset.targets
     dev_x, dev_y = features[split.dev], targets[split.dev]
 
     steps, losses, dev_steps, dev_scores = [], [], [], []
-    best_dev, best_theta = -math.inf, params.theta
+    snapshots = []  # theta after each evaluated epoch
     status = TrialStatus.COMPLETED
     step = 0
     # divergence (overflow to inf/NaN) is normal control flow here
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         for epoch in range(epochs):
-            diverged = False
             for batch in epoch_batches(split, batch_size, batch_rng):
-                try:
-                    loss, grad = loss_and_grad(params, features[batch],
-                                               targets[batch], spec)
-                except NonFiniteLossError:
-                    diverged = True
-                    break
-                if not math.isfinite(loss):  # finite per-example, overflowing mean
-                    diverged = True
+                loss, grad = loss_and_grad(params, features[batch], targets[batch], spec)
+                if not math.isfinite(loss):
+                    status = TrialStatus.DIVERGED
                     break
                 step += 1
                 steps.append(step)
                 losses.append(loss)
-                try:
-                    theta2, state = apply_step(config, state, params.theta, grad)
-                except NonFiniteError:
-                    diverged = True
+                theta2, state = apply_step(config, state, params.theta, grad)
+                if not np.isfinite(theta2).all():
+                    status = TrialStatus.DIVERGED
                     break
                 params = ModelParams(theta=theta2, layout=params.layout)
-            if diverged or not np.isfinite(params.theta).all():
-                status = TrialStatus.DIVERGED
+            if status is TrialStatus.DIVERGED:
                 break
             score = evaluate(spec, predict(params, dev_x, spec), dev_y).value
             dev_steps.append(step)
             dev_scores.append(score)
-            if score > best_dev:
-                best_dev, best_theta = score, params.theta
+            snapshots.append(params.theta)
             if prune_hook is not None and prune_hook(epoch, score):
                 status = TrialStatus.PRUNED
                 break
@@ -230,6 +222,7 @@ def train(config: OptimizerConfig, dataset: Dataset, split: DataSplit, *,
         dev_steps=np.asarray(dev_steps, dtype=np.int64),
         dev_scores=np.asarray(dev_scores, dtype=np.float64),
     )
+    best_theta = theta0 if record.best_epoch is None else snapshots[record.best_epoch]
     return ModelParams(theta=best_theta, layout=params.layout), record, curve
 
 
@@ -292,11 +285,11 @@ def run_study(run: RunSpec, dataset: Dataset, split: DataSplit, repetition: int
 
 @dataclass(frozen=True)
 class SplitResult:
+    """One split's chosen trial, its test score and learning curve."""
+
     repetition: int
     test: MetricValue
-    best_dev: float
-    best_epoch: int
-    config: OptimizerConfig
+    trial: TrialRecord
     curve: LearningCurve
     study: StudyRecord
 
@@ -366,13 +359,9 @@ def run_experiment(run: RunSpec) -> ExperimentResult:
         test_x = dataset.features[split.test]
         test_y = dataset.targets[split.test]
         score = evaluate(task, predict(outcome.best_params, test_x, task), test_y)
-        results.append(SplitResult(
-            repetition=repetition, test=score,
-            best_dev=outcome.best_record.best_dev,
-            best_epoch=outcome.best_record.best_epoch,
-            config=outcome.best_record.config, curve=outcome.best_curve,
-            study=outcome.record,
-        ))
+        results.append(SplitResult(repetition=repetition, test=score,
+                                   trial=outcome.best_record, curve=outcome.best_curve,
+                                   study=outcome.record))
     return ExperimentResult(task=task, optimizer=run.optimizer, regime=run.regime,
                             splits=tuple(results))
 
@@ -526,8 +515,8 @@ def write_results_csv(results, path) -> None:
         for res in results:
             for s in res.splits:
                 writer.writerow([res.task.name, res.optimizer.value, res.regime.value,
-                                 s.repetition, repr(s.test.value), repr(s.best_dev),
-                                 s.best_epoch])
+                                 s.repetition, repr(s.test.value), repr(s.trial.best_dev),
+                                 s.trial.best_epoch])
 
 
 def write_run_outputs(results, out_dir) -> None:

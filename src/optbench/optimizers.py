@@ -23,7 +23,10 @@ power term, so the first update uses t' = 1.
 
 All step functions are pure: they never mutate their inputs and identical
 inputs produce identical outputs, so concurrent training runs only need to
-own their own state.
+own their own state. They are arithmetic only: a NaN or infinity in the
+gradient propagates into the returned parameters, where the training loop
+detects it, and the only error a step raises on its vectors is
+DimensionError for a shape or length mismatch.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ __all__ = [
     "OptimizerState",
     "ConfigError",
     "DimensionError",
-    "NonFiniteError",
     "ADAPTIVE_KINDS",
     "default_config",
     "init_state",
@@ -59,10 +61,6 @@ class ConfigError(ValueError):
 
 class DimensionError(ValueError):
     """Parameter, gradient, and state vector lengths disagree."""
-
-
-class NonFiniteError(ValueError):
-    """A NaN or infinity appeared in an input or intermediate quantity."""
 
 
 class OptimizerKind(str, Enum):
@@ -281,10 +279,6 @@ def _check_step_inputs(state: OptimizerState, theta, g) -> tuple[np.ndarray, np.
         raise DimensionError(
             f"length mismatch: theta={theta.shape[0]}, g={g.shape[0]}, state={state.dim}"
         )
-    if not np.isfinite(g).all():
-        raise NonFiniteError("gradient contains NaN or Inf")
-    if not np.isfinite(theta).all():
-        raise NonFiniteError("theta contains NaN or Inf")
     return theta, g
 
 
@@ -348,8 +342,6 @@ def adam_step(state, theta, g, config, variant: OptimizerKind = OptimizerKind.AD
     theta2 = theta - update
     if variant is OptimizerKind.ADAMW:
         theta2 = theta2 - config.lambda_ * theta
-    if not np.isfinite(theta2).all():
-        raise NonFiniteError("non-finite intermediate in Adam-family step")
     return theta2, replace(state, t=t2, s=s2, r=r2)
 
 
@@ -364,7 +356,8 @@ def adamax_step(state, theta, g, config):
     t2 = state.t + 1
     s2 = rho1 * state.s + (1.0 - rho1) * g
     r2 = np.maximum(config.rho2 * state.r, np.abs(g))
-    ratio = np.divide(s2, r2, out=np.zeros_like(s2), where=r2 > 0.0)
+    # != rather than >: a NaN in r' must reach theta' instead of reading as 0
+    ratio = np.divide(s2, r2, out=np.zeros_like(s2), where=r2 != 0.0)
     theta2 = theta - (config.epsilon / (1.0 - rho1**t2)) * ratio
     return theta2, replace(state, t=t2, s=s2, r=r2)
 
@@ -400,8 +393,6 @@ def adabound_step(state, theta, g, config):
     lo, hi = adabound_bounds(t2, config)
     eta = np.clip(config.epsilon / (np.sqrt(r2) + config.delta), lo, hi)
     theta2 = theta - eta * s2
-    if not np.isfinite(theta2).all():
-        raise NonFiniteError("non-finite intermediate in AdaBound step")
     return theta2, replace(state, t=t2, s=s2, r=r2)
 
 

@@ -365,8 +365,8 @@ def test_criterion_7_tuning_helps_on_cola():
     tuned = results[Regime.LR_ONLY]
     defaults = results[Regime.DEFAULTS]
     tuned_mean, defaults_mean = tuned.record.mean, defaults.record.mean
-    assert defaults.splits[0].config.epsilon == 1e-3  # far outside [1e-7, 1e-5]
-    assert all(1e-7 <= s.config.epsilon <= 1e-5 for s in tuned.splits)
+    assert defaults.splits[0].trial.config.epsilon == 1e-3  # far outside [1e-7, 1e-5]
+    assert all(1e-7 <= s.trial.config.epsilon <= 1e-5 for s in tuned.splits)
     assert tuned_mean >= defaults_mean
 
     for res in results.values():

@@ -100,3 +100,23 @@ def test_determinism_across_directories(tmp_path):
     run_cli(*small_run_args(out_a, optimizer="adam"))
     run_cli(*small_run_args(out_b, optimizer="adam"))
     assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
+
+
+def test_run_drops_repeated_names(tmp_path):
+    assert run_cli(*small_run_args(
+        tmp_path, task="stsb_like,stsb_like", optimizer="sgd,SGD",
+        regime="defaults,defaults", **{"--epochs": "1"})) == EXIT_OK
+    rows = list(csv.DictReader(open(tmp_path / "results.csv")))
+    assert [r["split"] for r in rows] == ["1", "2"]
+    written = (tmp_path / "report.csv").read_bytes()
+    assert run_cli("report", "--in", str(tmp_path)) == EXIT_OK
+    assert (tmp_path / "report.csv").read_bytes() == written
+
+
+def test_run_strips_names_in_every_list(tmp_path):
+    assert run_cli(*small_run_args(
+        tmp_path, task="cola_like, stsb_like", optimizer=" adam", regime="defaults ",
+        **{"--splits": "1", "--epochs": "1"})) == EXIT_OK
+    rows = list(csv.DictReader(open(tmp_path / "results.csv")))
+    assert [(r["task"], r["optimizer"]) for r in rows] == [
+        ("cola_like", "adam"), ("stsb_like", "adam")]

@@ -38,7 +38,7 @@ from optbench.tasks import (
     predict,
     stratified_split,
 )
-from optbench.tuning import Regime, StudyRecord, TrialStatus
+from optbench.tuning import Regime, StudyRecord, TrialRecord, TrialStatus
 
 COLA = make_task_spec("cola_like")
 STSB = make_task_spec("stsb_like")
@@ -141,6 +141,41 @@ def test_train_marks_divergence():
     assert record.status is TrialStatus.DIVERGED
     assert record.best_dev == -math.inf
     assert np.isfinite(curve.losses).all()
+
+
+@pytest.mark.parametrize("fault", ["theta", "loss"])
+def test_train_stops_at_first_nonfinite_step(monkeypatch, fault):
+    import optbench.harness as harness
+
+    data, split = small_data()
+    config = default_config(OptimizerKind.ADAM)
+    first_params, _, first_curve = train(config, data, split, epochs=1, batch_size=4, seed=6)
+    _, _, full_curve = train(config, data, split, epochs=3, batch_size=4, seed=6)
+    bad_call = first_curve.steps.size + 3  # a step in the middle of epoch 2
+
+    def fault_at(real, spoil):
+        calls = []
+
+        def wrapper(*args):
+            calls.append(None)
+            out = real(*args)
+            return spoil(*out) if len(calls) == bad_call else out
+        return wrapper
+
+    if fault == "theta":
+        monkeypatch.setattr(harness, "apply_step", fault_at(
+            harness.apply_step, lambda theta, state: (np.full_like(theta, np.nan), state)))
+    else:
+        monkeypatch.setattr(harness, "loss_and_grad", fault_at(
+            harness.loss_and_grad, lambda loss, grad: (math.inf, grad)))
+    params, record, curve = train(config, data, split, epochs=3, batch_size=4, seed=6)
+    assert record.status is TrialStatus.DIVERGED
+    assert record.best_dev == -math.inf
+    assert len(record.epoch_scores) == 1
+    # the loss of the step whose update failed is kept; an inf loss is not
+    n_losses = bad_call if fault == "theta" else bad_call - 1
+    np.testing.assert_array_equal(curve.losses, full_curve.losses[:n_losses])
+    np.testing.assert_array_equal(params.theta, first_params.theta)
 
 
 def test_train_prune_hook_stops_early():
@@ -271,7 +306,7 @@ def test_run_experiment_deterministic():
     a, b = run_experiment(run), run_experiment(run)
     for sa, sb in zip(a.splits, b.splits):
         assert sa.test.value == sb.test.value
-        assert sa.config == sb.config
+        assert sa.trial.config == sb.trial.config
         np.testing.assert_array_equal(sa.curve.losses, sb.curve.losses)
 
 
@@ -310,8 +345,10 @@ def curve_result(curves):
     kind, regime = OptimizerKind.ADAM, Regime.FULL
     study = StudyRecord(optimizer=kind, regime=regime, sampler_seed=0)
     splits = tuple(
-        SplitResult(repetition=i, test=MetricValue(COLA.metric, 0.5), best_dev=0.5,
-                    best_epoch=0, config=default_config(kind), curve=curve, study=study)
+        SplitResult(repetition=i, test=MetricValue(COLA.metric, 0.5),
+                    trial=TrialRecord.finish(default_config(kind), (0.5,),
+                                             TrialStatus.COMPLETED),
+                    curve=curve, study=study)
         for i, curve in enumerate(curves, start=1))
     return ExperimentResult(task=COLA, optimizer=kind, regime=regime, splits=splits)
 

@@ -10,7 +10,6 @@ from optbench.optimizers import (
     ADAPTIVE_KINDS,
     ConfigError,
     DimensionError,
-    NonFiniteError,
     OptimizerConfig,
     OptimizerKind,
     adabound_bounds,
@@ -346,13 +345,19 @@ def test_dimension_mismatch_raises():
         sgd_step(init_state(c, 3), [1.0, 2.0], [1.0, 2.0], c)
 
 
-def test_nonfinite_gradient_raises():
-    c = default_config(OptimizerKind.ADAM)
-    with pytest.raises(NonFiniteError):
-        adam_step(init_state(c, 2), [0.0, 0.0], [1.0, np.nan], c, OptimizerKind.ADAM)
-    with pytest.raises(NonFiniteError):
-        sgd_step(init_state(default_config(OptimizerKind.SGD), 1), [np.inf], [1.0],
-                 default_config(OptimizerKind.SGD))
+def test_nonfinite_gradient_reaches_theta():
+    # the training loop judges divergence by theta' alone, so a NaN or an
+    # infinity in any gradient coordinate must never be absorbed by a step
+    theta = np.array([0.1, -0.2, 0.3])
+    for kind in ALL_KINDS:
+        c = default_config(kind)
+        for bad in (np.nan, np.inf, -np.inf):
+            for coord in range(theta.size):
+                g = np.array([0.5, -0.25, 0.125])
+                g[coord] = bad
+                with np.errstate(invalid="ignore"):
+                    theta2, _ = apply_step(c, init_state(c, theta.size), theta, g)
+                assert not np.isfinite(theta2).all(), (kind, bad, coord)
 
 
 def test_invalid_adam_variant_rejected():

@@ -8,7 +8,6 @@ from optbench.tasks import (
     TASK_NAMES,
     Dataset,
     ModelParams,
-    NonFiniteLossError,
     TaskSpec,
     epoch_batches,
     init_params,
@@ -235,16 +234,6 @@ def test_one_small_gd_step_decreases_convex_loss():
     stepped = ModelParams(params.theta - 1e-3 * grad, params.layout)
     loss1, _ = loss_and_grad(stepped, data.features, data.targets, spec)
     assert loss1 < loss0
-
-
-def test_nonfinite_loss_error_carries_example_index():
-    spec = make_task_spec("stsb_like")
-    params = ModelParams(np.ones(spec.feature_dim + 1), param_layout(spec))
-    x = np.ones((3, spec.feature_dim))
-    x[1] = 1e200  # squared error overflows for this example only
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteLossError) as err:
-        loss_and_grad(params, x, np.zeros(3), spec)
-    assert err.value.example_index == 1
 
 
 def test_predict_tie_breaks_to_class_zero():
