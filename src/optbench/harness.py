@@ -35,7 +35,6 @@ from optbench.optimizers import (
 from optbench.tasks import (
     DataSplit,
     Dataset,
-    ModelParams,
     TaskSpec,
     epoch_batches,
     init_params,
@@ -165,23 +164,23 @@ class LearningCurve:
 
 def train(config: OptimizerConfig, dataset: Dataset, split: DataSplit, *,
           epochs: int, batch_size: int, seed: int, prune_hook=None
-          ) -> tuple[ModelParams, TrialRecord, LearningCurve]:
+          ) -> tuple[np.ndarray, TrialRecord, LearningCurve]:
     """Train one configuration on one split.
 
     Runs ``epochs`` passes of shuffled mini-batches, logging the training
     loss at every step and the dev score after every epoch. Returns the
-    parameter snapshot of the record's ``best_epoch``, or the initial
-    parameters if no epoch finished. ``prune_hook(epoch, dev_score) -> bool``
-    may stop the trial early (status ``pruned``). A non-finite loss or
+    flat parameter vector θ (segments: ``param_layout(dataset.spec)``) of
+    the record's ``best_epoch``, or the initial θ if no epoch finished.
+    ``prune_hook(epoch, dev_score) -> bool`` may stop the trial early
+    (status ``pruned``). A non-finite loss or
     updated parameter vector stops it with status ``diverged``, whose score
     is treated as -inf downstream; these two checks are the only place a
     trial is judged diverged.
     """
     spec = dataset.spec
-    params = init_params(spec, labeled_rng(seed, "init"))
-    theta0 = params.theta
+    theta0 = theta = init_params(spec, labeled_rng(seed, "init"))
     batch_rng = labeled_rng(seed, "batches")
-    state = init_state(config, params.theta.shape[0])
+    state = init_state(config, theta.shape[0])
     features, targets = dataset.features, dataset.targets
     dev_x, dev_y = features[split.dev], targets[split.dev]
 
@@ -193,24 +192,23 @@ def train(config: OptimizerConfig, dataset: Dataset, split: DataSplit, *,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         for epoch in range(epochs):
             for batch in epoch_batches(split, batch_size, batch_rng):
-                loss, grad = loss_and_grad(params, features[batch], targets[batch], spec)
+                loss, grad = loss_and_grad(theta, features[batch], targets[batch], spec)
                 if not math.isfinite(loss):
                     status = TrialStatus.DIVERGED
                     break
                 step += 1
                 steps.append(step)
                 losses.append(loss)
-                theta2, state = apply_step(config, state, params.theta, grad)
-                if not np.isfinite(theta2).all():
+                theta, state = apply_step(config, state, theta, grad)
+                if not np.isfinite(theta).all():
                     status = TrialStatus.DIVERGED
                     break
-                params = ModelParams(theta=theta2, layout=params.layout)
             if status is TrialStatus.DIVERGED:
                 break
-            score = evaluate(spec, predict(params, dev_x, spec), dev_y).value
+            score = evaluate(spec, predict(theta, dev_x, spec), dev_y).value
             dev_steps.append(step)
             dev_scores.append(score)
-            snapshots.append(params.theta)
+            snapshots.append(theta)
             if prune_hook is not None and prune_hook(epoch, score):
                 status = TrialStatus.PRUNED
                 break
@@ -223,7 +221,7 @@ def train(config: OptimizerConfig, dataset: Dataset, split: DataSplit, *,
         dev_scores=np.asarray(dev_scores, dtype=np.float64),
     )
     best_theta = theta0 if record.best_epoch is None else snapshots[record.best_epoch]
-    return ModelParams(theta=best_theta, layout=params.layout), record, curve
+    return best_theta, record, curve
 
 
 @dataclass
@@ -231,7 +229,7 @@ class StudyOutcome:
     """A finished study plus the artifacts of its best completed trial."""
 
     record: StudyRecord
-    best_params: ModelParams
+    best_theta: np.ndarray
     best_curve: LearningCurve
     best_record: TrialRecord
 
@@ -254,7 +252,7 @@ def run_study(run: RunSpec, dataset: Dataset, split: DataSplit, repetition: int
                         sampler_seed=sampler_seed, max_trials=budget)
     sampler_rng = np.random.default_rng(sampler_seed)
     defaults = default_config(run.optimizer)
-    artifacts = []  # (params, curve) of each trial, in study.trials order
+    artifacts = []  # (theta, curve) of each trial, in study.trials order
     for trial_index in range(budget):
         if run.regime is Regime.DEFAULTS:
             config = defaults
@@ -264,13 +262,13 @@ def run_study(run: RunSpec, dataset: Dataset, split: DataSplit, repetition: int
             config = suggest(study, space, sampler_rng)
         train_seed = labeled_seed(run.master_seed, run.task.name, run.optimizer.value,
                                   repetition, "trial", trial_index)
-        params, record, curve = train(
+        theta, record, curve = train(
             config, dataset, split, epochs=run.epochs, batch_size=run.batch_size,
             seed=train_seed,
             prune_hook=lambda epoch, score: should_prune(study, epoch, score),
         )
         study.add(record)
-        artifacts.append((params, curve))
+        artifacts.append((theta, curve))
     try:
         best = best_trial(study)
     except ValueError:
@@ -278,8 +276,8 @@ def run_study(run: RunSpec, dataset: Dataset, split: DataSplit, repetition: int
             f"every trial diverged: {run.task.name}/{run.optimizer.value}"
             f"/{run.regime.value} repetition {repetition}"
         ) from None
-    params, curve = artifacts[next(i for i, t in enumerate(study.trials) if t is best)]
-    return StudyOutcome(record=study, best_params=params, best_curve=curve,
+    theta, curve = artifacts[next(i for i, t in enumerate(study.trials) if t is best)]
+    return StudyOutcome(record=study, best_theta=theta, best_curve=curve,
                         best_record=best)
 
 
@@ -358,7 +356,7 @@ def run_experiment(run: RunSpec) -> ExperimentResult:
             raise NoViableTrialError(f"split {repetition}: {exc}") from exc
         test_x = dataset.features[split.test]
         test_y = dataset.targets[split.test]
-        score = evaluate(task, predict(outcome.best_params, test_x, task), test_y)
+        score = evaluate(task, predict(outcome.best_theta, test_x, task), test_y)
         results.append(SplitResult(repetition=repetition, test=score,
                                    trial=outcome.best_record, curve=outcome.best_curve,
                                    study=outcome.record))
@@ -560,12 +558,14 @@ def _read_raw_curve(path) -> LearningCurve:
 
 def aggregate_curve_files(in_dir) -> list[Path]:
     """Rebuild curve_<...>.csv files from the raw per-split curves in a run
-    directory."""
+    directory. Raises FileNotFoundError when it holds no raw curves."""
     in_dir = Path(in_dir)
     groups: dict[str, list[tuple[int, Path]]] = {}
     for path in in_dir.glob("curve_raw_*_split*.csv"):
         stem, _, split = path.stem[len("curve_raw_"):].rpartition("_split")
         groups.setdefault(stem, []).append((int(split), path))
+    if not groups:
+        raise FileNotFoundError(f"no curve_raw_*_split*.csv files in {in_dir}")
     written = []
     for stem, paths in sorted(groups.items()):
         # split order, as `run` aggregated them: the float sums depend on it

@@ -32,7 +32,6 @@ __all__ = [
     "TaskSpec",
     "Dataset",
     "DataSplit",
-    "ModelParams",
     "make_task_spec",
     "make_dataset",
     "stratified_split",
@@ -272,23 +271,11 @@ def epoch_batches(split: DataSplit, batch_size: int, rng: np.random.Generator
 
 
 # ---------------------------------------------------------------------------
-# Models: flat parameter vector + layout, analytic loss gradients
+# Models: a flat parameter vector θ, split into segments by param_layout(spec)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Flat parameter vector plus the (name, shape) layout of its segments."""
-
-    theta: np.ndarray
-    layout: tuple[tuple[str, tuple[int, ...]], ...]
-
-    def __post_init__(self):
-        n = sum(int(np.prod(shape)) for _, shape in self.layout)
-        if n != self.theta.shape[0]:
-            raise ValueError(f"layout covers {n} values, theta has {self.theta.shape[0]}")
-
-
 def param_layout(spec: TaskSpec) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """The (name, shape) segments of θ, in order: the one description of θ."""
     d, k, h = spec.feature_dim, spec.n_classes, spec.hidden
     if spec.model == "logistic":
         return (("W", (k, d)), ("b", (k,)))
@@ -297,36 +284,42 @@ def param_layout(spec: TaskSpec) -> tuple[tuple[str, tuple[int, ...]], ...]:
     return (("w", (d,)), ("b", (1,)))
 
 
-def init_params(spec: TaskSpec, rng: np.random.Generator) -> ModelParams:
-    """Zero-mean uniform initialization in [-init_scale, init_scale]."""
+def init_params(spec: TaskSpec, rng: np.random.Generator) -> np.ndarray:
+    """Flat θ covering ``param_layout(spec)``, uniform in [-init_scale, init_scale]."""
+    n = sum(math.prod(shape) for _, shape in param_layout(spec))
+    return rng.uniform(-spec.init_scale, spec.init_scale, size=n)
+
+
+def segments(theta: np.ndarray, spec: TaskSpec) -> dict[str, np.ndarray]:
+    """Views of the flat vector θ reshaped per ``param_layout(spec)`` segment.
+
+    Raises ValueError unless θ is 1-d with exactly the layout's length.
+    """
     layout = param_layout(spec)
-    n = sum(int(np.prod(shape)) for _, shape in layout)
-    theta = rng.uniform(-spec.init_scale, spec.init_scale, size=n)
-    return ModelParams(theta=theta, layout=layout)
-
-
-def segments(params: ModelParams) -> dict[str, np.ndarray]:
-    """Views of the flat vector reshaped per layout segment."""
+    n = sum(math.prod(shape) for _, shape in layout)
+    if theta.shape != (n,):
+        raise ValueError(f"{spec.model} layout covers {n} values, theta has shape {theta.shape}")
     out = {}
     start = 0
-    for name, shape in params.layout:
-        n = int(np.prod(shape))
-        out[name] = params.theta[start:start + n].reshape(shape)
-        start += n
+    for name, shape in layout:
+        stop = start + math.prod(shape)
+        out[name] = theta[start:stop].reshape(shape)
+        start = stop
     return out
 
 
-def _logits(params: ModelParams, x: np.ndarray, spec: TaskSpec):
-    seg = segments(params)
+def _logits(theta: np.ndarray, x: np.ndarray, spec: TaskSpec):
+    seg = segments(theta, spec)
     if spec.model == "logistic":
         return x @ seg["W"].T + seg["b"], None
     hidden = np.tanh(x @ seg["W1"].T + seg["b1"])
     return hidden @ seg["W2"].T + seg["b2"], hidden
 
 
-def loss_and_grad(params: ModelParams, x: np.ndarray, y: np.ndarray, spec: TaskSpec
+def loss_and_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, spec: TaskSpec
                   ) -> tuple[float, np.ndarray]:
-    """Mean loss over the batch and its analytic gradient (flat vector).
+    """Mean loss over the batch at the flat vector θ and its analytic gradient,
+    a flat vector laid out like θ by ``param_layout(spec)``.
 
     Classification: softmax cross-entropy (natural log). Regression: mean
     squared error on the raw model output.
@@ -336,9 +329,9 @@ def loss_and_grad(params: ModelParams, x: np.ndarray, y: np.ndarray, spec: TaskS
     m = x.shape[0]
     if m == 0:
         raise ValueError("empty batch")
-    seg = segments(params)
-    grad = np.zeros_like(params.theta)
-    gseg = segments(ModelParams(theta=grad, layout=params.layout))
+    seg = segments(theta, spec)
+    grad = np.zeros_like(theta)
+    gseg = segments(grad, spec)
 
     if spec.task_type == "regression":
         pred = x @ seg["w"] + seg["b"][0]
@@ -349,7 +342,7 @@ def loss_and_grad(params: ModelParams, x: np.ndarray, y: np.ndarray, spec: TaskS
         return float(per_example.mean()), grad
 
     labels = y.astype(np.int64)
-    logits, hidden = _logits(params, x, spec)
+    logits, hidden = _logits(theta, x, spec)
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
     per_example = log_z - shifted[np.arange(m), labels]
@@ -369,13 +362,14 @@ def loss_and_grad(params: ModelParams, x: np.ndarray, y: np.ndarray, spec: TaskS
     return float(per_example.mean()), grad
 
 
-def predict(params: ModelParams, x: np.ndarray, spec: TaskSpec) -> np.ndarray:
-    """Class labels (argmax, ties to the lowest index) or clamped real scores."""
+def predict(theta: np.ndarray, x: np.ndarray, spec: TaskSpec) -> np.ndarray:
+    """Class labels (argmax, ties to the lowest index) or clamped real scores
+    of the model whose flat parameter vector is θ."""
     if x.ndim != 2 or x.shape[1] != spec.feature_dim:
         raise ValueError(f"inputs must be (m, {spec.feature_dim}), got {x.shape}")
-    seg = segments(params)
+    seg = segments(theta, spec)
     if spec.task_type == "regression":
         lo, hi = spec.target_range
         return np.clip(x @ seg["w"] + seg["b"][0], lo, hi)
-    logits, _ = _logits(params, x, spec)
+    logits, _ = _logits(theta, x, spec)
     return np.argmax(logits, axis=1)

@@ -34,7 +34,6 @@ from optbench.optimizers import (
     sgdm_step,
 )
 from optbench.tasks import (
-    ModelParams,
     init_params,
     loss_and_grad,
     make_dataset,
@@ -215,16 +214,16 @@ def test_criterion_4_gradient_checks():
         data = make_dataset(spec, 60, seed=44)
         rng = np.random.default_rng(zlib.crc32(name.encode()))
         for _ in range(20):
-            params = init_params(spec.with_values(init_scale=0.4), rng)
+            theta0 = init_params(spec.with_values(init_scale=0.4), rng)
             idx = rng.choice(len(data), size=5, replace=False)
             x, y = data.features[idx], data.targets[idx]
-            _, grad = loss_and_grad(params, x, y, spec)
+            _, grad = loss_and_grad(theta0, x, y, spec)
             fd = np.zeros_like(grad)
             for i in range(grad.size):
                 for sign in (1.0, -1.0):
-                    theta = params.theta.copy()
+                    theta = theta0.copy()
                     theta[i] += sign * h
-                    loss, _ = loss_and_grad(ModelParams(theta, params.layout), x, y, spec)
+                    loss, _ = loss_and_grad(theta, x, y, spec)
                     fd[i] += sign * loss
             fd /= 2 * h
             err = np.linalg.norm(grad - fd) / max(np.linalg.norm(grad),

@@ -82,8 +82,11 @@ def test_run_no_viable_trial_exit_code(tmp_path, capsys, monkeypatch):
     assert "diverged" in capsys.readouterr().err
 
 
-def test_report_missing_directory(tmp_path):
-    assert run_cli("report", "--in", str(tmp_path / "nope")) == EXIT_INVALID_CONFIG
+@pytest.mark.parametrize("where", ["missing", "empty"])
+@pytest.mark.parametrize("command", ["report", "curves"])
+def test_report_missing_directory(tmp_path, command, where):
+    in_dir = tmp_path / "nope" if where == "missing" else tmp_path
+    assert run_cli(command, "--in", str(in_dir)) == EXIT_INVALID_CONFIG
 
 
 def test_optimizer_all_expands(tmp_path):

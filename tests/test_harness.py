@@ -30,7 +30,6 @@ from optbench.harness import (
 from optbench.metrics import MetricKind, MetricValue, evaluate
 from optbench.optimizers import OptimizerKind, default_config
 from optbench.tasks import (
-    ModelParams,
     init_params,
     loss_and_grad,
     make_dataset,
@@ -83,7 +82,7 @@ def test_train_deterministic_bitwise():
     runs = [train(config, data, split, epochs=4, batch_size=4, seed=11)
             for _ in range(2)]
     (p1, r1, c1), (p2, r2, c2) = runs
-    np.testing.assert_array_equal(p1.theta, p2.theta)
+    np.testing.assert_array_equal(p1, p2)
     assert r1.epoch_scores == r2.epoch_scores
     np.testing.assert_array_equal(c1.steps, c2.steps)
     np.testing.assert_array_equal(c1.losses, c2.losses)
@@ -108,7 +107,7 @@ def test_train_returns_best_epoch_snapshot():
             params_trunc, record_trunc, _ = train(config, data, split, epochs=k + 1,
                                                   batch_size=4, seed=seed)
             assert record_trunc.best_epoch == k
-            np.testing.assert_array_equal(params_trunc.theta, params.theta)
+            np.testing.assert_array_equal(params_trunc, params)
     assert found_mid_peak  # at least one run must peak before the final epoch
 
 
@@ -175,7 +174,7 @@ def test_train_stops_at_first_nonfinite_step(monkeypatch, fault):
     # the loss of the step whose update failed is kept; an inf loss is not
     n_losses = bad_call if fault == "theta" else bad_call - 1
     np.testing.assert_array_equal(curve.losses, full_curve.losses[:n_losses])
-    np.testing.assert_array_equal(params.theta, first_params.theta)
+    np.testing.assert_array_equal(params, first_params)
 
 
 def test_train_prune_hook_stops_early():
@@ -475,14 +474,13 @@ def test_aggregate_curve_files_matches_run_with_ten_plus_splits(tmp_path):
 
 def gd_line_search_loss(spec, x, y, iters=400, seed=0):
     """Full-batch GD with backtracking line search; the loss oracle."""
-    params = init_params(spec, labeled_rng(seed, "init"))
-    theta, layout = params.theta.copy(), params.layout
-    loss, grad = loss_and_grad(ModelParams(theta, layout), x, y, spec)
+    theta = init_params(spec, labeled_rng(seed, "init")).copy()
+    loss, grad = loss_and_grad(theta, x, y, spec)
     for _ in range(iters):
         eta = 1.0
         while eta > 1e-12:
             cand = theta - eta * grad
-            new_loss, new_grad = loss_and_grad(ModelParams(cand, layout), x, y, spec)
+            new_loss, new_grad = loss_and_grad(cand, x, y, spec)
             if new_loss <= loss - 0.5 * eta * float(grad @ grad):
                 theta, loss, grad = cand, new_loss, new_grad
                 break
@@ -498,5 +496,5 @@ def test_tuned_sgd_matches_line_searched_gd_on_convex_task():
     x, y = data.features[split.train], data.targets[split.train]
     gd_loss = gd_line_search_loss(STSB, x, y)
     outcome = run_study(run, data, split, repetition=1)
-    tuned_loss, _ = loss_and_grad(outcome.best_params, x, y, STSB)
+    tuned_loss, _ = loss_and_grad(outcome.best_theta, x, y, STSB)
     assert tuned_loss <= gd_loss + 1e-2

@@ -7,7 +7,6 @@ from optbench.metrics import MetricKind
 from optbench.tasks import (
     TASK_NAMES,
     Dataset,
-    ModelParams,
     TaskSpec,
     epoch_batches,
     init_params,
@@ -21,14 +20,14 @@ from optbench.tasks import (
 )
 
 
-def finite_difference_grad(params, x, y, spec, h=1e-6):
+def finite_difference_grad(theta0, x, y, spec, h=1e-6):
     """Central-difference gradient oracle."""
-    grad = np.zeros_like(params.theta)
-    for i in range(params.theta.size):
+    grad = np.zeros_like(theta0)
+    for i in range(theta0.size):
         for sign in (+1.0, -1.0):
-            theta = params.theta.copy()
+            theta = theta0.copy()
             theta[i] += sign * h
-            loss, _ = loss_and_grad(ModelParams(theta, params.layout), x, y, spec)
+            loss, _ = loss_and_grad(theta, x, y, spec)
             grad[i] += sign * loss
     return grad / (2 * h)
 
@@ -191,11 +190,10 @@ def test_epoch_batches_rejects_oversized_batch():
 
 def test_zero_weight_logistic_loss_is_ln2():
     spec = make_task_spec("cola_like")
-    params = ModelParams(np.zeros(sum(int(np.prod(s)) for _, s in param_layout(spec))),
-                         param_layout(spec))
+    theta = np.zeros(sum(int(np.prod(s)) for _, s in param_layout(spec)))
     x = np.ones((4, spec.feature_dim))
     y = np.array([0, 1, 0, 1])
-    loss, _ = loss_and_grad(params, x, y, spec)
+    loss, _ = loss_and_grad(theta, x, y, spec)
     np.testing.assert_allclose(loss, np.log(2.0), rtol=1e-12)
 
 
@@ -205,8 +203,8 @@ def test_perfect_fit_linear_regression_zero_loss():
     x = rng.normal(size=(8, spec.feature_dim))
     w = rng.normal(size=spec.feature_dim)
     y = x @ w + 0.5
-    params = ModelParams(np.concatenate([w, [0.5]]), param_layout(spec))
-    loss, grad = loss_and_grad(params, x, y, spec)
+    theta = np.concatenate([w, [0.5]])
+    loss, grad = loss_and_grad(theta, x, y, spec)
     np.testing.assert_allclose(loss, 0.0, atol=1e-24)
     np.testing.assert_allclose(grad, 0.0, atol=1e-11)
 
@@ -229,9 +227,9 @@ def test_analytic_gradient_matches_finite_differences(name):
 def test_one_small_gd_step_decreases_convex_loss():
     spec = make_task_spec("cola_like").with_values(feature_scale=1.0)
     data = make_dataset(spec, 100, seed=8)
-    params = init_params(spec, np.random.default_rng(2))
-    loss0, grad = loss_and_grad(params, data.features, data.targets, spec)
-    stepped = ModelParams(params.theta - 1e-3 * grad, params.layout)
+    theta = init_params(spec, np.random.default_rng(2))
+    loss0, grad = loss_and_grad(theta, data.features, data.targets, spec)
+    stepped = theta - 1e-3 * grad
     loss1, _ = loss_and_grad(stepped, data.features, data.targets, spec)
     assert loss1 < loss0
 
@@ -239,8 +237,7 @@ def test_one_small_gd_step_decreases_convex_loss():
 def test_predict_tie_breaks_to_class_zero():
     spec = make_task_spec("mnli_like")
     n = sum(int(np.prod(s)) for _, s in param_layout(spec))
-    params = ModelParams(np.zeros(n), param_layout(spec))
-    out = predict(params, np.random.default_rng(0).normal(size=(5, spec.feature_dim)), spec)
+    out = predict(np.zeros(n), np.random.default_rng(0).normal(size=(5, spec.feature_dim)), spec)
     np.testing.assert_array_equal(out, np.zeros(5, dtype=np.int64))
 
 
@@ -248,11 +245,9 @@ def test_predict_clamps_regression_output():
     spec = make_task_spec("stsb_like")
     theta = np.zeros(spec.feature_dim + 1)
     theta[-1] = 10.0  # bias alone pushes output to 10
-    params = ModelParams(theta, param_layout(spec))
-    out = predict(params, np.zeros((3, spec.feature_dim)), spec)
+    out = predict(theta, np.zeros((3, spec.feature_dim)), spec)
     np.testing.assert_array_equal(out, [5.0, 5.0, 5.0])
-    params_low = ModelParams(theta * -1, param_layout(spec))
-    np.testing.assert_array_equal(predict(params_low, np.zeros((2, spec.feature_dim)), spec),
+    np.testing.assert_array_equal(predict(theta * -1, np.zeros((2, spec.feature_dim)), spec),
                                   [1.0, 1.0])
 
 
@@ -276,10 +271,24 @@ def test_predict_rejects_dimension_mismatch():
 def test_segments_cover_theta():
     for name in TASK_NAMES:
         spec = make_task_spec(name)
-        params = init_params(spec, np.random.default_rng(1))
-        segs = segments(params)
+        theta = init_params(spec, np.random.default_rng(1))
+        segs = segments(theta, spec)
         total = sum(v.size for v in segs.values())
-        assert total == params.theta.size
+        assert total == theta.size
+
+
+@pytest.mark.parametrize("name", ["cola_like", "mrpc_like", "stsb_like"])
+@pytest.mark.parametrize("extra", [1, -1])
+def test_theta_of_wrong_length_is_rejected(name, extra):
+    spec = make_task_spec(name)
+    n = sum(int(np.prod(s)) for _, s in param_layout(spec))
+    theta = np.zeros(n + extra)
+    x = np.zeros((2, spec.feature_dim))
+    y = np.zeros(2)
+    with pytest.raises(ValueError, match="layout covers"):
+        loss_and_grad(theta, x, y, spec)
+    with pytest.raises(ValueError, match="layout covers"):
+        predict(theta, x, spec)
 
 
 # ---------------------------------------------------------------------------
