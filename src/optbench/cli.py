@@ -21,6 +21,7 @@ from optbench.harness import (
     NoViableTrialError,
     RunSpec,
     aggregate_curve_files,
+    experiment_data,
     report_from_results_csv,
     run_experiment,
     write_report,
@@ -81,18 +82,24 @@ def _cmd_run(args) -> int:
     tasks = _parse_list(args.task, TASK_NAMES, make_task_spec)
     optimizers = _parse_list(args.optimizer, list(OptimizerKind), OptimizerKind.parse)
     regimes = _parse_list(args.regime, list(Regime), Regime.parse)
+    runs = [RunSpec(task=task, optimizer=optimizer, regime=regime,
+                    epochs=args.epochs, batch_size=args.batch_size,
+                    n_splits=args.splits, master_seed=args.seed,
+                    trial_budget=args.trials, dataset_size=args.size)
+            for task in tasks for optimizer in optimizers for regime in regimes]
+    # a run's data depend only on its task, so one run per task covers them all
+    for run in {run.task.name: run for run in runs}.values():
+        for repetition in range(1, run.n_splits + 1):
+            n_train = experiment_data(run, repetition)[1].train.size
+            if run.batch_size > n_train:
+                raise ConfigError(f"{run.task.name} split {repetition}: batch_size must be "
+                                  f"in [1, {n_train}], got {run.batch_size}")
     results = []
-    for task in tasks:
-        for optimizer in optimizers:
-            for regime in regimes:
-                run = RunSpec(task=task, optimizer=optimizer, regime=regime,
-                              epochs=args.epochs, batch_size=args.batch_size,
-                              n_splits=args.splits, master_seed=args.seed,
-                              trial_budget=args.trials, dataset_size=args.size)
-                if not args.quiet:
-                    print(f"running {task.name} / {optimizer.value} / {regime.value} ...",
-                          file=sys.stderr)
-                results.append(run_experiment(run))
+    for run in runs:
+        if not args.quiet:
+            print(f"running {run.task.name} / {run.optimizer.value} / {run.regime.value} ...",
+                  file=sys.stderr)
+        results.append(run_experiment(run))
     write_run_outputs(results, args.out)
     write_report([res.record for res in results], args.out)
     if not args.quiet:

@@ -238,11 +238,12 @@ def run_study(run: RunSpec, dataset: Dataset, split: DataSplit, repetition: int
               ) -> StudyOutcome:
     """Suggest/train/record loop up to the regime's trial budget.
 
-    The defaults regime runs exactly one trial with the untuned values. In
-    the tuning regimes, trial 0 is seeded with the default configuration
-    whenever it lies inside the search space (true for SGD and SGDM, whose
-    default learning rate is within range), so a tuned study can never
-    report a worse dev score than the defaults run.
+    Trial 0 is the default configuration whenever it lies inside the search
+    space. That makes the defaults regime, whose space pins every value at
+    its default and whose budget is 1, run exactly the untuned values; in
+    the tuning regimes it holds for SGD and SGDM, whose default learning
+    rate is within range, so their tuned studies can never report a worse
+    dev score than the defaults run.
     """
     budget = 1 if run.regime is Regime.DEFAULTS else run.trial_budget
     space = search_space(run.optimizer, run.regime)
@@ -254,9 +255,7 @@ def run_study(run: RunSpec, dataset: Dataset, split: DataSplit, repetition: int
     defaults = default_config(run.optimizer)
     artifacts = []  # (theta, curve) of each trial, in study.trials order
     for trial_index in range(budget):
-        if run.regime is Regime.DEFAULTS:
-            config = defaults
-        elif trial_index == 0 and space.contains(defaults):
+        if trial_index == 0 and space.contains(defaults):
             config = defaults
         else:
             config = suggest(study, space, sampler_rng)

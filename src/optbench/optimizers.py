@@ -21,12 +21,13 @@ Implemented update rules (all vector operations elementwise, float64):
 The step counter t starts at 0 and is incremented before being used in any
 power term, so the first update uses t' = 1.
 
-All step functions are pure: they never mutate their inputs and identical
-inputs produce identical outputs, so concurrent training runs only need to
-own their own state. They are arithmetic only: a NaN or infinity in the
-gradient propagates into the returned parameters, where the training loop
-detects it, and the only error a step raises on its vectors is
-DimensionError for a shape or length mismatch.
+``apply_step`` is the one entry point and the one input check: it converts
+theta and g to float64 vectors, raises DimensionError unless both are 1-d
+with the state's length, and dispatches on ``config.kind`` to a private rule
+that only does arithmetic. Steps are pure: they never mutate their inputs and
+identical inputs produce identical outputs, so concurrent training runs only
+need to own their own state. A NaN or infinity in the gradient propagates
+into the returned parameters, where the training loop detects it.
 """
 
 from __future__ import annotations
@@ -45,22 +46,17 @@ __all__ = [
     "ADAPTIVE_KINDS",
     "default_config",
     "init_state",
-    "sgd_step",
-    "sgdm_step",
-    "adam_step",
-    "adamax_step",
     "adabound_bounds",
-    "adabound_step",
     "apply_step",
 ]
 
 
 class ConfigError(ValueError):
-    """A hyperparameter value is out of range or a config document is malformed."""
+    """A hyperparameter value is out of range or a name or name list is invalid."""
 
 
 class DimensionError(ValueError):
-    """Parameter, gradient, and state vector lengths disagree."""
+    """Parameter, gradient, or state vectors are not 1-d or their lengths disagree."""
 
 
 class OptimizerKind(str, Enum):
@@ -102,22 +98,6 @@ ADAPTIVE_KINDS = (
     OptimizerKind.ADAMAX,
     OptimizerKind.ADABOUND,
 )
-
-_ADAM_FAMILY = (OptimizerKind.ADAM, OptimizerKind.NADAM, OptimizerKind.ADAMW)
-
-# Wire-format keys of the plain-text config document, in canonical order.
-CONFIG_KEYS = (
-    "kind",
-    "epsilon",
-    "rho1",
-    "rho2",
-    "delta",
-    "alpha",
-    "lambda",
-    "eps_star",
-    "gamma",
-)
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -182,42 +162,6 @@ class OptimizerConfig:
             "gamma": self.gamma,
         }
 
-    def to_text(self) -> str:
-        """Serialize to the plain-text key-value document format."""
-        kv = self.values_by_key()
-        return "".join(f"{key} = {kv[key]!r}\n" if isinstance(kv[key], float)
-                       else f"{key} = {kv[key]}\n" for key in CONFIG_KEYS)
-
-    @classmethod
-    def from_text(cls, text: str) -> "OptimizerConfig":
-        """Parse the plain-text key-value document.
-
-        Every key must appear exactly once; unknown keys are rejected.
-        """
-        seen: dict[str, str] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            if key in seen:
-                raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-            seen[key] = value.strip()
-        missing = [k for k in CONFIG_KEYS if k not in seen]
-        if missing:
-            raise ConfigError(f"missing keys: {', '.join(missing)}")
-        try:
-            numbers = {k: float(seen[k]) for k in CONFIG_KEYS if k != "kind"}
-        except ValueError as exc:
-            raise ConfigError(f"non-numeric value: {exc}") from None
-        numbers["lambda_"] = numbers.pop("lambda")
-        return cls(kind=OptimizerKind.parse(seen["kind"]), **numbers)
-
     def with_values(self, **updates) -> "OptimizerConfig":
         if "lambda" in updates:
             updates["lambda_"] = updates.pop("lambda")
@@ -265,74 +209,29 @@ def init_state(config: OptimizerConfig, dim: int) -> OptimizerState:
     return OptimizerState(t=0, s=zeros.copy(), r=zeros.copy(), v=zeros.copy())
 
 
-def _as_vector(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionError(f"{name} must be a 1-d vector, got shape {arr.shape}")
-    return arr
-
-
-def _check_step_inputs(state: OptimizerState, theta, g) -> tuple[np.ndarray, np.ndarray]:
-    theta = _as_vector(theta, "theta")
-    g = _as_vector(g, "g")
-    if theta.shape[0] != g.shape[0] or theta.shape[0] != state.dim:
-        raise DimensionError(
-            f"length mismatch: theta={theta.shape[0]}, g={g.shape[0]}, state={state.dim}"
-        )
-    return theta, g
-
-
-def sgd_step(state, theta, g, config):
-    """theta' = theta - epsilon * g; moments and velocity untouched."""
-    theta, g = _check_step_inputs(state, theta, g)
+def _sgd(config, state, theta, g):
     theta2 = theta - config.epsilon * g
-    return theta2, replace(state, t=state.t + 1)
+    return theta2, OptimizerState(t=state.t + 1, s=state.s, r=state.r, v=state.v)
 
 
-def sgdm_step(state, theta, g, config):
-    """SGDM update: velocity is a decaying sum of past scaled gradients.
-
-    theta' = theta - epsilon * g + alpha * v
-    v'     = alpha * v - epsilon * g
-
-    With alpha = 0 the momentum term is skipped entirely, so the theta
-    trajectory is bitwise identical to plain SGD.
-    """
-    theta, g = _check_step_inputs(state, theta, g)
+def _sgdm(config, state, theta, g):
+    # with alpha = 0 the momentum term is skipped, so theta is bitwise SGD's
     alpha = config.alpha
     if alpha == 0.0:
         theta2 = theta - config.epsilon * g
     else:
         theta2 = theta - config.epsilon * g + alpha * state.v
     v2 = alpha * state.v - config.epsilon * g
-    return theta2, replace(state, t=state.t + 1, v=v2)
+    return theta2, OptimizerState(t=state.t + 1, s=state.s, r=state.r, v=v2)
 
 
-def adam_step(state, theta, g, config, variant: OptimizerKind = OptimizerKind.ADAM):
-    """One Adam / Nadam / AdamW step.
-
-    The three variants share the moment updates
-
-        s' = rho1 * s + (1 - rho1) * g
-        r' = rho2 * r + (1 - rho2) * g^2
-
-    and differ in bias correction and decay:
-
-        Adam/AdamW: s_hat = s'/(1-rho1^t'),  r_hat = r'/(1-rho2^t')
-        Nadam:      s_hat = rho1*s'/(1-rho1^(t'+1)) + (1-rho1)*g/(1-rho1^t')
-                    r_hat = rho2 * r'/(1-rho2^t')
-        update:     theta' = theta - epsilon * s_hat / (delta + sqrt(r_hat))
-        AdamW only: theta' -= lambda * theta   (pre-step theta, not scaled
-                    by epsilon)
-    """
-    if variant not in _ADAM_FAMILY:
-        raise ConfigError(f"invalid Adam variant: {variant!r}")
-    theta, g = _check_step_inputs(state, theta, g)
+def _adam(config, state, theta, g):
+    # Adam, Nadam and AdamW; config.kind picks the bias correction and decay
     rho1, rho2 = config.rho1, config.rho2
     t2 = state.t + 1
     s2 = rho1 * state.s + (1.0 - rho1) * g
     r2 = rho2 * state.r + (1.0 - rho2) * g * g
-    if variant is OptimizerKind.NADAM:
+    if config.kind is OptimizerKind.NADAM:
         s_hat = rho1 * s2 / (1.0 - rho1 ** (t2 + 1)) + (1.0 - rho1) * g / (1.0 - rho1**t2)
         r_hat = rho2 * r2 / (1.0 - rho2**t2)
     else:
@@ -340,18 +239,15 @@ def adam_step(state, theta, g, config, variant: OptimizerKind = OptimizerKind.AD
         r_hat = r2 / (1.0 - rho2**t2)
     update = config.epsilon * s_hat / (config.delta + np.sqrt(r_hat))
     theta2 = theta - update
-    if variant is OptimizerKind.ADAMW:
+    if config.kind is OptimizerKind.ADAMW:
+        # decoupled decay of the pre-step theta, not scaled by epsilon
         theta2 = theta2 - config.lambda_ * theta
-    return theta2, replace(state, t=t2, s=s2, r=r2)
+    return theta2, OptimizerState(t=t2, s=s2, r=r2, v=state.v)
 
 
-def adamax_step(state, theta, g, config):
-    """AdaMax step: the second moment is a decaying max of |g|, not an average.
-
-    Coordinates whose entire gradient history is zero have r' = 0 (and
-    necessarily s' = 0); their update component is defined as 0.
-    """
-    theta, g = _check_step_inputs(state, theta, g)
+def _adamax(config, state, theta, g):
+    # a coordinate whose whole gradient history is zero has r' = s' = 0 and
+    # moves by 0
     rho1 = config.rho1
     t2 = state.t + 1
     s2 = rho1 * state.s + (1.0 - rho1) * g
@@ -359,7 +255,7 @@ def adamax_step(state, theta, g, config):
     # != rather than >: a NaN in r' must reach theta' instead of reading as 0
     ratio = np.divide(s2, r2, out=np.zeros_like(s2), where=r2 != 0.0)
     theta2 = theta - (config.epsilon / (1.0 - rho1**t2)) * ratio
-    return theta2, replace(state, t=t2, s=s2, r=r2)
+    return theta2, OptimizerState(t=t2, s=s2, r=r2, v=state.v)
 
 
 def adabound_bounds(t: int, config: OptimizerConfig) -> tuple[float, float]:
@@ -376,16 +272,9 @@ def adabound_bounds(t: int, config: OptimizerConfig) -> tuple[float, float]:
     return lo, hi
 
 
-def adabound_step(state, theta, g, config):
-    """AdaBound step: Adam-style moments with a clipped effective rate.
-
-        eta    = clip(epsilon / (sqrt(r') + delta), lo(t'), hi(t'))
-        theta' = theta - eta * s'
-
-    delta in the denominator guards coordinates with all-zero gradient
-    history; the numerator uses the uncorrected first moment.
-    """
-    theta, g = _check_step_inputs(state, theta, g)
+def _adabound(config, state, theta, g):
+    # delta guards coordinates with all-zero gradient history; the numerator
+    # uses the uncorrected first moment
     rho1, rho2 = config.rho1, config.rho2
     t2 = state.t + 1
     s2 = rho1 * state.s + (1.0 - rho1) * g
@@ -393,20 +282,29 @@ def adabound_step(state, theta, g, config):
     lo, hi = adabound_bounds(t2, config)
     eta = np.clip(config.epsilon / (np.sqrt(r2) + config.delta), lo, hi)
     theta2 = theta - eta * s2
-    return theta2, replace(state, t=t2, s=s2, r=r2)
+    return theta2, OptimizerState(t=t2, s=s2, r=r2, v=state.v)
+
+
+_RULES = {
+    OptimizerKind.SGD: _sgd,
+    OptimizerKind.SGDM: _sgdm,
+    OptimizerKind.ADAM: _adam,
+    OptimizerKind.NADAM: _adam,
+    OptimizerKind.ADAMW: _adam,
+    OptimizerKind.ADAMAX: _adamax,
+    OptimizerKind.ADABOUND: _adabound,
+}
 
 
 def apply_step(config, state, theta, g):
-    """Dispatch one update step on ``config.kind``. Returns (theta', state')."""
-    kind = config.kind
-    if kind is OptimizerKind.SGD:
-        return sgd_step(state, theta, g, config)
-    if kind is OptimizerKind.SGDM:
-        return sgdm_step(state, theta, g, config)
-    if kind in _ADAM_FAMILY:
-        return adam_step(state, theta, g, config, variant=kind)
-    if kind is OptimizerKind.ADAMAX:
-        return adamax_step(state, theta, g, config)
-    if kind is OptimizerKind.ADABOUND:
-        return adabound_step(state, theta, g, config)
-    raise ConfigError(f"unknown optimizer kind: {kind!r}")
+    """One update step of ``config.kind``'s rule. Returns (theta', state').
+
+    Raises DimensionError unless theta and g are 1-d vectors of the state's
+    length; this is the only check on a step's inputs.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    if theta.ndim != 1 or g.ndim != 1 or not theta.shape[0] == g.shape[0] == state.dim:
+        raise DimensionError(f"theta and g must be 1-d vectors of the state's length "
+                             f"{state.dim}, got shapes {theta.shape} and {g.shape}")
+    return _RULES[config.kind](config, state, theta, g)

@@ -308,8 +308,12 @@ def segments(theta: np.ndarray, spec: TaskSpec) -> dict[str, np.ndarray]:
     return out
 
 
-def _logits(theta: np.ndarray, x: np.ndarray, spec: TaskSpec):
-    seg = segments(theta, spec)
+def _forward(seg: dict[str, np.ndarray], x: np.ndarray, spec: TaskSpec):
+    """Model output for the batch ``x`` and the MLP's hidden activations
+    (None for the linear and logistic families): real scores for the linear
+    model, one logit per class for the classifiers."""
+    if spec.model == "linear":
+        return x @ seg["w"] + seg["b"][0], None
     if spec.model == "logistic":
         return x @ seg["W"].T + seg["b"], None
     hidden = np.tanh(x @ seg["W1"].T + seg["b1"])
@@ -319,10 +323,11 @@ def _logits(theta: np.ndarray, x: np.ndarray, spec: TaskSpec):
 def loss_and_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, spec: TaskSpec
                   ) -> tuple[float, np.ndarray]:
     """Mean loss over the batch at the flat vector θ and its analytic gradient,
-    a flat vector laid out like θ by ``param_layout(spec)``.
+    a new flat vector laid out like θ by ``param_layout(spec)``.
 
     Classification: softmax cross-entropy (natural log). Regression: mean
-    squared error on the raw model output.
+    squared error on the raw model output. θ is split into segments once,
+    and the forward pass is the one ``predict`` uses.
     """
     if x.ndim != 2 or x.shape[1] != spec.feature_dim:
         raise ValueError(f"batch features must be (m, {spec.feature_dim}), got {x.shape}")
@@ -330,20 +335,16 @@ def loss_and_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, spec: TaskSpe
     if m == 0:
         raise ValueError("empty batch")
     seg = segments(theta, spec)
-    grad = np.zeros_like(theta)
-    gseg = segments(grad, spec)
+    out, hidden = _forward(seg, x, spec)
 
     if spec.task_type == "regression":
-        pred = x @ seg["w"] + seg["b"][0]
-        err = pred - y
+        err = out - y
         per_example = err * err
-        gseg["w"][:] = (2.0 / m) * (x.T @ err)
-        gseg["b"][0] = (2.0 / m) * err.sum()
-        return float(per_example.mean()), grad
+        grads = ((2.0 / m) * (x.T @ err), (2.0 / m) * err.sum())
+        return float(per_example.mean()), np.concatenate(grads, axis=None)
 
     labels = y.astype(np.int64)
-    logits, hidden = _logits(theta, x, spec)
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = out - out.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
     per_example = log_z - shifted[np.arange(m), labels]
     probs = np.exp(shifted - log_z[:, None])
@@ -351,25 +352,21 @@ def loss_and_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, spec: TaskSpe
     dlogits[np.arange(m), labels] -= 1.0
     dlogits /= m
     if spec.model == "logistic":
-        gseg["W"][:] = dlogits.T @ x
-        gseg["b"][:] = dlogits.sum(axis=0)
+        grads = (dlogits.T @ x, dlogits.sum(axis=0))
     else:
-        gseg["W2"][:] = dlogits.T @ hidden
-        gseg["b2"][:] = dlogits.sum(axis=0)
         dhidden = (dlogits @ seg["W2"]) * (1.0 - hidden * hidden)
-        gseg["W1"][:] = dhidden.T @ x
-        gseg["b1"][:] = dhidden.sum(axis=0)
-    return float(per_example.mean()), grad
+        grads = (dhidden.T @ x, dhidden.sum(axis=0), dlogits.T @ hidden, dlogits.sum(axis=0))
+    return float(per_example.mean()), np.concatenate(grads, axis=None)
 
 
 def predict(theta: np.ndarray, x: np.ndarray, spec: TaskSpec) -> np.ndarray:
     """Class labels (argmax, ties to the lowest index) or clamped real scores
-    of the model whose flat parameter vector is θ."""
+    of the model whose flat parameter vector is θ, from the forward pass
+    ``loss_and_grad`` uses."""
     if x.ndim != 2 or x.shape[1] != spec.feature_dim:
         raise ValueError(f"inputs must be (m, {spec.feature_dim}), got {x.shape}")
-    seg = segments(theta, spec)
+    out, _ = _forward(segments(theta, spec), x, spec)
     if spec.task_type == "regression":
         lo, hi = spec.target_range
-        return np.clip(x @ seg["w"] + seg["b"][0], lo, hi)
-    logits, _ = _logits(theta, x, spec)
-    return np.argmax(logits, axis=1)
+        return np.clip(out, lo, hi)
+    return np.argmax(out, axis=1)

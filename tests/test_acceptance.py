@@ -26,12 +26,9 @@ from optbench.optimizers import (
     ADAPTIVE_KINDS,
     OptimizerKind,
     OptimizerState,
-    adam_step,
     apply_step,
     default_config,
     init_state,
-    sgd_step,
-    sgdm_step,
 )
 from optbench.tasks import (
     init_params,
@@ -87,25 +84,25 @@ def test_criterion_1_optimizer_oracle_suite():
     # figures (some truncated, not rounded), so allow one ulp at figure six
     sigfig6 = dict(rtol=5e-6, atol=0)
     c = default_config(OptimizerKind.SGD).with_values(epsilon=0.1)
-    theta, _ = sgd_step(init_state(c, 1), [1.0], [0.5], c)
+    theta, _ = apply_step(c, init_state(c, 1), [1.0], [0.5])
     np.testing.assert_allclose(theta, [0.95], **sigfig6)
 
     c = default_config(OptimizerKind.SGDM).with_values(epsilon=0.1, alpha=0.9)
-    theta, st = sgdm_step(init_state(c, 1), [1.0], [0.5], c)
-    theta, st = sgdm_step(st, theta, [0.5], c)
+    theta, st = apply_step(c, init_state(c, 1), [1.0], [0.5])
+    theta, st = apply_step(c, st, theta, [0.5])
     np.testing.assert_allclose(theta, [0.855], **sigfig6)
     np.testing.assert_allclose(st.v, [-0.095], **sigfig6)
 
     c = default_config(OptimizerKind.ADAM)
-    theta, _ = adam_step(init_state(c, 1), [0.0], [1.0], c, OptimizerKind.ADAM)
+    theta, _ = apply_step(c, init_state(c, 1), [0.0], [1.0])
     np.testing.assert_allclose(theta, [-9.99999990e-4], **sigfig6)
 
     c = default_config(OptimizerKind.NADAM).with_values(epsilon=1e-3)
-    theta, _ = adam_step(init_state(c, 1), [0.0], [1.0], c, OptimizerKind.NADAM)
+    theta, _ = apply_step(c, init_state(c, 1), [0.0], [1.0])
     np.testing.assert_allclose(theta, [-1.47442e-3], **sigfig6)
 
     c = default_config(OptimizerKind.ADAMW).with_values(lambda_=0.01)
-    theta, _ = adam_step(init_state(c, 1), [0.5], [1.0], c, OptimizerKind.ADAMW)
+    theta, _ = apply_step(c, init_state(c, 1), [0.5], [1.0])
     np.testing.assert_allclose(theta, [0.494000], **sigfig6)
 
     c = default_config(OptimizerKind.ADAMAX)
@@ -134,15 +131,15 @@ def test_criterion_2_identity_suite():
     st_a, st_b = init_state(c_sgd, 6), init_state(c_sgdm, 6)
     for _ in range(1000):
         g = rng.normal(0, 1, 6)
-        theta_a, st_a = sgd_step(st_a, theta_a, g, c_sgd)
-        theta_b, st_b = sgdm_step(st_b, theta_b, g, c_sgdm)
+        theta_a, st_a = apply_step(c_sgd, st_a, theta_a, g)
+        theta_b, st_b = apply_step(c_sgdm, st_b, theta_b, g)
         assert np.array_equal(theta_a, theta_b)
 
     c = default_config(OptimizerKind.ADAM)
     g_star = np.array([0.31, -2.2, 0.007])
     theta, state = np.zeros(3), init_state(c, 3)
     for _ in range(100):
-        theta, state = adam_step(state, theta, g_star, c, OptimizerKind.ADAM)
+        theta, state = apply_step(c, state, theta, g_star)
         np.testing.assert_allclose(state.s / (1 - c.rho1**state.t), g_star, rtol=1e-12)
         np.testing.assert_allclose(state.r / (1 - c.rho2**state.t), g_star**2,
                                    rtol=1e-12)
@@ -173,7 +170,7 @@ def test_criterion_2_identity_suite():
 # ---------------------------------------------------------------------------
 
 def test_criterion_3_adabound_bounds():
-    from optbench.optimizers import adabound_bounds, adabound_step
+    from optbench.optimizers import adabound_bounds
 
     for eps_star, gamma in ((0.1, 1e-3), (0.05, 2e-3), (0.013, 1e-4)):
         c = default_config(OptimizerKind.ADABOUND).with_values(eps_star=eps_star,
@@ -192,11 +189,11 @@ def test_criterion_3_adabound_bounds():
     c = default_config(OptimizerKind.ADABOUND).with_values(
         epsilon=1.0, eps_star=0.01, gamma=10.0)
     lo1, hi1 = adabound_bounds(1, c)
-    theta, state = adabound_step(init_state(c, 1), np.zeros(1), np.array([1e-9]), c)
+    theta, state = apply_step(c, init_state(c, 1), np.zeros(1), np.array([1e-9]))
     assert theta[0] == -hi1 * state.s[0]  # raw rate far above hi -> clipped to hi
     c2 = c.with_values(epsilon=1e-9, eps_star=0.9)
     lo2, hi2 = adabound_bounds(1, c2)
-    theta2, state2 = adabound_step(init_state(c2, 1), np.zeros(1), np.array([5.0]), c2)
+    theta2, state2 = apply_step(c2, init_state(c2, 1), np.zeros(1), np.array([5.0]))
     assert theta2[0] == -lo2 * state2.s[0]  # raw rate far below lo -> clipped to lo
 
     report("3 adabound bounds", "monotone, bracket eps_star, converge at 1e6/gamma")

@@ -62,6 +62,22 @@ def test_run_checks_task_list_before_any_experiment(tmp_path, capsys, monkeypatc
     assert "error" in capsys.readouterr().err
 
 
+def test_run_checks_batch_size_before_any_experiment(tmp_path, capsys, monkeypatch):
+    # at --size 240 the cola_like train partition has 192 rows, stsb_like's 190
+    import optbench.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", calls.append)
+    out = tmp_path / "out"
+    assert run_cli(*small_run_args(
+        out, task="cola_like,stsb_like", **{"--trials": "5", "--splits": "1",
+                                            "--batch-size": "191", "--size": "240",
+                                            "--seed": "1"})) == EXIT_INVALID_CONFIG
+    assert calls == []
+    assert not out.exists()
+    assert "stsb_like split 1: batch_size must be in [1, 190], got 191" in capsys.readouterr().err
+
+
 def test_run_rejects_unknown_optimizer_and_regime(tmp_path):
     assert run_cli(*small_run_args(tmp_path, optimizer="lion")) == EXIT_INVALID_CONFIG
     assert run_cli(*small_run_args(tmp_path, regime="half")) == EXIT_INVALID_CONFIG

@@ -10,17 +10,20 @@ from optbench.optimizers import (
     ADAPTIVE_KINDS,
     ConfigError,
     DimensionError,
-    OptimizerConfig,
     OptimizerKind,
+    OptimizerState,
     adabound_bounds,
-    adabound_step,
-    adam_step,
-    adamax_step,
     apply_step,
     default_config,
     init_state,
-    sgd_step,
-    sgdm_step,
+)
+from optbench.tuning import (
+    Regime,
+    StudyRecord,
+    TrialRecord,
+    TrialStatus,
+    load_study_json,
+    save_study_json,
 )
 from reference_optimizers import ref_step
 
@@ -60,38 +63,38 @@ def test_init_state_rejects_dim_zero():
 
 def test_sgd_scalar_step():
     c = cfg(OptimizerKind.SGD, epsilon=0.1)
-    theta, state = sgd_step(init_state(c, 1), [1.0], [0.5], c)
+    theta, state = apply_step(c, init_state(c, 1), [1.0], [0.5])
     np.testing.assert_allclose(theta, [0.95], rtol=1e-12)
     assert state.t == 1
 
 
 def test_sgd_zero_gradient():
     c = cfg(OptimizerKind.SGD, epsilon=0.37)
-    theta, _ = sgd_step(init_state(c, 2), [2.0, -1.0], [0.0, 0.0], c)
+    theta, _ = apply_step(c, init_state(c, 2), [2.0, -1.0], [0.0, 0.0])
     np.testing.assert_array_equal(theta, [2.0, -1.0])
 
 
 def test_sgd_default_rate():
     c = default_config(OptimizerKind.SGD)
     assert c.epsilon == 1e-3
-    theta, _ = sgd_step(init_state(c, 1), [0.0], [1.0], c)
+    theta, _ = apply_step(c, init_state(c, 1), [0.0], [1.0])
     np.testing.assert_allclose(theta, [-0.001], rtol=1e-12)
 
 
 def test_sgdm_two_steps():
     c = cfg(OptimizerKind.SGDM, epsilon=0.1, alpha=0.9)
     state = init_state(c, 1)
-    theta, state = sgdm_step(state, [1.0], [0.5], c)
+    theta, state = apply_step(c, state, [1.0], [0.5])
     np.testing.assert_allclose(theta, [0.95], rtol=1e-12)
     np.testing.assert_allclose(state.v, [-0.05], rtol=1e-12)
-    theta, state = sgdm_step(state, theta, [0.5], c)
+    theta, state = apply_step(c, state, theta, [0.5])
     np.testing.assert_allclose(theta, [0.855], rtol=1e-12)
     np.testing.assert_allclose(state.v, [-0.095], rtol=1e-12)
 
 
 def test_adam_first_step():
     c = default_config(OptimizerKind.ADAM)
-    theta, state = adam_step(init_state(c, 1), [0.0], [1.0], c, OptimizerKind.ADAM)
+    theta, state = apply_step(c, init_state(c, 1), [0.0], [1.0])
     np.testing.assert_allclose(state.s, [0.1], rtol=1e-12)
     np.testing.assert_allclose(state.r, [0.001], rtol=1e-12)
     np.testing.assert_allclose(theta, [-9.99999990e-4], rtol=1e-6)
@@ -99,20 +102,20 @@ def test_adam_first_step():
 
 def test_nadam_first_step():
     c = cfg(OptimizerKind.NADAM, epsilon=1e-3)
-    theta, _ = adam_step(init_state(c, 1), [0.0], [1.0], c, OptimizerKind.NADAM)
+    theta, _ = apply_step(c, init_state(c, 1), [0.0], [1.0])
     np.testing.assert_allclose(theta, [-1.47442e-3], rtol=1e-5)
     np.testing.assert_allclose(theta, [-0.0014744215909724947], rtol=1e-12)
 
 
 def test_adamw_first_step():
     c = cfg(OptimizerKind.ADAMW, lambda_=0.01)
-    theta, _ = adam_step(init_state(c, 1), [0.5], [1.0], c, OptimizerKind.ADAMW)
+    theta, _ = apply_step(c, init_state(c, 1), [0.5], [1.0])
     np.testing.assert_allclose(theta, [0.49400], rtol=1e-5)
 
 
 def test_adamax_first_step():
     c = cfg(OptimizerKind.ADAMAX, epsilon=2e-3)
-    theta, state = adamax_step(init_state(c, 1), [0.0], [1.0], c)
+    theta, state = apply_step(c, init_state(c, 1), [0.0], [1.0])
     np.testing.assert_allclose(state.s, [0.1], rtol=1e-12)
     np.testing.assert_allclose(state.r, [1.0], rtol=1e-12)
     np.testing.assert_allclose(theta, [-0.002], rtol=1e-9)
@@ -120,15 +123,15 @@ def test_adamax_first_step():
 
 def test_adamax_zero_gradient_from_fresh_state():
     c = default_config(OptimizerKind.ADAMAX)
-    theta, _ = adamax_step(init_state(c, 1), [0.7], [0.0], c)
+    theta, _ = apply_step(c, init_state(c, 1), [0.7], [0.0])
     np.testing.assert_array_equal(theta, [0.7])  # 0/0 convention
 
 
 def test_adamax_second_moment_is_decaying_max():
     c = cfg(OptimizerKind.ADAMAX, rho2=0.999)
     state = init_state(c, 1)
-    theta, state = adamax_step(state, [0.0], [1.0], c)
-    theta, state = adamax_step(state, theta, [0.5], c)
+    theta, state = apply_step(c, state, [0.0], [1.0])
+    theta, state = apply_step(c, state, theta, [0.5])
     np.testing.assert_allclose(state.r, [0.999], rtol=1e-12)
 
 
@@ -145,7 +148,7 @@ def test_adabound_bounds_examples():
 
 def test_adabound_first_step():
     c = default_config(OptimizerKind.ADABOUND)
-    theta, state = adabound_step(init_state(c, 1), [0.0], [1.0], c)
+    theta, state = apply_step(c, init_state(c, 1), [0.0], [1.0])
     np.testing.assert_allclose(state.r, [0.001], rtol=1e-12)
     np.testing.assert_allclose(theta, [-3.16227e-3], rtol=1e-5)
 
@@ -155,7 +158,7 @@ def test_adabound_clip_saturates_at_upper_bound():
     # saturation by making the raw rate enormous via a tiny gradient
     c = cfg(OptimizerKind.ADABOUND, epsilon=1.0, eps_star=0.01, gamma=10.0)
     _, hi = adabound_bounds(1, c)
-    theta, state = adabound_step(init_state(c, 1), [0.0], [1e-8], c)
+    theta, state = apply_step(c, init_state(c, 1), [0.0], [1e-8])
     # raw eta = 1.0 / (1e-8*sqrt(1-rho2) + delta) >> hi, so eta == hi exactly
     expected = -hi * state.s[0]
     np.testing.assert_allclose(theta, [expected], rtol=0, atol=0)
@@ -164,7 +167,7 @@ def test_adabound_clip_saturates_at_upper_bound():
 def test_adabound_point_clip_reduces_to_momentum_update():
     c = cfg(OptimizerKind.ADABOUND, epsilon=1e-3, eps_star=0.05, gamma=1e6)
     # with huge gamma both bounds are eps_star to ~1e-6 relative: update ~ -c*s'
-    theta, state = adabound_step(init_state(c, 1), [0.0], [1.0], c)
+    theta, state = apply_step(c, init_state(c, 1), [0.0], [1.0])
     np.testing.assert_allclose(theta, [-0.05 * state.s[0]], rtol=1e-5)
 
 
@@ -223,8 +226,8 @@ def test_sgdm_alpha_zero_is_bitwise_sgd():
     st_a, st_b = init_state(c_sgd, 5), init_state(c_sgdm, 5)
     for _ in range(1000):
         g = rng.normal(0, 1, 5)
-        theta_a, st_a = sgd_step(st_a, theta_a, g, c_sgd)
-        theta_b, st_b = sgdm_step(st_b, theta_b, g, c_sgdm)
+        theta_a, st_a = apply_step(c_sgd, st_a, theta_a, g)
+        theta_b, st_b = apply_step(c_sgdm, st_b, theta_b, g)
         assert np.array_equal(theta_a, theta_b)  # bitwise
 
 
@@ -235,7 +238,7 @@ def test_bias_correction_identity_constant_gradient(variant):
     theta = np.zeros(3)
     state = init_state(c, 3)
     for _ in range(100):
-        theta, state = adam_step(state, theta, g_star, c, variant)
+        theta, state = apply_step(c, state, theta, g_star)
         s_hat = state.s / (1 - c.rho1 ** state.t)
         r_hat = state.r / (1 - c.rho2 ** state.t)
         np.testing.assert_allclose(s_hat, g_star, rtol=1e-12)
@@ -270,7 +273,7 @@ def test_adamax_brute_force_max_history():
     grads = rng.normal(0, 2, size=(50, 4))
     theta, state = np.zeros(4), init_state(c, 4)
     for t in range(50):
-        theta, state = adamax_step(state, theta, grads[t], c)
+        theta, state = apply_step(c, state, theta, grads[t])
         expected = np.max(
             [c.rho2 ** (t - j) * np.abs(grads[j]) for j in range(t + 1)], axis=0)
         np.testing.assert_allclose(state.r, expected, rtol=1e-12)
@@ -295,7 +298,7 @@ def test_first_adam_step_magnitude():
         c = default_config(OptimizerKind.ADAM)
         g = rng.normal(0, 10, 4)
         g[np.abs(g) < 1e-6] = 1.0
-        theta, _ = adam_step(init_state(c, 4), np.zeros(4), g, c, OptimizerKind.ADAM)
+        theta, _ = apply_step(c, init_state(c, 4), np.zeros(4), g)
         expected = c.epsilon * np.abs(g) / (c.delta + np.abs(g))
         np.testing.assert_allclose(np.abs(theta), expected, rtol=1e-9)
         assert np.all(np.abs(theta) < c.epsilon)
@@ -337,12 +340,20 @@ def test_updates_finite_for_finite_inputs():
 # Errors and validation
 # ---------------------------------------------------------------------------
 
-def test_dimension_mismatch_raises():
-    c = default_config(OptimizerKind.SGD)
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_dimension_mismatch_raises(kind):
+    c = default_config(kind)
     with pytest.raises(DimensionError):
-        sgd_step(init_state(c, 2), [1.0, 2.0], [1.0], c)
+        apply_step(c, init_state(c, 2), [1.0, 2.0], [1.0])
     with pytest.raises(DimensionError):
-        sgd_step(init_state(c, 3), [1.0, 2.0], [1.0, 2.0], c)
+        apply_step(c, init_state(c, 3), [1.0, 2.0], [1.0, 2.0])
+    with pytest.raises(DimensionError):
+        apply_step(c, init_state(c, 2), [[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0])
+    with pytest.raises(DimensionError):
+        apply_step(c, init_state(c, 2), [1.0, 2.0], [[1.0], [2.0]])
+    short = OptimizerState(t=0, s=np.zeros(1), r=np.zeros(1), v=np.zeros(1))
+    with pytest.raises(DimensionError):
+        apply_step(c, short, [1.0, 2.0], [1.0, 2.0])
 
 
 def test_nonfinite_gradient_reaches_theta():
@@ -360,19 +371,9 @@ def test_nonfinite_gradient_reaches_theta():
                 assert not np.isfinite(theta2).all(), (kind, bad, coord)
 
 
-def test_invalid_adam_variant_rejected():
-    c = default_config(OptimizerKind.ADAM)
-    with pytest.raises(ConfigError):
-        adam_step(init_state(c, 1), [0.0], [1.0], c, OptimizerKind.ADAMAX)
-
-
 def test_sgdm_rejects_alpha_at_or_above_one():
     with pytest.raises(ConfigError):
         cfg(OptimizerKind.SGDM, alpha=1.0)
-    text = default_config(OptimizerKind.SGDM).to_text()
-    text = text.replace("alpha = 0.9", "alpha = 1.0")
-    with pytest.raises(ConfigError):
-        OptimizerConfig.from_text(text)
 
 
 @pytest.mark.parametrize("bad", [
@@ -386,36 +387,15 @@ def test_config_validation_rejects_out_of_range(bad):
 
 
 # ---------------------------------------------------------------------------
-# Config document round-trip
+# Config serialization (the study JSON file is the one config format)
 # ---------------------------------------------------------------------------
 
-def test_config_roundtrip_preserves_irrelevant_fields():
-    c = cfg(OptimizerKind.SGD, epsilon=3e-4, rho1=0.83, rho2=0.95, delta=2e-8,
-            alpha=0.25, lambda_=0.3, eps_star=0.05, gamma=7e-4)
-    assert OptimizerConfig.from_text(c.to_text()) == c
-
-
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_config_roundtrip_defaults(kind):
-    c = default_config(kind)
-    assert OptimizerConfig.from_text(c.to_text()) == c
-
-
-def test_config_document_rejects_unknown_duplicate_missing():
-    base = default_config(OptimizerKind.ADAM).to_text()
-    with pytest.raises(ConfigError, match="unknown"):
-        OptimizerConfig.from_text(base + "momentum = 0.9\n")
-    with pytest.raises(ConfigError, match="duplicate"):
-        OptimizerConfig.from_text(base + "epsilon = 1e-3\n")
-    with pytest.raises(ConfigError, match="missing"):
-        OptimizerConfig.from_text("kind = adam\nepsilon = 1e-3\n")
-    with pytest.raises(ConfigError):
-        OptimizerConfig.from_text(base.replace("0.999", "not-a-number"))
-
-
-def test_config_document_ignores_comments_and_blanks():
-    text = "# tuned by hand\n\n" + default_config(OptimizerKind.NADAM).to_text()
-    assert OptimizerConfig.from_text(text) == default_config(OptimizerKind.NADAM)
+def test_config_roundtrip_defaults(kind, tmp_path):
+    study = StudyRecord(optimizer=kind, regime=Regime.DEFAULTS, sampler_seed=0, max_trials=1)
+    study.add(TrialRecord.finish(default_config(kind), (0.5,), TrialStatus.COMPLETED))
+    save_study_json(study, tmp_path / "study.json")
+    assert load_study_json(tmp_path / "study.json").trials[0].config == default_config(kind)
 
 
 def test_default_epsilon_values():

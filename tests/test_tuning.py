@@ -305,14 +305,21 @@ def test_study_json_roundtrip(tmp_path):
         make_trial(scores=(0.2, 0.6, 0.4), epsilon=3e-6),
         make_trial(scores=(0.5,), status=TrialStatus.PRUNED, epsilon=9e-7),
         make_trial(scores=(), status=TrialStatus.DIVERGED, epsilon=1e-5),
+        # every field away from its default, including those AdamW ignores
+        make_trial(kind=OptimizerKind.ADAMW, scores=(0.1, 0.3), epsilon=3e-6, rho1=0.83,
+                   rho2=0.95, delta=2e-8, alpha=0.25, lambda_=0.3, eps_star=0.05,
+                   gamma=7e-4),
     ], kind=OptimizerKind.ADAMW, regime=Regime.LR_ONLY)
+    moved = study.trials[-1].config.values_by_key()
+    defaults = default_config(OptimizerKind.ADAMW).values_by_key()
+    assert [k for k in moved if moved[k] == defaults[k]] == ["kind"]
     path = tmp_path / "study.json"
     save_study_json(study, path)
     back = load_study_json(path)
     assert back.optimizer is OptimizerKind.ADAMW
     assert back.regime is Regime.LR_ONLY
     assert back.sampler_seed == study.sampler_seed
-    assert len(back.trials) == 3
+    assert len(back.trials) == 4
     for a, b in zip(back.trials, study.trials):
         assert a.config == b.config
         assert a.epoch_scores == b.epoch_scores
