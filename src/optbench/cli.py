@@ -5,11 +5,14 @@
     optbench report --in runs/demo
     optbench curves --in runs/demo
 
-``run`` executes the five-split protocol and writes results.csv, per-split
-study_<...>.json and curve_raw_<...>.csv files, aggregated curve_<...>.csv
-files, and report.txt/report.csv. ``report`` and ``curves`` rebuild the
-report and aggregated curves from a run directory. Exit codes: 0 success,
-2 invalid configuration, 3 no viable trial (every trial diverged).
+``run`` executes the five-split protocol. As each experiment finishes it
+appends that experiment's rows to results.csv and writes its per-split
+study_<...>.json and curve_raw_<...>.csv files, so a run that stops early
+keeps what it finished. After the last experiment it builds the aggregated
+curve_<...>.csv files and report.txt/report.csv from the directory with the
+functions ``curves`` and ``report`` call, so each file has one writer.
+Exit codes: 0 success, 2 invalid configuration, 3 no viable trial (every
+trial diverged).
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from optbench.harness import (
     experiment_data,
     report_from_results_csv,
     run_experiment,
-    write_report,
     write_run_outputs,
 )
 from optbench.optimizers import ConfigError, OptimizerKind
@@ -94,16 +96,15 @@ def _cmd_run(args) -> int:
             if run.batch_size > n_train:
                 raise ConfigError(f"{run.task.name} split {repetition}: batch_size must be "
                                   f"in [1, {n_train}], got {run.batch_size}")
-    results = []
     for run in runs:
         if not args.quiet:
             print(f"running {run.task.name} / {run.optimizer.value} / {run.regime.value} ...",
                   file=sys.stderr)
-        results.append(run_experiment(run))
-    write_run_outputs(results, args.out)
-    write_report([res.record for res in results], args.out)
+        write_run_outputs(run_experiment(run), args.out)
+    aggregate_curve_files(args.out)
+    report_from_results_csv(args.out)
     if not args.quiet:
-        print(f"wrote {len(results)} experiment(s) to {args.out}", file=sys.stderr)
+        print(f"wrote {len(runs)} experiment(s) to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 

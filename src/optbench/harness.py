@@ -73,8 +73,6 @@ __all__ = [
     "run_experiment",
     "format_report",
     "write_report",
-    "export_curves",
-    "write_results_csv",
     "write_run_outputs",
     "aggregate_curve_files",
     "report_from_results_csv",
@@ -419,12 +417,13 @@ def format_report(records) -> str:
     return "\n".join(lines)
 
 
-def write_report(records, out_dir) -> None:
+def write_report(records, out_dir) -> str:
     """report.txt (formatted) and report.csv (machine-readable) in out_dir,
-    from ``ScoreRecord``s."""
+    from ``ScoreRecord``s. Returns the text of report.txt."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.txt").write_text(format_report(records))
+    text = format_report(records)
+    (out / "report.txt").write_text(text)
     with open(out / "report.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["task", "optimizer", "regime", "metric", "mean", "std", "cell"])
@@ -434,10 +433,11 @@ def write_report(records, out_dir) -> None:
                 rec.task, rec.optimizer.value, rec.regime.value, rec.metric.value,
                 repr(rec.mean), repr(rec.std), format_cell(rec.metric, rec.mean, rec.std),
             ])
+    return text
 
 
 # ---------------------------------------------------------------------------
-# Curve export
+# Run-directory persistence (consumed by the CLI)
 # ---------------------------------------------------------------------------
 
 def _aggregate_curves(curves: list[LearningCurve]
@@ -454,34 +454,20 @@ def _aggregate_curves(curves: list[LearningCurve]
             any(c.dev_steps.size != n_dev for c in curves):
         warnings.warn("split curves have unequal lengths; truncating to shortest",
                       stacklevel=2)
-    losses = np.stack([c.losses[:n_steps] for c in curves])
-    devs = np.stack([c.dev_scores[:n_dev] for c in curves])
-    dev_at = {int(s): i for i, s in enumerate(curves[0].dev_steps[:n_dev])}
+    # step-major, so each step reduces one contiguous vector of its splits;
+    # a reduction along axis 0 of a split-major stack groups the float sums
+    # differently and can change the last bits
+    losses = np.stack([c.losses[:n_steps] for c in curves], axis=1)
+    devs = np.stack([c.dev_scores[:n_dev] for c in curves], axis=1)
+    mean_loss, std_loss = losses.mean(axis=1).tolist(), losses.std(axis=1).tolist()
+    mean_dev, std_dev = devs.mean(axis=1).tolist(), devs.std(axis=1).tolist()
+    dev_at = {s: j for j, s in enumerate(curves[0].dev_steps[:n_dev].tolist())}
     rows = []
-    for i in range(n_steps):
-        step = int(curves[0].steps[i])
-        mean_dev = std_dev = None
-        if step in dev_at:
-            j = dev_at[step]
-            mean_dev = float(devs[:, j].mean())
-            std_dev = float(devs[:, j].std(ddof=0))
-        rows.append((step, float(losses[:, i].mean()), float(losses[:, i].std(ddof=0)),
-                     mean_dev, std_dev))
+    for i, step in enumerate(curves[0].steps[:n_steps].tolist()):
+        j = dev_at.get(step)
+        dev = (None, None) if j is None else (mean_dev[j], std_dev[j])
+        rows.append((step, mean_loss[i], std_loss[i], *dev))
     return rows
-
-
-def export_curves(results, out_dir) -> list[Path]:
-    """One ``curve_<task>_<optimizer>_<regime>.csv`` per experiment, with
-    columns step, mean_loss, std_loss, mean_dev, std_dev."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for res in results:
-        rows = _aggregate_curves([s.curve for s in res.splits])
-        path = out / f"curve_{res.task.name}_{res.optimizer.value}_{res.regime.value}.csv"
-        _write_curve_csv(path, rows)
-        written.append(path)
-    return written
 
 
 def _write_curve_csv(path, rows) -> None:
@@ -496,47 +482,37 @@ def _write_curve_csv(path, rows) -> None:
             ])
 
 
-# ---------------------------------------------------------------------------
-# Run-directory persistence (consumed by the CLI)
-# ---------------------------------------------------------------------------
-
-def write_results_csv(results, path) -> None:
-    """Append per-split rows; the header is written once per file."""
-    path = Path(path)
-    new_file = not path.exists()
-    with open(path, "a", newline="") as fh:
+def write_run_outputs(result: ExperimentResult, out_dir) -> None:
+    """One finished experiment's files: its rows appended to results.csv
+    (the header is written once per file), and a study JSON and a raw curve
+    file per split. ``run`` calls it as each experiment finishes, so a run
+    that stops early keeps the experiments it finished; ``report`` and
+    ``curves`` build everything else from these files."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    results_path = out / "results.csv"
+    new_file = not results_path.exists()
+    with open(results_path, "a", newline="") as fh:
         writer = csv.writer(fh)
         if new_file:
             writer.writerow(["task", "optimizer", "regime", "split",
                              "test_score", "best_dev", "best_epoch"])
-        for res in results:
-            for s in res.splits:
-                writer.writerow([res.task.name, res.optimizer.value, res.regime.value,
-                                 s.repetition, repr(s.test.value), repr(s.trial.best_dev),
-                                 s.trial.best_epoch])
-
-
-def write_run_outputs(results, out_dir) -> None:
-    """Everything a run leaves behind: results.csv, per-split study JSON and
-    raw curve files, and the aggregated curve files."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_results_csv(results, out / "results.csv")
-    for res in results:
-        stem = f"{res.task.name}_{res.optimizer.value}_{res.regime.value}"
-        for s in res.splits:
-            save_study_json(s.study, out / f"study_{stem}_split{s.repetition}.json")
-            dev_at = {int(t): float(v)
-                      for t, v in zip(s.curve.dev_steps, s.curve.dev_scores)}
-            with open(out / f"curve_raw_{stem}_split{s.repetition}.csv", "w",
-                      newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["step", "loss", "dev"])
-                for step, loss in zip(s.curve.steps, s.curve.losses):
-                    dev = dev_at.get(int(step))
-                    writer.writerow([int(step), repr(float(loss)),
-                                     "" if dev is None else repr(dev)])
-    export_curves(results, out)
+        for s in result.splits:
+            writer.writerow([result.task.name, result.optimizer.value, result.regime.value,
+                             s.repetition, repr(s.test.value), repr(s.trial.best_dev),
+                             s.trial.best_epoch])
+    stem = f"{result.task.name}_{result.optimizer.value}_{result.regime.value}"
+    for s in result.splits:
+        save_study_json(s.study, out / f"study_{stem}_split{s.repetition}.json")
+        dev_at = {int(t): float(v) for t, v in zip(s.curve.dev_steps, s.curve.dev_scores)}
+        with open(out / f"curve_raw_{stem}_split{s.repetition}.csv", "w",
+                  newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["step", "loss", "dev"])
+            for step, loss in zip(s.curve.steps, s.curve.losses):
+                dev = dev_at.get(int(step))
+                writer.writerow([int(step), repr(float(loss)),
+                                 "" if dev is None else repr(dev)])
 
 
 def _read_raw_curve(path) -> LearningCurve:
@@ -556,8 +532,9 @@ def _read_raw_curve(path) -> LearningCurve:
 
 
 def aggregate_curve_files(in_dir) -> list[Path]:
-    """Rebuild curve_<...>.csv files from the raw per-split curves in a run
-    directory. Raises FileNotFoundError when it holds no raw curves."""
+    """Build the curve_<...>.csv files from the raw per-split curves in a
+    run directory; ``run`` and ``curves`` both call it. Raises
+    FileNotFoundError when the directory holds no raw curves."""
     in_dir = Path(in_dir)
     groups: dict[str, list[tuple[int, Path]]] = {}
     for path in in_dir.glob("curve_raw_*_split*.csv"):
@@ -567,7 +544,7 @@ def aggregate_curve_files(in_dir) -> list[Path]:
         raise FileNotFoundError(f"no curve_raw_*_split*.csv files in {in_dir}")
     written = []
     for stem, paths in sorted(groups.items()):
-        # split order, as `run` aggregated them: the float sums depend on it
+        # split order, not name order (split10 < split2): the float sums depend on it
         curves = [_read_raw_curve(p) for _, p in sorted(paths)]
         out_path = in_dir / f"curve_{stem}.csv"
         _write_curve_csv(out_path, _aggregate_curves(curves))
@@ -576,13 +553,15 @@ def aggregate_curve_files(in_dir) -> list[Path]:
 
 
 def report_from_results_csv(in_dir) -> str:
-    """Build report.txt/report.csv from a run directory's results.csv."""
+    """Build report.txt/report.csv from a run directory's results.csv and
+    return the text of report.txt. Every run written into the directory
+    counts; for a repeated (task, optimizer, regime, split) the last row
+    wins."""
     in_dir = Path(in_dir)
     scores: dict[tuple[str, str, str], dict[int, float]] = {}
     with open(in_dir / "results.csv", newline="") as fh:
         for row in csv.DictReader(fh):
             key = (row["task"], row["optimizer"], row["regime"])
-            # last write wins so re-running into a directory stays sane
             scores.setdefault(key, {})[int(row["split"])] = float(row["test_score"])
     records = [
         ScoreRecord(task=task, optimizer=OptimizerKind.parse(optimizer),
@@ -590,5 +569,4 @@ def report_from_results_csv(in_dir) -> str:
                     scores=tuple(by_split[k] for k in sorted(by_split)))
         for (task, optimizer, regime), by_split in sorted(scores.items())
     ]
-    write_report(records, in_dir)
-    return format_report(records)
+    return write_report(records, in_dir)

@@ -24,10 +24,12 @@ power term, so the first update uses t' = 1.
 ``apply_step`` is the one entry point and the one input check: it converts
 theta and g to float64 vectors, raises DimensionError unless both are 1-d
 with the state's length, and dispatches on ``config.kind`` to a private rule
-that only does arithmetic. Steps are pure: they never mutate their inputs and
-identical inputs produce identical outputs, so concurrent training runs only
-need to own their own state. A NaN or infinity in the gradient propagates
-into the returned parameters, where the training loop detects it.
+that only does arithmetic. An OptimizerState checks that its moments share
+one 1-d shape when it is built. Steps are pure: they never mutate their
+inputs and identical inputs produce identical outputs, so concurrent
+training runs only need to own their own state. A NaN or infinity in the
+gradient propagates into the returned parameters, where the training loop
+detects it.
 """
 
 from __future__ import annotations
@@ -189,12 +191,20 @@ class OptimizerState:
     s  first moment (Adam family, AdaBound)
     r  second moment (sum of squares, or running max of |g| for AdaMax)
     v  velocity (SGDM)
+
+    s, r and v must be 1-d vectors of one length; DimensionError otherwise.
     """
 
     t: int
     s: np.ndarray
     r: np.ndarray
     v: np.ndarray
+
+    def __post_init__(self):
+        # runs on every step, so it compares shapes and converts nothing
+        if self.s.ndim != 1 or not self.s.shape == self.r.shape == self.v.shape:
+            raise DimensionError(f"s, r and v must be 1-d vectors of one length, got shapes "
+                                 f"{self.s.shape}, {self.r.shape} and {self.v.shape}")
 
     @property
     def dim(self) -> int:

@@ -5,6 +5,8 @@ import csv
 import pytest
 
 from optbench.cli import EXIT_INVALID_CONFIG, EXIT_NO_VIABLE_TRIAL, EXIT_OK, main
+from optbench.harness import NoViableTrialError
+from optbench.optimizers import OptimizerKind
 
 
 def run_cli(*argv):
@@ -96,6 +98,45 @@ def test_run_no_viable_trial_exit_code(tmp_path, capsys, monkeypatch):
                                  **{"--epochs": "12", "--size": "80"}))
     assert rc == EXIT_NO_VIABLE_TRIAL
     assert "diverged" in capsys.readouterr().err
+
+
+def test_run_keeps_finished_experiments_when_one_fails(tmp_path, capsys, monkeypatch):
+    import optbench.cli as cli
+
+    real_run_experiment = cli.run_experiment
+
+    def run_experiment(run):
+        if run.optimizer is OptimizerKind.ADAM:
+            raise NoViableTrialError("every trial diverged: adam")
+        return real_run_experiment(run)
+
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    assert run_cli(*small_run_args(tmp_path, optimizer="sgd,adam")) == EXIT_NO_VIABLE_TRIAL
+    rows = list(csv.DictReader(open(tmp_path / "results.csv")))
+    assert [(r["optimizer"], r["split"]) for r in rows] == [("sgd", "1"), ("sgd", "2")]
+    assert {p.name for p in tmp_path.iterdir()} == {
+        "results.csv",
+        "study_stsb_like_sgd_lr_only_split1.json",
+        "study_stsb_like_sgd_lr_only_split2.json",
+        "curve_raw_stsb_like_sgd_lr_only_split1.csv",
+        "curve_raw_stsb_like_sgd_lr_only_split2.csv",
+    }
+    capsys.readouterr()
+    assert run_cli("report", "--in", str(tmp_path)) == EXIT_OK
+    assert "SGD" in capsys.readouterr().out
+
+
+def test_run_into_used_directory_matches_rebuild(tmp_path):
+    # every derived file reflects the whole directory, as `report` and
+    # `curves` build it, not only the experiments of the last run
+    assert run_cli(*small_run_args(tmp_path, optimizer="adam")) == EXIT_OK
+    assert run_cli(*small_run_args(tmp_path, optimizer="sgd")) == EXIT_OK
+    written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert [r["optimizer"] for r in csv.DictReader(open(tmp_path / "report.csv"))] == [
+        "adam", "sgd"]
+    assert run_cli("report", "--in", str(tmp_path)) == EXIT_OK
+    assert run_cli("curves", "--in", str(tmp_path)) == EXIT_OK
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == written
 
 
 @pytest.mark.parametrize("where", ["missing", "empty"])

@@ -7,15 +7,12 @@ import numpy as np
 import pytest
 
 from optbench.harness import (
-    ExperimentResult,
     LearningCurve,
     NoViableTrialError,
     RunSpec,
     ScoreRecord,
-    SplitResult,
     aggregate_curve_files,
     experiment_data,
-    export_curves,
     format_cell,
     format_report,
     labeled_rng,
@@ -27,7 +24,7 @@ from optbench.harness import (
     write_report,
     write_run_outputs,
 )
-from optbench.metrics import MetricKind, MetricValue, evaluate
+from optbench.metrics import MetricKind, evaluate
 from optbench.optimizers import OptimizerKind, default_config
 from optbench.tasks import (
     init_params,
@@ -37,7 +34,7 @@ from optbench.tasks import (
     predict,
     stratified_split,
 )
-from optbench.tuning import Regime, StudyRecord, TrialRecord, TrialStatus
+from optbench.tuning import Regime, TrialStatus
 
 COLA = make_task_spec("cola_like")
 STSB = make_task_spec("stsb_like")
@@ -339,19 +336,6 @@ def fake_result(values, metric=MetricKind.ACCURACY, task=COLA,
                        metric=metric, scores=tuple(values))
 
 
-def curve_result(curves):
-    """An experiment whose splits carry the given learning curves."""
-    kind, regime = OptimizerKind.ADAM, Regime.FULL
-    study = StudyRecord(optimizer=kind, regime=regime, sampler_seed=0)
-    splits = tuple(
-        SplitResult(repetition=i, test=MetricValue(COLA.metric, 0.5),
-                    trial=TrialRecord.finish(default_config(kind), (0.5,),
-                                             TrialStatus.COMPLETED),
-                    curve=curve, study=study)
-        for i, curve in enumerate(curves, start=1))
-    return ExperimentResult(task=COLA, optimizer=kind, regime=regime, splits=splits)
-
-
 def test_population_std_worked_example():
     res = fake_result([0.90, 0.92, 0.91, 0.89, 0.93])
     assert res.mean == pytest.approx(0.91, abs=1e-12)
@@ -383,17 +367,20 @@ def test_format_report_flags_best_per_column():
     assert "70.00 (0.00)*" not in text and "70.00 (0.00)" in text
 
 
-def make_curve(losses, dev_steps, dev_scores, start=1):
-    n = len(losses)
-    return LearningCurve(steps=np.arange(start, start + n),
-                         losses=np.asarray(losses, dtype=float),
-                         dev_steps=np.asarray(dev_steps),
-                         dev_scores=np.asarray(dev_scores, dtype=float))
+def write_raw_curves(out_dir, splits, stem="cola_like_adam_full"):
+    """Hand-written ``curve_raw_<stem>_split<k>.csv`` files, one per
+    (losses, {step: dev score}) pair, with steps numbered from 1."""
+    for k, (losses, devs) in enumerate(splits, start=1):
+        lines = ["step,loss,dev"]
+        for step, loss in enumerate(losses, start=1):
+            lines.append(f"{step},{loss!r}," + (repr(devs[step]) if step in devs else ""))
+        (out_dir / f"curve_raw_{stem}_split{k}.csv").write_text("\n".join(lines) + "\n")
 
 
-def test_export_curves_mean_and_std(tmp_path):
-    curves = [make_curve([0.4, 0.4], [2], [0.5]), make_curve([0.6, 0.6], [2], [0.7])]
-    (path,) = export_curves([curve_result(curves)], tmp_path)
+def test_aggregate_curve_files_mean_and_std(tmp_path):
+    write_raw_curves(tmp_path, [([0.4, 0.4], {2: 0.5}), ([0.6, 0.6], {2: 0.7})])
+    (path,) = aggregate_curve_files(tmp_path)
+    assert path.name == "curve_cola_like_adam_full.csv"
     rows = list(csv.DictReader(open(path)))
     assert [r["step"] for r in rows] == ["1", "2"]
     assert float(rows[0]["mean_loss"]) == pytest.approx(0.5)
@@ -403,18 +390,18 @@ def test_export_curves_mean_and_std(tmp_path):
     assert float(rows[1]["std_dev"]) == pytest.approx(0.1)
 
 
-def test_export_curves_identical_splits_zero_std(tmp_path):
-    curves = [make_curve([0.5, 0.3, 0.2], [3], [0.8]) for _ in range(5)]
-    (path,) = export_curves([curve_result(curves)], tmp_path)
+def test_aggregate_curve_files_identical_splits_zero_std(tmp_path):
+    write_raw_curves(tmp_path, [([0.5, 0.3, 0.2], {3: 0.8})] * 5)
+    (path,) = aggregate_curve_files(tmp_path)
     rows = list(csv.DictReader(open(path)))
     assert all(float(r["std_loss"]) == 0.0 for r in rows)
     assert float(rows[0]["mean_loss"]) == pytest.approx(0.5)
 
 
-def test_export_curves_truncates_unequal_with_warning(tmp_path):
-    curves = [make_curve([0.4, 0.4, 0.4], [3], [0.5]), make_curve([0.6, 0.6], [2], [0.7])]
+def test_aggregate_curve_files_truncates_unequal_with_warning(tmp_path):
+    write_raw_curves(tmp_path, [([0.4, 0.4, 0.4], {3: 0.5}), ([0.6, 0.6], {2: 0.7})])
     with pytest.warns(UserWarning, match="truncating"):
-        (path,) = export_curves([curve_result(curves)], tmp_path)
+        (path,) = aggregate_curve_files(tmp_path)
     rows = list(csv.DictReader(open(path)))
     assert len(rows) == 2
 
@@ -426,31 +413,49 @@ def test_export_curves_truncates_unequal_with_warning(tmp_path):
 def test_write_run_outputs_and_rebuild(tmp_path):
     run = run_spec(task=STSB, optimizer=OptimizerKind.SGD, n_splits=2, trial_budget=3)
     res = run_experiment(run)
-    write_run_outputs([res], tmp_path)
-    write_report([res.record], tmp_path)
-    expected = {
-        "results.csv", "report.txt", "report.csv",
-        "curve_stsb_like_sgd_lr_only.csv",
+    write_run_outputs(res, tmp_path)
+    assert {p.name for p in tmp_path.iterdir()} == {
+        "results.csv",
         "study_stsb_like_sgd_lr_only_split1.json",
         "study_stsb_like_sgd_lr_only_split2.json",
         "curve_raw_stsb_like_sgd_lr_only_split1.csv",
         "curve_raw_stsb_like_sgd_lr_only_split2.csv",
     }
-    assert expected <= {p.name for p in tmp_path.iterdir()}
     rows = list(csv.DictReader(open(tmp_path / "results.csv")))
     assert len(rows) == 2
     assert rows[0]["task"] == "stsb_like"
     assert float(rows[0]["test_score"]) == pytest.approx(res.splits[0].test.value)
-    # report and curves rebuild from the directory contents alone, byte for byte
-    written = {name: (tmp_path / name).read_bytes()
-               for name in ("report.txt", "report.csv")}
+    # a second write appends its rows under the one header; the last row wins
+    write_run_outputs(res, tmp_path)
+    lines = (tmp_path / "results.csv").read_text().splitlines()
+    assert len(lines) == 5 and lines[1:3] == lines[3:5]
     text = report_from_results_csv(tmp_path)
-    assert text == written["report.txt"].decode()
-    for name, content in written.items():
-        assert (tmp_path / name).read_bytes() == content, name
+    assert text == (tmp_path / "report.txt").read_text()
     assert "SGD" in text and "stsb_like" in text
+    # the report read back from results.csv is the one the scores in memory give
+    assert write_report([res.record], tmp_path / "memory") == text
+    for name in ("report.txt", "report.csv"):
+        assert (tmp_path / "memory" / name).read_bytes() == (tmp_path / name).read_bytes()
     agg = aggregate_curve_files(tmp_path)
     assert [p.name for p in agg] == ["curve_stsb_like_sgd_lr_only.csv"]
+
+
+def expected_curve_rows(curves):
+    """CSV rows of the pointwise mean/std of equal-length curves, each step
+    reduced over the splits in the given order."""
+    dev_index = {step: j for j, step in enumerate(curves[0].dev_steps.tolist())}
+    rows = []
+    for i, step in enumerate(curves[0].steps.tolist()):
+        losses = np.array([c.losses[i] for c in curves])
+        row = [str(step), repr(float(losses.mean())), repr(float(losses.std()))]
+        j = dev_index.get(step)
+        if j is None:
+            row += ["", ""]
+        else:
+            devs = np.array([c.dev_scores[j] for c in curves])
+            row += [repr(float(devs.mean())), repr(float(devs.std()))]
+        rows.append(row)
+    return rows
 
 
 def test_aggregate_curve_files_matches_run_with_ten_plus_splits(tmp_path):
@@ -458,14 +463,17 @@ def test_aggregate_curve_files_matches_run_with_ten_plus_splits(tmp_path):
     runs = [run_spec(task=STSB, optimizer=kind, regime=Regime.DEFAULTS, n_splits=12,
                      epochs=2, dataset_size=60)
             for kind in (OptimizerKind.SGD, OptimizerKind.ADAM)]
-    write_run_outputs([run_experiment(run) for run in runs], tmp_path)
-    paths = sorted(tmp_path.glob("curve_stsb_like_*.csv"))
-    assert len(paths) == 2
-    written = {p.name: p.read_bytes() for p in paths}
+    results = [run_experiment(run) for run in runs]
+    for res in results:
+        write_run_outputs(res, tmp_path)
     rebuilt = aggregate_curve_files(tmp_path)
-    assert sorted(p.name for p in rebuilt) == sorted(written)
-    for path in rebuilt:
-        assert path.read_bytes() == written[path.name], path.name
+    assert [p.name for p in rebuilt] == ["curve_stsb_like_adam_defaults.csv",
+                                         "curve_stsb_like_sgd_defaults.csv"]
+    for res in results:
+        path = tmp_path / f"curve_stsb_like_{res.optimizer.value}_defaults.csv"
+        rows = list(csv.reader(open(path, newline="")))
+        assert rows[0] == ["step", "mean_loss", "std_loss", "mean_dev", "std_dev"]
+        assert rows[1:] == expected_curve_rows([s.curve for s in res.splits]), path.name
 
 
 # ---------------------------------------------------------------------------

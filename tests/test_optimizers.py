@@ -356,6 +356,18 @@ def test_dimension_mismatch_raises(kind):
         apply_step(c, short, [1.0, 2.0], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("s, r, v", [
+    ((3,), (1,), (3,)),     # an Adam r of length 1 used to broadcast silently
+    ((3,), (3,), (2,)),
+    ((2,), (3,), (3,)),
+    ((3, 1), (3, 1), (3, 1)),
+    ((), (), ()),
+])
+def test_state_rejects_mismatched_moments(s, r, v):
+    with pytest.raises(DimensionError):
+        OptimizerState(t=0, s=np.zeros(s), r=np.zeros(r), v=np.zeros(v))
+
+
 def test_nonfinite_gradient_reaches_theta():
     # the training loop judges divergence by theta' alone, so a NaN or an
     # infinity in any gradient coordinate must never be absorbed by a step
