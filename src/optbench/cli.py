@@ -11,14 +11,16 @@ study_<...>.json and curve_raw_<...>.csv files, so a run that stops early
 keeps what it finished. After the last experiment it builds the aggregated
 curve_<...>.csv files and report.txt/report.csv from the directory with the
 functions ``curves`` and ``report`` call, so each file has one writer.
-Exit codes: 0 success, 2 invalid configuration, 3 no viable trial (every
-trial diverged).
+Exit codes: 0 success, 2 invalid configuration (including an ``--out`` or
+``--in`` path that is not a directory), 3 no viable trial (every trial
+diverged).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from optbench.harness import (
     NoViableTrialError,
@@ -96,6 +98,10 @@ def _cmd_run(args) -> int:
             if run.batch_size > n_train:
                 raise ConfigError(f"{run.task.name} split {repetition}: batch_size must be "
                                   f"in [1, {n_train}], got {run.batch_size}")
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"--out {args.out} is not a directory") from None
     for run in runs:
         if not args.quiet:
             print(f"running {run.task.name} / {run.optimizer.value} / {run.regime.value} ...",
@@ -120,7 +126,7 @@ def main(argv=None) -> int:
             for path in aggregate_curve_files(args.in_dir):
                 print(path)
             return EXIT_OK
-    except (ConfigError, ValueError, FileNotFoundError) as exc:
+    except (ConfigError, ValueError, FileNotFoundError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
     except NoViableTrialError as exc:

@@ -78,8 +78,6 @@ __all__ = [
     "report_from_results_csv",
 ]
 
-SPLIT_RATIOS = (0.8, 0.1, 0.1)
-
 # Fixed display order for report rows.
 _REPORT_ORDER = (
     OptimizerKind.ADABOUND,
@@ -234,17 +232,18 @@ class StudyOutcome:
 
 def run_study(run: RunSpec, dataset: Dataset, split: DataSplit, repetition: int
               ) -> StudyOutcome:
-    """Suggest/train/record loop up to the regime's trial budget.
+    """Suggest/train/record loop up to the study's trial budget.
 
-    Trial 0 is the default configuration whenever it lies inside the search
-    space. That makes the defaults regime, whose space pins every value at
-    its default and whose budget is 1, run exactly the untuned values; in
-    the tuning regimes it holds for SGD and SGDM, whose default learning
-    rate is within range, so their tuned studies can never report a worse
-    dev score than the defaults run.
+    The budget is one trial when the regime's space tunes nothing (the
+    defaults regime) and ``run.trial_budget`` otherwise. Trial 0 is the
+    default configuration whenever it lies inside the search space. That
+    makes the defaults regime run exactly the untuned values; in the tuning
+    regimes it holds for SGD and SGDM, whose default learning rate is within
+    range, so their tuned studies can never report a worse dev score than
+    the defaults run.
     """
-    budget = 1 if run.regime is Regime.DEFAULTS else run.trial_budget
     space = search_space(run.optimizer, run.regime)
+    budget = run.trial_budget if space.params else 1
     sampler_seed = labeled_seed(run.master_seed, run.task.name, run.optimizer.value,
                                 run.regime.value, repetition, "sampler")
     study = StudyRecord(optimizer=run.optimizer, regime=run.regime,
@@ -271,7 +270,7 @@ def run_study(run: RunSpec, dataset: Dataset, split: DataSplit, repetition: int
     except ValueError:
         raise NoViableTrialError(
             f"every trial diverged: {run.task.name}/{run.optimizer.value}"
-            f"/{run.regime.value} repetition {repetition}"
+            f"/{run.regime.value} split {repetition}"
         ) from None
     theta, curve = artifacts[next(i for i, t in enumerate(study.trials) if t is best)]
     return StudyOutcome(record=study, best_theta=theta, best_curve=curve,
@@ -336,7 +335,7 @@ def experiment_data(run: RunSpec, repetition: int) -> tuple[Dataset, DataSplit]:
     data_label = repetition if task.resample_per_split else 0
     dataset = make_dataset(task, run.dataset_size,
                            labeled_seed(run.master_seed, task.name, "data", data_label))
-    split = stratified_split(dataset, SPLIT_RATIOS,
+    split = stratified_split(dataset,
                              labeled_seed(run.master_seed, task.name, "split", repetition))
     return dataset, split
 
@@ -347,10 +346,7 @@ def run_experiment(run: RunSpec) -> ExperimentResult:
     results = []
     for repetition in range(1, run.n_splits + 1):
         dataset, split = experiment_data(run, repetition)
-        try:
-            outcome = run_study(run, dataset, split, repetition)
-        except NoViableTrialError as exc:
-            raise NoViableTrialError(f"split {repetition}: {exc}") from exc
+        outcome = run_study(run, dataset, split, repetition)
         test_x = dataset.features[split.test]
         test_y = dataset.targets[split.test]
         score = evaluate(task, predict(outcome.best_theta, test_x, task), test_y)

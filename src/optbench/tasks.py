@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 TASK_NAMES = ("sst2_like", "mrpc_like", "cola_like", "stsb_like", "mnli_like")
+SPLIT_RATIOS = (0.8, 0.1, 0.1)  # train, dev, test
 
 
 @dataclass(frozen=True)
@@ -227,15 +228,13 @@ def _strata(data: Dataset) -> tuple[np.ndarray, str]:
     return np.digitize(data.targets, edges), "target-quintile bin"
 
 
-def stratified_split(data: Dataset, ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
-                     split_seed: int = 0) -> DataSplit:
-    """Stratified train/dev/test partition, deterministic in ``split_seed``.
+def stratified_split(data: Dataset, split_seed: int = 0) -> DataSplit:
+    """Stratified train/dev/test partition in ``SPLIT_RATIOS``, deterministic
+    in ``split_seed``.
 
     Within every stratum the partition counts are within 1 of exact
     proportionality. Raises if any stratum has fewer than 3 members.
     """
-    if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9 or min(ratios) < 0:
-        raise ValueError(f"ratios must be 3 nonnegative values summing to 1, got {ratios}")
     strata, stratum_word = _strata(data)
     rng = np.random.default_rng(split_seed)
     parts: list[list[np.ndarray]] = [[], [], []]
@@ -246,7 +245,7 @@ def stratified_split(data: Dataset, ratios: tuple[float, float, float] = (0.8, 0
                 f"{stratum_word} {stratum} has only {idx.size} members, need >= 3"
             )
         perm = rng.permutation(idx)
-        counts = _largest_remainder(idx.size, ratios)
+        counts = _largest_remainder(idx.size, SPLIT_RATIOS)
         start = 0
         for p, n_p in enumerate(counts):
             parts[p].append(perm[start:start + n_p])

@@ -12,7 +12,7 @@ matching standard fine-tuning practice):
     eps_star  [1e-2, 1e-1]                                      (linear)
     gamma     [1e-4, 2e-3]                                      (log)
 
-Three regimes: ``defaults`` pins everything (one trial), ``lr_only`` tunes
+Three regimes: ``defaults`` tunes nothing (one trial), ``lr_only`` tunes
 only epsilon, ``full`` tunes every ranged hyperparameter of the optimizer.
 
 The sampler draws the first 10 trials uniformly (log-uniform on log dims),
@@ -80,14 +80,12 @@ class Regime(str, Enum):
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """One searchable hyperparameter: range, scale, default, and pin state."""
+    """One searched hyperparameter: its range and sampling scale."""
 
     name: str
     low: float
     high: float
     scale: str  # "log" | "linear"
-    default: float
-    pinned: bool = False
 
     def __post_init__(self):
         if self.scale not in ("log", "linear"):
@@ -100,8 +98,10 @@ class ParamSpec:
 
 @dataclass(frozen=True)
 class SpaceSpec:
+    """The hyperparameters a study of ``kind`` tunes, in sampling order;
+    every other field keeps its ``default_config(kind)`` value."""
+
     kind: OptimizerKind
-    regime: Regime
     params: tuple[ParamSpec, ...]
 
     def param(self, name: str) -> ParamSpec:
@@ -111,73 +111,58 @@ class SpaceSpec:
         raise KeyError(name)
 
     def contains(self, config: OptimizerConfig) -> bool:
-        """True if the config could have been produced from this space."""
+        """True iff every tuned value lies in its range and every other
+        field equals ``default_config(kind)``'s value."""
         values = config.values_by_key()
+        expected = default_config(self.kind).values_by_key()
         for p in self.params:
-            v = values[p.name]
-            if p.pinned:
-                if v != p.default:
-                    return False
-            elif not p.low <= v <= p.high:
+            if not p.low <= values[p.name] <= p.high:
                 return False
-        return True
+            expected[p.name] = values[p.name]
+        return values == expected
 
 
-# (low, high, scale) per hyperparameter; epsilon depends on the optimizer.
-_EPSILON_ADAPTIVE = (1e-7, 1e-5, "log")
-_EPSILON_SGD = (1e-7, 1e-3, "log")
-_RANGES = {
-    "rho1": (0.8, 0.95, "linear"),
-    "rho2": (0.9, 0.99999, "linear"),
-    "delta": (1e-9, 1e-7, "log"),
-    "alpha_nadam": (1e-4, 1e-2, "log"),
-    "alpha_sgdm": (0.7, 0.9999, "linear"),
-    "eps_star": (1e-2, 1e-1, "linear"),
-    "gamma": (1e-4, 2e-3, "log"),
+_LR_SGD = ParamSpec("epsilon", 1e-7, 1e-3, "log")
+_LR_ADAPTIVE = ParamSpec("epsilon", 1e-7, 1e-5, "log")
+_MOMENTS = (ParamSpec("rho1", 0.8, 0.95, "linear"),
+            ParamSpec("rho2", 0.9, 0.99999, "linear"),
+            ParamSpec("delta", 1e-9, 1e-7, "log"))
+
+# What each optimizer searches in the full regime, in sampling order. The
+# learning rate comes first: the lr_only regime is the first entry.
+_SEARCHED: dict[OptimizerKind, tuple[ParamSpec, ...]] = {
+    OptimizerKind.SGD: (_LR_SGD,),
+    OptimizerKind.SGDM: (_LR_SGD, ParamSpec("alpha", 0.7, 0.9999, "linear")),
+    OptimizerKind.ADAM: (_LR_ADAPTIVE, *_MOMENTS),
+    OptimizerKind.NADAM: (_LR_ADAPTIVE, *_MOMENTS, ParamSpec("alpha", 1e-4, 1e-2, "log")),
+    OptimizerKind.ADAMW: (_LR_ADAPTIVE, *_MOMENTS),
+    OptimizerKind.ADAMAX: (_LR_ADAPTIVE, *_MOMENTS),
+    OptimizerKind.ADABOUND: (_LR_ADAPTIVE, *_MOMENTS,
+                             ParamSpec("eps_star", 1e-2, 1e-1, "linear"),
+                             ParamSpec("gamma", 1e-4, 2e-3, "log")),
 }
 
+_REGIME_SLICE = {Regime.DEFAULTS: slice(0), Regime.LR_ONLY: slice(1),
+                 Regime.FULL: slice(None)}
 
-def _searchable_names(kind: OptimizerKind) -> list[str]:
-    names = ["epsilon"]
-    if kind in ADAPTIVE_KINDS:
-        names += ["rho1", "rho2", "delta"]
-    if kind in (OptimizerKind.NADAM, OptimizerKind.SGDM):
-        names.append("alpha")
-    if kind is OptimizerKind.ADABOUND:
-        names += ["eps_star", "gamma"]
-    return names
+
+def _check_searched() -> None:
+    """The adaptive optimizers' default learning rate lies strictly above
+    its search range."""
+    for kind in ADAPTIVE_KINDS:
+        default, high = default_config(kind).epsilon, _SEARCHED[kind][0].high
+        if not default > high:
+            raise ConfigError(f"{kind.value}: default epsilon {default} must lie above "
+                              f"the search range upper bound {high}")
+
+
+_check_searched()
 
 
 def search_space(kind: OptimizerKind, regime: Regime) -> SpaceSpec:
-    """Space for ``kind`` under ``regime``; pins follow the regime.
-
-    For the five adaptive optimizers the default learning rate sits strictly
-    above the search range, which is asserted here.
-    """
-    kind = OptimizerKind.parse(kind) if not isinstance(kind, OptimizerKind) else kind
-    regime = Regime.parse(regime) if not isinstance(regime, Regime) else regime
-    defaults = default_config(kind).values_by_key()
-    entries = []
-    for name in _searchable_names(kind):
-        if name == "epsilon":
-            low, high, scale = _EPSILON_ADAPTIVE if kind in ADAPTIVE_KINDS else _EPSILON_SGD
-        elif name == "alpha":
-            key = "alpha_nadam" if kind is OptimizerKind.NADAM else "alpha_sgdm"
-            low, high, scale = _RANGES[key]
-        else:
-            low, high, scale = _RANGES[name]
-        pinned = regime is Regime.DEFAULTS or (regime is Regime.LR_ONLY and name != "epsilon")
-        entries.append(ParamSpec(name=name, low=low, high=high, scale=scale,
-                                 default=defaults[name], pinned=pinned))
-    space = SpaceSpec(kind=kind, regime=regime, params=tuple(entries))
-    if kind in ADAPTIVE_KINDS:
-        eps = space.param("epsilon")
-        if not eps.default > eps.high:
-            raise ConfigError(
-                f"{kind.value}: default epsilon {eps.default} must lie above "
-                f"the search range upper bound {eps.high}"
-            )
-    return space
+    """Space for ``kind`` under ``regime``: nothing for defaults, the
+    learning rate for lr_only, and the whole row of ``_SEARCHED`` for full."""
+    return SpaceSpec(kind=kind, params=_SEARCHED[kind][_REGIME_SLICE[regime]])
 
 
 class TrialStatus(str, Enum):
@@ -273,9 +258,9 @@ def suggest(study: StudyRecord, space: SpaceSpec, rng: np.random.Generator
             ) -> OptimizerConfig:
     """Next configuration to try.
 
-    Uniform within range for the first 10 trials, TPE-style afterwards;
-    pinned dimensions always take their default. Every suggested value lies
-    inside its range.
+    Uniform within range for the first 10 trials, TPE-style afterwards.
+    Every suggested value lies inside its range; fields the space does not
+    tune keep their ``default_config`` value.
     """
     if len(study.trials) >= study.max_trials:
         raise ValueError("study is full")
@@ -288,9 +273,6 @@ def suggest(study: StudyRecord, space: SpaceSpec, rng: np.random.Generator
         n_good = max(1, math.ceil(n_observed / 2))
         good_idx, bad_idx = ordered[:n_good], ordered[n_good:]
     for p in space.params:
-        if p.pinned:
-            values[p.name] = p.default
-            continue
         lo, hi = _transform(p.low, p), _transform(p.high, p)
         if not use_tpe:
             values[p.name] = _untransform(rng.uniform(lo, hi), p)

@@ -139,11 +139,27 @@ def test_run_into_used_directory_matches_rebuild(tmp_path):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == written
 
 
-@pytest.mark.parametrize("where", ["missing", "empty"])
+@pytest.mark.parametrize("where", ["missing", "empty", "file"])
 @pytest.mark.parametrize("command", ["report", "curves"])
 def test_report_missing_directory(tmp_path, command, where):
-    in_dir = tmp_path / "nope" if where == "missing" else tmp_path
+    in_dir = {"missing": tmp_path / "nope", "empty": tmp_path, "file": tmp_path / "f"}[where]
+    if where == "file":
+        in_dir.write_text("")
     assert run_cli(command, "--in", str(in_dir)) == EXIT_INVALID_CONFIG
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_run_out_not_a_directory(tmp_path, capsys, monkeypatch, under):
+    import optbench.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", calls.append)
+    a_file = tmp_path / "f"
+    a_file.write_text("")
+    out = a_file / "sub" if under else a_file
+    assert run_cli(*small_run_args(out)) == EXIT_INVALID_CONFIG
+    assert calls == []
+    assert capsys.readouterr().err == f"error: --out {out} is not a directory\n"
 
 
 def test_optimizer_all_expands(tmp_path):

@@ -87,7 +87,7 @@ def test_every_task_skew_within_two_percent():
 
 def test_split_proportions_and_stratification():
     data = make_dataset(make_task_spec("cola_like"), 240, seed=1)
-    split = stratified_split(data, (0.8, 0.1, 0.1), split_seed=11)
+    split = stratified_split(data, split_seed=11)
     all_idx = np.concatenate([split.train, split.dev, split.test])
     assert sorted(all_idx.tolist()) == list(range(240))
     for part, ratio in ((split.train, 0.8), (split.dev, 0.1), (split.test, 0.1)):

@@ -11,10 +11,11 @@ from optbench.optimizers import (
     OptimizerKind,
     default_config,
 )
+from optbench import tuning
 from optbench.tuning import (
     MAX_TRIALS,
+    ParamSpec,
     Regime,
-    SpaceSpec,
     StudyRecord,
     TrialRecord,
     TrialStatus,
@@ -50,7 +51,7 @@ def test_adam_full_space_matches_published_ranges():
     space = search_space(OptimizerKind.ADAM, Regime.FULL)
     assert [p.name for p in space.params] == ["epsilon", "rho1", "rho2", "delta"]
     eps = space.param("epsilon")
-    assert (eps.low, eps.high, eps.scale, eps.pinned) == (1e-7, 1e-5, "log", False)
+    assert (eps.low, eps.high, eps.scale) == (1e-7, 1e-5, "log")
     assert (space.param("rho1").low, space.param("rho1").high) == (0.8, 0.95)
     assert space.param("rho1").scale == "linear"
     assert (space.param("rho2").low, space.param("rho2").high) == (0.9, 0.99999)
@@ -58,13 +59,32 @@ def test_adam_full_space_matches_published_ranges():
     assert space.param("delta").scale == "log"
 
 
+FULL_SPACE_ORDER = {
+    OptimizerKind.SGD: ["epsilon"],
+    OptimizerKind.SGDM: ["epsilon", "alpha"],
+    OptimizerKind.ADAM: ["epsilon", "rho1", "rho2", "delta"],
+    OptimizerKind.NADAM: ["epsilon", "rho1", "rho2", "delta", "alpha"],
+    OptimizerKind.ADAMW: ["epsilon", "rho1", "rho2", "delta"],
+    OptimizerKind.ADAMAX: ["epsilon", "rho1", "rho2", "delta"],
+    OptimizerKind.ADABOUND: ["epsilon", "rho1", "rho2", "delta", "eps_star", "gamma"],
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.value)
+def test_full_space_order(kind):
+    # the sampler draws the dimensions in this order, so results.csv depends on it
+    assert [p.name for p in search_space(kind, Regime.FULL).params] == FULL_SPACE_ORDER[kind]
+
+
 def test_sgdm_lr_only_space():
     space = search_space(OptimizerKind.SGDM, Regime.LR_ONLY)
+    assert [p.name for p in space.params] == ["epsilon"]
     eps = space.param("epsilon")
-    assert (eps.low, eps.high, eps.scale, eps.pinned) == (1e-7, 1e-3, "log", False)
-    alpha = space.param("alpha")
-    assert alpha.pinned and alpha.default == 0.9
+    assert (eps.low, eps.high, eps.scale) == (1e-7, 1e-3, "log")
+    alpha = search_space(OptimizerKind.SGDM, Regime.FULL).param("alpha")
     assert (alpha.low, alpha.high, alpha.scale) == (0.7, 0.9999, "linear")
+    config = suggest(make_study(kind=OptimizerKind.SGDM), space, np.random.default_rng(0))
+    assert config.alpha == 0.9
 
 
 def test_nadam_alpha_and_adabound_extras():
@@ -78,19 +98,26 @@ def test_nadam_alpha_and_adabound_extras():
             ab.param("gamma").scale) == (1e-4, 2e-3, "log")
 
 
-def test_adabound_defaults_space_all_pinned():
-    space = search_space(OptimizerKind.ADABOUND, Regime.DEFAULTS)
-    assert all(p.pinned for p in space.params)
-    assert space.param("epsilon").default == 1e-3
-    assert space.param("eps_star").default == 0.1
-    assert space.param("gamma").default == 1e-3
+def test_defaults_space_tunes_nothing():
+    rng = np.random.default_rng(0)
+    for kind in ALL_KINDS:
+        space = search_space(kind, Regime.DEFAULTS)
+        assert space.params == ()
+        assert space.contains(default_config(kind))
+        assert suggest(make_study(kind=kind), space, rng) == default_config(kind)
+    ab = default_config(OptimizerKind.ADABOUND)
+    assert (ab.epsilon, ab.eps_star, ab.gamma) == (1e-3, 0.1, 1e-3)
 
 
-def test_adaptive_default_epsilon_outside_search_range():
+def test_adaptive_default_epsilon_outside_search_range(monkeypatch):
     for kind in ADAPTIVE_KINDS:
         space = search_space(kind, Regime.FULL)
-        eps = space.param("epsilon")
-        assert eps.default > eps.high  # constructor asserts this relationship
+        assert default_config(kind).epsilon > space.param("epsilon").high
+    # the import-time check of the table rejects a range that reaches the default
+    wide = (ParamSpec("epsilon", 1e-7, 1e-2, "log"),)
+    monkeypatch.setitem(tuning._SEARCHED, OptimizerKind.ADAM, wide)
+    with pytest.raises(ConfigError, match="adam: default epsilon"):
+        tuning._check_searched()
 
 
 def test_sgd_space_has_only_epsilon():
@@ -102,14 +129,8 @@ def test_sgd_space_has_only_epsilon():
 def test_regime_reduction_is_pointwise_restriction():
     for kind in ALL_KINDS:
         full = search_space(kind, Regime.FULL)
-        for regime in (Regime.LR_ONLY, Regime.DEFAULTS):
-            reduced = search_space(kind, regime)
-            assert [p.name for p in reduced.params] == [p.name for p in full.params]
-            for p_full, p_red in zip(full.params, reduced.params):
-                assert (p_red.low, p_red.high, p_red.scale, p_red.default) == \
-                       (p_full.low, p_full.high, p_full.scale, p_full.default)
-                if not p_full.pinned and not p_red.pinned:
-                    assert regime is not Regime.DEFAULTS
+        assert search_space(kind, Regime.LR_ONLY).params == full.params[:1]
+        assert search_space(kind, Regime.DEFAULTS).params == ()
 
 
 def test_space_contains_defaults_only_for_sgd_family():
@@ -118,6 +139,15 @@ def test_space_contains_defaults_only_for_sgd_family():
             space = search_space(kind, regime)
             expected = kind in (OptimizerKind.SGD, OptimizerKind.SGDM)
             assert space.contains(default_config(kind)) == expected
+
+
+def test_contains_requires_untuned_fields_at_default():
+    space = search_space(OptimizerKind.ADAM, Regime.LR_ONLY)
+    tuned_lr = default_config(OptimizerKind.ADAM).with_values(epsilon=1e-6)
+    assert space.contains(tuned_lr)
+    assert not space.contains(tuned_lr.with_values(rho1=0.85))
+    assert search_space(OptimizerKind.ADAM, Regime.FULL).contains(
+        tuned_lr.with_values(rho1=0.85))
 
 
 # ---------------------------------------------------------------------------
