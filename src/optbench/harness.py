@@ -68,7 +68,6 @@ __all__ = [
     "labeled_seed",
     "train",
     "run_study",
-    "StudyOutcome",
     "experiment_data",
     "run_experiment",
     "format_report",
@@ -77,6 +76,9 @@ __all__ = [
     "aggregate_curve_files",
     "report_from_results_csv",
 ]
+
+_RESULTS_COLUMNS = ("task", "optimizer", "regime", "split", "test_score", "best_dev",
+                    "best_epoch")
 
 # Fixed display order for report rows.
 _REPORT_ORDER = (
@@ -144,16 +146,16 @@ class RunSpec:
 
 @dataclass(frozen=True)
 class LearningCurve:
-    """Training loss per step plus dev score at each epoch's final step."""
+    """Training loss per step (``losses[i]`` is step ``i + 1``'s) plus the dev
+    score at each epoch's final step."""
 
-    steps: np.ndarray
     losses: np.ndarray
     dev_steps: np.ndarray
     dev_scores: np.ndarray
 
     def __post_init__(self):
-        if np.any(np.diff(self.steps) <= 0) or np.any(np.diff(self.dev_steps) <= 0):
-            raise ValueError("step indices must be strictly increasing")
+        if np.any(np.diff(self.dev_steps) <= 0):
+            raise ValueError("dev step indices must be strictly increasing")
         if not np.isfinite(self.losses).all():
             raise ValueError("losses must be finite")
 
@@ -180,7 +182,7 @@ def train(config: OptimizerConfig, dataset: Dataset, split: DataSplit, *,
     features, targets = dataset.features, dataset.targets
     dev_x, dev_y = features[split.dev], targets[split.dev]
 
-    steps, losses, dev_steps, dev_scores = [], [], [], []
+    losses, dev_steps, dev_scores = [], [], []
     snapshots = []  # theta after each evaluated epoch
     status = TrialStatus.COMPLETED
     step = 0
@@ -193,7 +195,6 @@ def train(config: OptimizerConfig, dataset: Dataset, split: DataSplit, *,
                     status = TrialStatus.DIVERGED
                     break
                 step += 1
-                steps.append(step)
                 losses.append(loss)
                 theta, state = apply_step(config, state, theta, grad)
                 if not np.isfinite(theta).all():
@@ -209,9 +210,8 @@ def train(config: OptimizerConfig, dataset: Dataset, split: DataSplit, *,
                 status = TrialStatus.PRUNED
                 break
 
-    record = TrialRecord.finish(config, dev_scores, status)
+    record = TrialRecord(config, dev_scores, status)
     curve = LearningCurve(
-        steps=np.asarray(steps, dtype=np.int64),
         losses=np.asarray(losses, dtype=np.float64),
         dev_steps=np.asarray(dev_steps, dtype=np.int64),
         dev_scores=np.asarray(dev_scores, dtype=np.float64),
@@ -220,19 +220,27 @@ def train(config: OptimizerConfig, dataset: Dataset, split: DataSplit, *,
     return best_theta, record, curve
 
 
-@dataclass
-class StudyOutcome:
-    """A finished study plus the artifacts of its best completed trial."""
+@dataclass(frozen=True)
+class SplitResult:
+    """One split's study, the parameter vector θ and learning curve of its
+    best trial (``trial``, derived from the study), and that θ's score on
+    the test partition."""
 
-    record: StudyRecord
-    best_theta: np.ndarray
-    best_curve: LearningCurve
-    best_record: TrialRecord
+    repetition: int
+    test: MetricValue
+    theta: np.ndarray
+    curve: LearningCurve
+    study: StudyRecord
+
+    @property
+    def trial(self) -> TrialRecord:
+        return best_trial(self.study)
 
 
 def run_study(run: RunSpec, dataset: Dataset, split: DataSplit, repetition: int
-              ) -> StudyOutcome:
-    """Suggest/train/record loop up to the study's trial budget.
+              ) -> SplitResult:
+    """Suggest/train/record loop up to the study's trial budget, then the
+    best trial's best-epoch θ scored once on the test partition.
 
     The budget is one trial when the regime's space tunes nothing (the
     defaults regime) and ``run.trial_budget`` otherwise. Trial 0 is the
@@ -273,19 +281,10 @@ def run_study(run: RunSpec, dataset: Dataset, split: DataSplit, repetition: int
             f"/{run.regime.value} split {repetition}"
         ) from None
     theta, curve = artifacts[next(i for i, t in enumerate(study.trials) if t is best)]
-    return StudyOutcome(record=study, best_theta=theta, best_curve=curve,
-                        best_record=best)
-
-
-@dataclass(frozen=True)
-class SplitResult:
-    """One split's chosen trial, its test score and learning curve."""
-
-    repetition: int
-    test: MetricValue
-    trial: TrialRecord
-    curve: LearningCurve
-    study: StudyRecord
+    task, test = run.task, split.test
+    score = evaluate(task, predict(theta, dataset.features[test], task), dataset.targets[test])
+    return SplitResult(repetition=repetition, test=score, theta=theta, curve=curve,
+                       study=study)
 
 
 @dataclass(frozen=True)
@@ -341,20 +340,12 @@ def experiment_data(run: RunSpec, repetition: int) -> tuple[Dataset, DataSplit]:
 
 
 def run_experiment(run: RunSpec) -> ExperimentResult:
-    """Run the full five-split protocol for one (task, optimizer, regime)."""
-    task = run.task
-    results = []
-    for repetition in range(1, run.n_splits + 1):
-        dataset, split = experiment_data(run, repetition)
-        outcome = run_study(run, dataset, split, repetition)
-        test_x = dataset.features[split.test]
-        test_y = dataset.targets[split.test]
-        score = evaluate(task, predict(outcome.best_theta, test_x, task), test_y)
-        results.append(SplitResult(repetition=repetition, test=score,
-                                   trial=outcome.best_record, curve=outcome.best_curve,
-                                   study=outcome.record))
-    return ExperimentResult(task=task, optimizer=run.optimizer, regime=run.regime,
-                            splits=tuple(results))
+    """Run the ``run.n_splits``-split protocol for one (task, optimizer,
+    regime): one ``run_study`` per repetition, on that repetition's data."""
+    splits = tuple(run_study(run, *experiment_data(run, repetition), repetition)
+                   for repetition in range(1, run.n_splits + 1))
+    return ExperimentResult(task=run.task, optimizer=run.optimizer, regime=run.regime,
+                            splits=splits)
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +435,9 @@ def _aggregate_curves(curves: list[LearningCurve]
     None except at epoch-end steps. Curves of unequal length are truncated
     to the shortest, with a warning.
     """
-    n_steps = min(c.steps.size for c in curves)
+    n_steps = min(c.losses.size for c in curves)
     n_dev = min(c.dev_steps.size for c in curves)
-    if any(c.steps.size != n_steps for c in curves) or \
+    if any(c.losses.size != n_steps for c in curves) or \
             any(c.dev_steps.size != n_dev for c in curves):
         warnings.warn("split curves have unequal lengths; truncating to shortest",
                       stacklevel=2)
@@ -459,10 +450,10 @@ def _aggregate_curves(curves: list[LearningCurve]
     mean_dev, std_dev = devs.mean(axis=1).tolist(), devs.std(axis=1).tolist()
     dev_at = {s: j for j, s in enumerate(curves[0].dev_steps[:n_dev].tolist())}
     rows = []
-    for i, step in enumerate(curves[0].steps[:n_steps].tolist()):
+    for step, (mean, std) in enumerate(zip(mean_loss, std_loss), start=1):
         j = dev_at.get(step)
         dev = (None, None) if j is None else (mean_dev[j], std_dev[j])
-        rows.append((step, mean_loss[i], std_loss[i], *dev))
+        rows.append((step, mean, std, *dev))
     return rows
 
 
@@ -480,19 +471,16 @@ def _write_curve_csv(path, rows) -> None:
 
 def write_run_outputs(result: ExperimentResult, out_dir) -> None:
     """One finished experiment's files: its rows appended to results.csv
-    (the header is written once per file), and a study JSON and a raw curve
-    file per split. ``run`` calls it as each experiment finishes, so a run
-    that stops early keeps the experiments it finished; ``report`` and
+    (after the header if the file is empty), and a study JSON and a raw
+    curve file per split. ``run`` calls it as each experiment finishes, so a
+    run that stops early keeps the experiments it finished; ``report`` and
     ``curves`` build everything else from these files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results_path = out / "results.csv"
-    new_file = not results_path.exists()
-    with open(results_path, "a", newline="") as fh:
+    with open(out / "results.csv", "a", newline="") as fh:
         writer = csv.writer(fh)
-        if new_file:
-            writer.writerow(["task", "optimizer", "regime", "split",
-                             "test_score", "best_dev", "best_epoch"])
+        if fh.tell() == 0:  # new, or left empty by a run killed before its header
+            writer.writerow(_RESULTS_COLUMNS)
         for s in result.splits:
             writer.writerow([result.task.name, result.optimizer.value, result.regime.value,
                              s.repetition, repr(s.test.value), repr(s.trial.best_dev),
@@ -505,24 +493,25 @@ def write_run_outputs(result: ExperimentResult, out_dir) -> None:
                   newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "loss", "dev"])
-            for step, loss in zip(s.curve.steps, s.curve.losses):
-                dev = dev_at.get(int(step))
-                writer.writerow([int(step), repr(float(loss)),
+            for step, loss in enumerate(s.curve.losses.tolist(), start=1):
+                dev = dev_at.get(step)
+                writer.writerow([step, repr(loss),
                                  "" if dev is None else repr(dev)])
 
 
 def _read_raw_curve(path) -> LearningCurve:
-    steps, losses, dev_steps, dev_scores = [], [], [], []
+    """The curve a raw per-split file holds; its steps must run 1, 2, 3, ..."""
+    losses, dev_steps, dev_scores = [], [], []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            steps.append(int(row["step"]))
+        for step, row in enumerate(csv.DictReader(fh), start=1):
+            if int(row["step"]) != step:
+                raise ValueError(f"{path}: row {step} has step {row['step']}, "
+                                 f"expected {step} (steps run 1, 2, 3, ...)")
             losses.append(float(row["loss"]))
             if row["dev"] != "":
-                dev_steps.append(int(row["step"]))
+                dev_steps.append(step)
                 dev_scores.append(float(row["dev"]))
-    return LearningCurve(steps=np.asarray(steps, dtype=np.int64),
-                         losses=np.asarray(losses, dtype=np.float64),
+    return LearningCurve(losses=np.asarray(losses, dtype=np.float64),
                          dev_steps=np.asarray(dev_steps, dtype=np.int64),
                          dev_scores=np.asarray(dev_scores, dtype=np.float64))
 
@@ -552,11 +541,15 @@ def report_from_results_csv(in_dir) -> str:
     """Build report.txt/report.csv from a run directory's results.csv and
     return the text of report.txt. Every run written into the directory
     counts; for a repeated (task, optimizer, regime, split) the last row
-    wins."""
-    in_dir = Path(in_dir)
+    wins. Raises ValueError when the header lacks a column."""
+    path = Path(in_dir) / "results.csv"
     scores: dict[tuple[str, str, str], dict[int, float]] = {}
-    with open(in_dir / "results.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in _RESULTS_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} lacks column(s) {', '.join(missing)}")
+        for row in reader:
             key = (row["task"], row["optimizer"], row["regime"])
             scores.setdefault(key, {})[int(row["split"])] = float(row["test_score"])
     records = [
@@ -565,4 +558,4 @@ def report_from_results_csv(in_dir) -> str:
                     scores=tuple(by_split[k] for k in sorted(by_split)))
         for (task, optimizer, regime), by_split in sorted(scores.items())
     ]
-    return write_report(records, in_dir)
+    return write_report(records, path.parent)

@@ -6,6 +6,13 @@ balanced 3-class task) and one regression task with targets in [1, 5].
 Classification features are per-class Gaussian clusters; regression targets
 are a noisy linear map of the features rescaled into [1, 5].
 
+A ``TaskSpec`` holds only what the tasks vary: metric, class skew, model
+family, feature scale, class separation, nuisance scale and whether data are
+regenerated per split; its task type and class count follow from the model
+and the skew. What all tasks share is a module constant: ``FEATURE_DIM``,
+the MLP's ``HIDDEN`` width, ``INIT_SCALE``, the regression ``NOISE`` and
+``TARGET_RANGE``.
+
 ``feature_scale`` multiplies the raw features and therefore the loss
 curvature. The classification tasks use a large scale on purpose: it puts
 them in the regime where learning rates around 1e-3 overshoot wildly while
@@ -20,7 +27,7 @@ weight initialization are deterministic functions of their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -29,6 +36,11 @@ from optbench.metrics import MetricKind
 
 __all__ = [
     "TASK_NAMES",
+    "FEATURE_DIM",
+    "HIDDEN",
+    "INIT_SCALE",
+    "NOISE",
+    "TARGET_RANGE",
     "TaskSpec",
     "Dataset",
     "DataSplit",
@@ -43,86 +55,76 @@ __all__ = [
     "predict",
 ]
 
-TASK_NAMES = ("sst2_like", "mrpc_like", "cola_like", "stsb_like", "mnli_like")
 SPLIT_RATIOS = (0.8, 0.1, 0.1)  # train, dev, test
+FEATURE_DIM = 6
+HIDDEN = 16  # MLP hidden units
+INIT_SCALE = 0.002  # initial weights are uniform in [-INIT_SCALE, INIT_SCALE]
+NOISE = 0.25  # std of the regression latent's additive noise
+TARGET_RANGE = (1.0, 5.0)  # regression targets and clamped predictions
 
 
 @dataclass(frozen=True)
 class TaskSpec:
     """One synthetic task: data distribution, model family, and metric.
 
-    class_probs is None for regression; targets then live in target_range.
-    separation is the distance between class cluster means in units of the
-    within-class standard deviation (before feature_scale is applied).
+    class_probs is None exactly for regression, which uses the linear
+    model; classifiers use the logistic or MLP model. separation is the
+    distance between class cluster means in units of the within-class
+    standard deviation (before feature_scale is applied).
     """
 
     name: str
-    task_type: str  # "classification" | "regression"
     metric: MetricKind
-    n_classes: int = 0
     class_probs: tuple[float, ...] | None = None
-    feature_dim: int = 6
     model: str = "logistic"  # "logistic" | "mlp" | "linear"
-    hidden: int = 16
     feature_scale: float = 1.0
-    init_scale: float = 0.002
     separation: float = 3.0
     nuisance_scale: float = 1.0
-    noise: float = 0.25
-    target_range: tuple[float, float] = (1.0, 5.0)
     resample_per_split: bool = False
 
     def __post_init__(self):
-        if self.task_type not in ("classification", "regression"):
-            raise ValueError(f"bad task_type: {self.task_type!r}")
         if self.model not in ("logistic", "mlp", "linear"):
             raise ValueError(f"bad model: {self.model!r}")
-        if self.task_type == "classification":
-            if self.n_classes < 2 or self.class_probs is None:
-                raise ValueError("classification needs n_classes >= 2 and class_probs")
-            if len(self.class_probs) != self.n_classes:
-                raise ValueError("class_probs length must equal n_classes")
-            if abs(sum(self.class_probs) - 1.0) > 1e-9:
-                raise ValueError("class_probs must sum to 1")
-            if self.model == "linear":
-                raise ValueError("linear model is regression-only")
-        else:
-            if self.model != "linear":
-                raise ValueError("regression uses the linear model")
-        if self.feature_dim < 1:
-            raise ValueError("feature_dim must be >= 1")
+        if (self.model == "linear") != (self.class_probs is None):
+            raise ValueError("the linear model is regression-only and takes no class_probs; "
+                             "the logistic and mlp models classify and need them")
+        probs = self.class_probs
+        if probs is not None and (len(probs) < 2 or abs(sum(probs) - 1.0) > 1e-9):
+            raise ValueError("class_probs must have at least 2 entries and sum to 1")
 
-    def with_values(self, **updates) -> "TaskSpec":
-        return replace(self, **updates)
+    @property
+    def task_type(self) -> str:  # "classification" | "regression"
+        return "regression" if self.model == "linear" else "classification"
+
+    @property
+    def n_classes(self) -> int:  # 0 for regression
+        return 0 if self.class_probs is None else len(self.class_probs)
+
+
+_TASKS = {spec.name: spec for spec in (
+    TaskSpec("sst2_like", MetricKind.ACCURACY, (0.55, 0.45), feature_scale=600.0,
+             resample_per_split=True),
+    TaskSpec("mrpc_like", MetricKind.MACRO_F1, (0.67, 0.33), model="mlp", feature_scale=25.0),
+    TaskSpec("cola_like", MetricKind.MATTHEWS, (0.70, 0.30), feature_scale=6000.0,
+             separation=2.5, nuisance_scale=3.0),
+    TaskSpec("stsb_like", MetricKind.PEARSON, model="linear"),
+    TaskSpec("mnli_like", MetricKind.ACCURACY, (1 / 3, 1 / 3, 1 / 3), feature_scale=600.0,
+             resample_per_split=True),
+)}
+TASK_NAMES = tuple(_TASKS)
 
 
 def make_task_spec(name: str) -> TaskSpec:
     """Canonical spec for one of the five benchmark tasks."""
-    if name == "sst2_like":
-        return TaskSpec(name=name, task_type="classification", metric=MetricKind.ACCURACY,
-                        n_classes=2, class_probs=(0.55, 0.45), feature_scale=600.0,
-                        resample_per_split=True)
-    if name == "mrpc_like":
-        return TaskSpec(name=name, task_type="classification", metric=MetricKind.MACRO_F1,
-                        n_classes=2, class_probs=(0.67, 0.33), model="mlp", hidden=16,
-                        feature_scale=25.0)
-    if name == "cola_like":
-        return TaskSpec(name=name, task_type="classification", metric=MetricKind.MATTHEWS,
-                        n_classes=2, class_probs=(0.70, 0.30), feature_scale=6000.0,
-                        separation=2.5, nuisance_scale=3.0)
-    if name == "stsb_like":
-        return TaskSpec(name=name, task_type="regression", metric=MetricKind.PEARSON,
-                        model="linear", feature_scale=1.0)
-    if name == "mnli_like":
-        return TaskSpec(name=name, task_type="classification", metric=MetricKind.ACCURACY,
-                        n_classes=3, class_probs=(1 / 3, 1 / 3, 1 / 3), feature_scale=600.0,
-                        resample_per_split=True)
-    raise ValueError(f"unknown task name: {name!r} (expected one of {TASK_NAMES})")
+    try:
+        return _TASKS[name]
+    except KeyError:
+        raise ValueError(f"unknown task name: {name!r} (expected one of {TASK_NAMES})") from None
 
 
 @dataclass(frozen=True)
 class Dataset:
-    features: np.ndarray  # (n, feature_dim)
+    features: np.ndarray  # (n, FEATURE_DIM)
     targets: np.ndarray  # (n,) int labels or float scores
     spec: TaskSpec
 
@@ -162,14 +164,12 @@ def _class_means(spec: TaskSpec) -> np.ndarray:
     boundary passes through the origin; a zero intercept is then near-optimal
     and skewed tasks stay learnable by models whose bias starts at ~0.
     """
-    d, k, sep = spec.feature_dim, spec.n_classes, spec.separation
+    d, k, sep = FEATURE_DIM, spec.n_classes, spec.separation
     if k == 2:
         u = np.ones(d) / math.sqrt(d)
         p0, p1 = spec.class_probs
         shift = math.log(p0 / p1) / sep
         return np.stack([(-0.5 * sep - shift) * u, (0.5 * sep - shift) * u])
-    if d < 2:
-        raise ValueError("multi-class tasks need feature_dim >= 2")
     radius = sep / (2.0 * math.sin(math.pi / k))
     means = np.zeros((k, d))
     for c in range(k):
@@ -185,12 +185,12 @@ def make_dataset(spec: TaskSpec, size: int, seed: int) -> Dataset:
     Classification: per-class counts follow the skew exactly (largest
     remainder), features are Gaussian clusters around fixed class means.
     Regression: features are Gaussian, the latent target is a fixed linear
-    map plus noise, min-max rescaled into target_range.
+    map plus noise, min-max rescaled into TARGET_RANGE.
     """
     if size < 50:
         raise ValueError(f"size must be >= 50, got {size}")
     rng = np.random.default_rng(seed)
-    d = spec.feature_dim
+    d = FEATURE_DIM
     if spec.task_type == "classification":
         counts = _largest_remainder(size, spec.class_probs)
         means = _class_means(spec)
@@ -210,8 +210,8 @@ def make_dataset(spec: TaskSpec, size: int, seed: int) -> Dataset:
         return Dataset(features=features[order], targets=targets[order], spec=spec)
     z = rng.standard_normal((size, d))
     w_true = np.array([(-1.0) ** i for i in range(d)]) / math.sqrt(d)
-    latent = z @ w_true + spec.noise * rng.standard_normal(size)
-    lo, hi = spec.target_range
+    latent = z @ w_true + NOISE * rng.standard_normal(size)
+    lo, hi = TARGET_RANGE
     span = latent.max() - latent.min()
     if span == 0.0:
         targets = np.full(size, 0.5 * (lo + hi))
@@ -275,7 +275,7 @@ def epoch_batches(split: DataSplit, batch_size: int, rng: np.random.Generator
 
 def param_layout(spec: TaskSpec) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """The (name, shape) segments of θ, in order: the one description of θ."""
-    d, k, h = spec.feature_dim, spec.n_classes, spec.hidden
+    d, k, h = FEATURE_DIM, spec.n_classes, HIDDEN
     if spec.model == "logistic":
         return (("W", (k, d)), ("b", (k,)))
     if spec.model == "mlp":
@@ -284,9 +284,9 @@ def param_layout(spec: TaskSpec) -> tuple[tuple[str, tuple[int, ...]], ...]:
 
 
 def init_params(spec: TaskSpec, rng: np.random.Generator) -> np.ndarray:
-    """Flat θ covering ``param_layout(spec)``, uniform in [-init_scale, init_scale]."""
+    """Flat θ covering ``param_layout(spec)``, uniform in [-INIT_SCALE, INIT_SCALE]."""
     n = sum(math.prod(shape) for _, shape in param_layout(spec))
-    return rng.uniform(-spec.init_scale, spec.init_scale, size=n)
+    return rng.uniform(-INIT_SCALE, INIT_SCALE, size=n)
 
 
 def segments(theta: np.ndarray, spec: TaskSpec) -> dict[str, np.ndarray]:
@@ -328,8 +328,8 @@ def loss_and_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, spec: TaskSpe
     squared error on the raw model output. θ is split into segments once,
     and the forward pass is the one ``predict`` uses.
     """
-    if x.ndim != 2 or x.shape[1] != spec.feature_dim:
-        raise ValueError(f"batch features must be (m, {spec.feature_dim}), got {x.shape}")
+    if x.ndim != 2 or x.shape[1] != FEATURE_DIM:
+        raise ValueError(f"batch features must be (m, {FEATURE_DIM}), got {x.shape}")
     m = x.shape[0]
     if m == 0:
         raise ValueError("empty batch")
@@ -362,10 +362,9 @@ def predict(theta: np.ndarray, x: np.ndarray, spec: TaskSpec) -> np.ndarray:
     """Class labels (argmax, ties to the lowest index) or clamped real scores
     of the model whose flat parameter vector is θ, from the forward pass
     ``loss_and_grad`` uses."""
-    if x.ndim != 2 or x.shape[1] != spec.feature_dim:
-        raise ValueError(f"inputs must be (m, {spec.feature_dim}), got {x.shape}")
+    if x.ndim != 2 or x.shape[1] != FEATURE_DIM:
+        raise ValueError(f"inputs must be (m, {FEATURE_DIM}), got {x.shape}")
     out, _ = _forward(segments(theta, spec), x, spec)
     if spec.task_type == "regression":
-        lo, hi = spec.target_range
-        return np.clip(out, lo, hi)
+        return np.clip(out, *TARGET_RANGE)
     return np.argmax(out, axis=1)

@@ -104,12 +104,6 @@ class SpaceSpec:
     kind: OptimizerKind
     params: tuple[ParamSpec, ...]
 
-    def param(self, name: str) -> ParamSpec:
-        for p in self.params:
-            if p.name == name:
-                return p
-        raise KeyError(name)
-
     def contains(self, config: OptimizerConfig) -> bool:
         """True iff every tuned value lies in its range and every other
         field equals ``default_config(kind)``'s value."""
@@ -173,29 +167,27 @@ class TrialStatus(str, Enum):
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One hyperparameter configuration and its per-epoch dev scores."""
+    """One hyperparameter configuration and its per-epoch dev scores, from
+    which ``best_epoch`` (the first epoch of the top score, None if there is
+    none) and ``best_dev`` (that score; -inf if diverged) are derived."""
 
     config: OptimizerConfig
     epoch_scores: tuple[float, ...]
     status: TrialStatus
-    best_epoch: int | None
-    best_dev: float
+    best_epoch: int | None = field(init=False)
+    best_dev: float = field(init=False)
 
-    @classmethod
-    def finish(cls, config: OptimizerConfig, epoch_scores, status: TrialStatus
-               ) -> "TrialRecord":
-        scores = tuple(float(s) for s in epoch_scores)
-        if status is not TrialStatus.DIVERGED and not scores:
-            raise ValueError(f"{status.value} trial needs at least one epoch score")
-        if scores:
-            best_epoch = int(np.argmax(scores))  # ties resolve to the earliest epoch
+    def __post_init__(self):
+        scores = tuple(float(s) for s in self.epoch_scores)
+        if self.status is not TrialStatus.DIVERGED and not scores:
+            raise ValueError(f"{self.status.value} trial needs at least one epoch score")
+        best_epoch = int(np.argmax(scores)) if scores else None  # ties: earliest epoch
+        best_dev = float("-inf")
+        if best_epoch is not None and self.status is not TrialStatus.DIVERGED:
             best_dev = scores[best_epoch]
-        else:
-            best_epoch, best_dev = None, float("-inf")
-        if status is TrialStatus.DIVERGED:
-            best_dev = float("-inf")  # diverged trials can never be best
-        return cls(config=config, epoch_scores=scores, status=status,
-                   best_epoch=best_epoch, best_dev=best_dev)
+        object.__setattr__(self, "epoch_scores", scores)
+        object.__setattr__(self, "best_epoch", best_epoch)
+        object.__setattr__(self, "best_dev", best_dev)
 
 
 @dataclass
@@ -327,17 +319,18 @@ def _trial_to_doc(trial: TrialRecord) -> dict:
 
 
 def _trial_from_doc(doc: dict) -> TrialRecord:
+    """The trial a study-file entry describes; its stored ``best_epoch`` and
+    ``best_dev`` must be the ones its scores and status give."""
     cfg = dict(doc["config"])
     cfg["lambda_"] = cfg.pop("lambda")
     cfg["kind"] = OptimizerKind.parse(cfg["kind"])
-    best_dev = doc["best_dev"]
-    return TrialRecord(
-        config=OptimizerConfig(**cfg),
-        epoch_scores=tuple(doc["epoch_scores"]),
-        status=TrialStatus(doc["status"]),
-        best_epoch=doc["best_epoch"],
-        best_dev=float("-inf") if best_dev is None else float(best_dev),
-    )
+    trial = TrialRecord(config=OptimizerConfig(**cfg), epoch_scores=doc["epoch_scores"],
+                        status=TrialStatus(doc["status"]))
+    stored = (doc["best_epoch"], float("-inf") if doc["best_dev"] is None else doc["best_dev"])
+    if stored != (trial.best_epoch, trial.best_dev):
+        raise ValueError(f"stored best_epoch/best_dev {stored} disagree with the trial's "
+                         f"scores, which give {(trial.best_epoch, trial.best_dev)}")
+    return trial
 
 
 def save_study_json(study: StudyRecord, path) -> None:

@@ -6,6 +6,7 @@ runtime (a few minutes total).
 """
 
 import csv
+import dataclasses
 import itertools
 import math
 import time
@@ -31,10 +32,10 @@ from optbench.optimizers import (
     init_state,
 )
 from optbench.tasks import (
-    init_params,
     loss_and_grad,
     make_dataset,
     make_task_spec,
+    param_layout,
     predict,
 )
 from optbench.tuning import Regime, load_study_json
@@ -207,11 +208,12 @@ def test_criterion_4_gradient_checks():
     start = time.time()
     h = 1e-6
     for name in ("cola_like", "stsb_like", "mrpc_like"):
-        spec = make_task_spec(name).with_values(feature_scale=1.0)
+        spec = dataclasses.replace(make_task_spec(name), feature_scale=1.0)
         data = make_dataset(spec, 60, seed=44)
         rng = np.random.default_rng(zlib.crc32(name.encode()))
+        n = sum(math.prod(shape) for _, shape in param_layout(spec))
         for _ in range(20):
-            theta0 = init_params(spec.with_values(init_scale=0.4), rng)
+            theta0 = rng.uniform(-0.4, 0.4, size=n)  # init_params at a larger scale
             idx = rng.choice(len(data), size=5, replace=False)
             x, y = data.features[idx], data.targets[idx]
             _, grad = loss_and_grad(theta0, x, y, spec)

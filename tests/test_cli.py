@@ -1,6 +1,7 @@
 """End-to-end tests for the optbench command line."""
 
 import csv
+import dataclasses
 
 import pytest
 
@@ -91,7 +92,7 @@ def test_run_no_viable_trial_exit_code(tmp_path, capsys, monkeypatch):
     import optbench.cli as cli
     from optbench.tasks import make_task_spec
 
-    spec = make_task_spec("stsb_like").with_values(feature_scale=300.0)
+    spec = dataclasses.replace(make_task_spec("stsb_like"), feature_scale=300.0)
     monkeypatch.setattr(cli, "make_task_spec",
                         lambda name: spec if name == "stsb_like" else make_task_spec(name))
     rc = run_cli(*small_run_args(tmp_path, regime="defaults",
@@ -137,6 +138,23 @@ def test_run_into_used_directory_matches_rebuild(tmp_path):
     assert run_cli("report", "--in", str(tmp_path)) == EXIT_OK
     assert run_cli("curves", "--in", str(tmp_path)) == EXIT_OK
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == written
+
+
+def test_run_into_directory_with_empty_results_csv(tmp_path):
+    # a run killed between creating results.csv and writing its header leaves it empty
+    (tmp_path / "results.csv").write_text("")
+    assert run_cli(*small_run_args(tmp_path)) == EXIT_OK
+    rows = list(csv.DictReader(open(tmp_path / "results.csv")))
+    assert [r["split"] for r in rows] == ["1", "2"]
+    assert run_cli("report", "--in", str(tmp_path)) == EXIT_OK
+
+
+def test_report_names_missing_columns(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_text("task,optimizer\nstsb_like,sgd\n")
+    assert run_cli("report", "--in", str(tmp_path)) == EXIT_INVALID_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {results} lacks column(s) regime, split, test_score, best_dev, best_epoch\n")
 
 
 @pytest.mark.parametrize("where", ["missing", "empty", "file"])

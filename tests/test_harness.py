@@ -1,6 +1,7 @@
 """Unit tests for the training loop, orchestration, and reporting."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -62,11 +63,11 @@ def test_labeled_streams_deterministic_and_distinct():
 
 def test_learning_curve_validation():
     with pytest.raises(ValueError):
-        LearningCurve(steps=np.array([1, 1]), losses=np.array([0.5, 0.5]),
-                      dev_steps=np.array([2]), dev_scores=np.array([0.1]))
+        LearningCurve(losses=np.array([0.5, 0.5]), dev_steps=np.array([2, 2]),
+                      dev_scores=np.array([0.1, 0.1]))
     with pytest.raises(ValueError):
-        LearningCurve(steps=np.array([1, 2]), losses=np.array([0.5, np.inf]),
-                      dev_steps=np.array([2]), dev_scores=np.array([0.1]))
+        LearningCurve(losses=np.array([0.5, np.inf]), dev_steps=np.array([2]),
+                      dev_scores=np.array([0.1]))
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +82,7 @@ def test_train_deterministic_bitwise():
     (p1, r1, c1), (p2, r2, c2) = runs
     np.testing.assert_array_equal(p1, p2)
     assert r1.epoch_scores == r2.epoch_scores
-    np.testing.assert_array_equal(c1.steps, c2.steps)
+    np.testing.assert_array_equal(c1.dev_steps, c2.dev_steps)
     np.testing.assert_array_equal(c1.losses, c2.losses)
     np.testing.assert_array_equal(c1.dev_scores, c2.dev_scores)
 
@@ -123,13 +124,13 @@ def test_train_step_and_dev_indices_align():
     config = default_config(OptimizerKind.SGDM)
     _, record, curve = train(config, data, split, epochs=3, batch_size=4, seed=4)
     steps_per_epoch = math.ceil(split.train.size / 4)
-    assert curve.steps.tolist() == list(range(1, 3 * steps_per_epoch + 1))
+    assert curve.losses.size == 3 * steps_per_epoch
     assert curve.dev_steps.tolist() == [steps_per_epoch * (k + 1) for k in range(3)]
     assert len(record.epoch_scores) == 3
 
 
 def test_train_marks_divergence():
-    spec = STSB.with_values(feature_scale=300.0)
+    spec = dataclasses.replace(STSB, feature_scale=300.0)
     data = make_dataset(spec, 80, seed=5)
     split = stratified_split(data, split_seed=1)
     config = default_config(OptimizerKind.SGD)  # 1e-3 is unstable at this scale
@@ -147,7 +148,7 @@ def test_train_stops_at_first_nonfinite_step(monkeypatch, fault):
     config = default_config(OptimizerKind.ADAM)
     first_params, _, first_curve = train(config, data, split, epochs=1, batch_size=4, seed=6)
     _, _, full_curve = train(config, data, split, epochs=3, batch_size=4, seed=6)
-    bad_call = first_curve.steps.size + 3  # a step in the middle of epoch 2
+    bad_call = first_curve.losses.size + 3  # a step in the middle of epoch 2
 
     def fault_at(real, spoil):
         calls = []
@@ -198,8 +199,12 @@ def test_run_study_defaults_regime_single_table_trial():
     run = run_spec(regime=Regime.DEFAULTS)
     data, split = experiment_data(run, 1)
     outcome = run_study(run, data, split, repetition=1)
-    assert len(outcome.record.trials) == 1
-    assert outcome.record.trials[0].config == default_config(OptimizerKind.ADAM)
+    assert len(outcome.study.trials) == 1
+    assert outcome.study.trials[0].config == default_config(OptimizerKind.ADAM)
+    assert outcome.trial is outcome.study.trials[0]
+    # the chosen trial's best-epoch θ, scored once on the test partition
+    test_x, test_y = data.features[split.test], data.targets[split.test]
+    assert outcome.test == evaluate(COLA, predict(outcome.theta, test_x, COLA), test_y)
 
 
 def test_run_study_budget_accounting():
@@ -207,7 +212,7 @@ def test_run_study_budget_accounting():
         run = run_spec(regime=regime)
         data, split = experiment_data(run, 1)
         outcome = run_study(run, data, split, repetition=1)
-        assert len(outcome.record.trials) == expected
+        assert len(outcome.study.trials) == expected
 
 
 def test_run_study_seeds_defaults_for_sgd_family_only():
@@ -216,7 +221,7 @@ def test_run_study_seeds_defaults_for_sgd_family_only():
         run = run_spec(optimizer=kind)
         data, split = experiment_data(run, 1)
         outcome = run_study(run, data, split, repetition=1)
-        first = outcome.record.trials[0].config
+        first = outcome.study.trials[0].config
         assert (first == default_config(kind)) == seeded
 
 
@@ -230,8 +235,8 @@ def test_regime_ordering_lr_only_beats_defaults(kind):
         run_lr = run_spec(regime=Regime.LR_ONLY, **base)
         run_def = run_spec(regime=Regime.DEFAULTS, **base)
         data, split = experiment_data(run_lr, 1)
-        best_lr = run_study(run_lr, data, split, repetition=1).best_record.best_dev
-        best_def = run_study(run_def, data, split, repetition=1).best_record.best_dev
+        best_lr = run_study(run_lr, data, split, repetition=1).trial.best_dev
+        best_def = run_study(run_def, data, split, repetition=1).trial.best_dev
         assert best_lr >= best_def
 
 
@@ -239,14 +244,14 @@ def test_run_study_full_beats_own_first_trial():
     run = run_spec(regime=Regime.FULL, trial_budget=8)
     data, split = experiment_data(run, 1)
     outcome = run_study(run, data, split, repetition=1)
-    assert outcome.best_record.best_dev >= outcome.record.trials[0].best_dev
+    assert outcome.trial.best_dev >= outcome.study.trials[0].best_dev
 
 
 def test_run_study_suggested_configs_within_ranges():
     run = run_spec(optimizer=OptimizerKind.ADABOUND, regime=Regime.FULL, trial_budget=12)
     data, split = experiment_data(run, 1)
     outcome = run_study(run, data, split, repetition=1)
-    for trial in outcome.record.trials:
+    for trial in outcome.study.trials:
         c = trial.config
         assert 1e-7 <= c.epsilon <= 1e-5
         assert 0.8 <= c.rho1 <= 0.95
@@ -261,7 +266,7 @@ def test_run_study_pruned_trials_were_below_contemporaneous_median():
                    epochs=6, trial_budget=25, dataset_size=120, master_seed=3)
     data, split = experiment_data(run, 1)
     outcome = run_study(run, data, split, repetition=1)
-    trials = outcome.record.trials
+    trials = outcome.study.trials
     pruned = [i for i, t in enumerate(trials) if t.status is TrialStatus.PRUNED]
     assert pruned, "expected at least one pruned trial in this study"
     for i in pruned:
@@ -274,7 +279,7 @@ def test_run_study_pruned_trials_were_below_contemporaneous_median():
 
 
 def test_run_study_no_viable_trial():
-    spec = STSB.with_values(feature_scale=300.0)
+    spec = dataclasses.replace(STSB, feature_scale=300.0)
     run = run_spec(task=spec, optimizer=OptimizerKind.SGD, regime=Regime.DEFAULTS,
                    epochs=8)
     data, split = experiment_data(run, 1)
@@ -319,7 +324,7 @@ def test_experiment_data_resampling_policy():
 
 
 def test_run_experiment_error_names_split():
-    spec = STSB.with_values(feature_scale=300.0)
+    spec = dataclasses.replace(STSB, feature_scale=300.0)
     run = run_spec(task=spec, optimizer=OptimizerKind.SGD, regime=Regime.DEFAULTS,
                    epochs=8)
     with pytest.raises(NoViableTrialError, match="split 1"):
@@ -406,6 +411,13 @@ def test_aggregate_curve_files_truncates_unequal_with_warning(tmp_path):
     assert len(rows) == 2
 
 
+def test_aggregate_curve_files_rejects_gapped_steps(tmp_path):
+    (tmp_path / "curve_raw_cola_like_adam_full_split1.csv").write_text(
+        "step,loss,dev\n1,0.4,\n3,0.4,\n5,0.4,0.5\n")
+    with pytest.raises(ValueError, match="row 2 has step 3"):
+        aggregate_curve_files(tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # Run-directory persistence
 # ---------------------------------------------------------------------------
@@ -445,8 +457,8 @@ def expected_curve_rows(curves):
     reduced over the splits in the given order."""
     dev_index = {step: j for j, step in enumerate(curves[0].dev_steps.tolist())}
     rows = []
-    for i, step in enumerate(curves[0].steps.tolist()):
-        losses = np.array([c.losses[i] for c in curves])
+    for step in range(1, curves[0].losses.size + 1):
+        losses = np.array([c.losses[step - 1] for c in curves])
         row = [str(step), repr(float(losses.mean())), repr(float(losses.std()))]
         j = dev_index.get(step)
         if j is None:
@@ -504,5 +516,5 @@ def test_tuned_sgd_matches_line_searched_gd_on_convex_task():
     x, y = data.features[split.train], data.targets[split.train]
     gd_loss = gd_line_search_loss(STSB, x, y)
     outcome = run_study(run, data, split, repetition=1)
-    tuned_loss, _ = loss_and_grad(outcome.best_theta, x, y, STSB)
+    tuned_loss, _ = loss_and_grad(outcome.theta, x, y, STSB)
     assert tuned_loss <= gd_loss + 1e-2

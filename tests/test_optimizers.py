@@ -405,7 +405,7 @@ def test_config_validation_rejects_out_of_range(bad):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_config_roundtrip_defaults(kind, tmp_path):
     study = StudyRecord(optimizer=kind, regime=Regime.DEFAULTS, sampler_seed=0, max_trials=1)
-    study.add(TrialRecord.finish(default_config(kind), (0.5,), TrialStatus.COMPLETED))
+    study.add(TrialRecord(default_config(kind), (0.5,), TrialStatus.COMPLETED))
     save_study_json(study, tmp_path / "study.json")
     assert load_study_json(tmp_path / "study.json").trials[0].config == default_config(kind)
 

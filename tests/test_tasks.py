@@ -1,10 +1,14 @@
 """Unit tests for synthetic tasks, splits, batching, and models."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from optbench.metrics import MetricKind
 from optbench.tasks import (
+    FEATURE_DIM,
     TASK_NAMES,
     Dataset,
     TaskSpec,
@@ -191,7 +195,7 @@ def test_epoch_batches_rejects_oversized_batch():
 def test_zero_weight_logistic_loss_is_ln2():
     spec = make_task_spec("cola_like")
     theta = np.zeros(sum(int(np.prod(s)) for _, s in param_layout(spec)))
-    x = np.ones((4, spec.feature_dim))
+    x = np.ones((4, FEATURE_DIM))
     y = np.array([0, 1, 0, 1])
     loss, _ = loss_and_grad(theta, x, y, spec)
     np.testing.assert_allclose(loss, np.log(2.0), rtol=1e-12)
@@ -200,8 +204,8 @@ def test_zero_weight_logistic_loss_is_ln2():
 def test_perfect_fit_linear_regression_zero_loss():
     spec = make_task_spec("stsb_like")
     rng = np.random.default_rng(0)
-    x = rng.normal(size=(8, spec.feature_dim))
-    w = rng.normal(size=spec.feature_dim)
+    x = rng.normal(size=(8, FEATURE_DIM))
+    w = rng.normal(size=FEATURE_DIM)
     y = x @ w + 0.5
     theta = np.concatenate([w, [0.5]])
     loss, grad = loss_and_grad(theta, x, y, spec)
@@ -211,11 +215,12 @@ def test_perfect_fit_linear_regression_zero_loss():
 
 @pytest.mark.parametrize("name", ["cola_like", "mrpc_like", "stsb_like", "mnli_like"])
 def test_analytic_gradient_matches_finite_differences(name):
-    spec = make_task_spec(name).with_values(feature_scale=1.0)
+    spec = dataclasses.replace(make_task_spec(name), feature_scale=1.0)
     data = make_dataset(spec, 50, seed=3)
     rng = np.random.default_rng(31)
+    n = sum(math.prod(shape) for _, shape in param_layout(spec))
     for probe in range(20):
-        params = init_params(spec.with_values(init_scale=0.3), rng)
+        params = rng.uniform(-0.3, 0.3, size=n)  # init_params at a larger scale
         idx = rng.choice(len(data), size=6, replace=False)
         x, y = data.features[idx], data.targets[idx]
         _, grad = loss_and_grad(params, x, y, spec)
@@ -225,7 +230,7 @@ def test_analytic_gradient_matches_finite_differences(name):
 
 
 def test_one_small_gd_step_decreases_convex_loss():
-    spec = make_task_spec("cola_like").with_values(feature_scale=1.0)
+    spec = dataclasses.replace(make_task_spec("cola_like"), feature_scale=1.0)
     data = make_dataset(spec, 100, seed=8)
     theta = init_params(spec, np.random.default_rng(2))
     loss0, grad = loss_and_grad(theta, data.features, data.targets, spec)
@@ -237,17 +242,17 @@ def test_one_small_gd_step_decreases_convex_loss():
 def test_predict_tie_breaks_to_class_zero():
     spec = make_task_spec("mnli_like")
     n = sum(int(np.prod(s)) for _, s in param_layout(spec))
-    out = predict(np.zeros(n), np.random.default_rng(0).normal(size=(5, spec.feature_dim)), spec)
+    out = predict(np.zeros(n), np.random.default_rng(0).normal(size=(5, FEATURE_DIM)), spec)
     np.testing.assert_array_equal(out, np.zeros(5, dtype=np.int64))
 
 
 def test_predict_clamps_regression_output():
     spec = make_task_spec("stsb_like")
-    theta = np.zeros(spec.feature_dim + 1)
+    theta = np.zeros(FEATURE_DIM + 1)
     theta[-1] = 10.0  # bias alone pushes output to 10
-    out = predict(theta, np.zeros((3, spec.feature_dim)), spec)
+    out = predict(theta, np.zeros((3, FEATURE_DIM)), spec)
     np.testing.assert_array_equal(out, [5.0, 5.0, 5.0])
-    np.testing.assert_array_equal(predict(theta * -1, np.zeros((2, spec.feature_dim)), spec),
+    np.testing.assert_array_equal(predict(theta * -1, np.zeros((2, FEATURE_DIM)), spec),
                                   [1.0, 1.0])
 
 
@@ -255,7 +260,7 @@ def test_predict_batches_equal_pointwise():
     spec = make_task_spec("mrpc_like")
     rng = np.random.default_rng(14)
     params = init_params(spec, rng)
-    x = rng.normal(size=(7, spec.feature_dim))
+    x = rng.normal(size=(7, FEATURE_DIM))
     batch_out = predict(params, x, spec)
     single = [predict(params, x[i:i + 1], spec)[0] for i in range(7)]
     np.testing.assert_array_equal(batch_out, single)
@@ -265,7 +270,7 @@ def test_predict_rejects_dimension_mismatch():
     spec = make_task_spec("cola_like")
     params = init_params(spec, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        predict(params, np.zeros((2, spec.feature_dim + 1)), spec)
+        predict(params, np.zeros((2, FEATURE_DIM + 1)), spec)
 
 
 def test_segments_cover_theta():
@@ -283,7 +288,7 @@ def test_theta_of_wrong_length_is_rejected(name, extra):
     spec = make_task_spec(name)
     n = sum(int(np.prod(s)) for _, s in param_layout(spec))
     theta = np.zeros(n + extra)
-    x = np.zeros((2, spec.feature_dim))
+    x = np.zeros((2, FEATURE_DIM))
     y = np.zeros(2)
     with pytest.raises(ValueError, match="layout covers"):
         loss_and_grad(theta, x, y, spec)
@@ -297,11 +302,19 @@ def test_theta_of_wrong_length_is_rejected(name, extra):
 
 def test_taskspec_validation():
     with pytest.raises(ValueError):
-        TaskSpec(name="x", task_type="classification", metric=MetricKind.ACCURACY,
-                 n_classes=2, class_probs=(0.6, 0.3))
+        TaskSpec(name="x", metric=MetricKind.ACCURACY, class_probs=(0.6, 0.3))
     with pytest.raises(ValueError):
-        TaskSpec(name="x", task_type="regression", metric=MetricKind.PEARSON,
-                 model="logistic")
+        TaskSpec(name="x", metric=MetricKind.PEARSON, model="logistic")
+    with pytest.raises(ValueError):
+        TaskSpec(name="x", metric=MetricKind.ACCURACY, class_probs=(0.6, 0.4), model="linear")
     with pytest.raises(ValueError):
         make_task_spec("qqp_like")
+
+
+def test_every_taskspec_field_varies_across_tasks():
+    # a knob every task sets alike belongs in a module constant, not in TaskSpec
+    specs = [make_task_spec(name) for name in TASK_NAMES]
+    fixed = [field.name for field in dataclasses.fields(TaskSpec)
+             if len({getattr(spec, field.name) for spec in specs}) < 2]
+    assert fixed == []
 

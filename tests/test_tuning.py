@@ -1,5 +1,6 @@
 """Unit tests for search spaces, the TPE-style sampler, and pruning."""
 
+import json
 import math
 
 import numpy as np
@@ -33,7 +34,12 @@ ALL_KINDS = list(OptimizerKind)
 def make_trial(kind=OptimizerKind.ADAM, scores=(0.5,), status=TrialStatus.COMPLETED,
                **config_overrides):
     config = default_config(kind).with_values(**config_overrides)
-    return TrialRecord.finish(config, scores, status)
+    return TrialRecord(config, scores, status)
+
+
+def ranges(space):
+    """(low, high, scale) of each parameter the space tunes, by name."""
+    return {p.name: (p.low, p.high, p.scale) for p in space.params}
 
 
 def make_study(trials=(), kind=OptimizerKind.ADAM, regime=Regime.FULL, budget=MAX_TRIALS):
@@ -50,13 +56,13 @@ def make_study(trials=(), kind=OptimizerKind.ADAM, regime=Regime.FULL, budget=MA
 def test_adam_full_space_matches_published_ranges():
     space = search_space(OptimizerKind.ADAM, Regime.FULL)
     assert [p.name for p in space.params] == ["epsilon", "rho1", "rho2", "delta"]
-    eps = space.param("epsilon")
-    assert (eps.low, eps.high, eps.scale) == (1e-7, 1e-5, "log")
-    assert (space.param("rho1").low, space.param("rho1").high) == (0.8, 0.95)
-    assert space.param("rho1").scale == "linear"
-    assert (space.param("rho2").low, space.param("rho2").high) == (0.9, 0.99999)
-    assert (space.param("delta").low, space.param("delta").high) == (1e-9, 1e-7)
-    assert space.param("delta").scale == "log"
+    got = ranges(space)
+    assert got["epsilon"] == (1e-7, 1e-5, "log")
+    assert got["rho1"][:2] == (0.8, 0.95)
+    assert got["rho1"][2] == "linear"
+    assert got["rho2"][:2] == (0.9, 0.99999)
+    assert got["delta"][:2] == (1e-9, 1e-7)
+    assert got["delta"][2] == "log"
 
 
 FULL_SPACE_ORDER = {
@@ -79,23 +85,19 @@ def test_full_space_order(kind):
 def test_sgdm_lr_only_space():
     space = search_space(OptimizerKind.SGDM, Regime.LR_ONLY)
     assert [p.name for p in space.params] == ["epsilon"]
-    eps = space.param("epsilon")
-    assert (eps.low, eps.high, eps.scale) == (1e-7, 1e-3, "log")
-    alpha = search_space(OptimizerKind.SGDM, Regime.FULL).param("alpha")
-    assert (alpha.low, alpha.high, alpha.scale) == (0.7, 0.9999, "linear")
+    assert ranges(space)["epsilon"] == (1e-7, 1e-3, "log")
+    alpha = ranges(search_space(OptimizerKind.SGDM, Regime.FULL))["alpha"]
+    assert alpha == (0.7, 0.9999, "linear")
     config = suggest(make_study(kind=OptimizerKind.SGDM), space, np.random.default_rng(0))
     assert config.alpha == 0.9
 
 
 def test_nadam_alpha_and_adabound_extras():
-    nadam = search_space(OptimizerKind.NADAM, Regime.FULL)
-    assert (nadam.param("alpha").low, nadam.param("alpha").high,
-            nadam.param("alpha").scale) == (1e-4, 1e-2, "log")
-    ab = search_space(OptimizerKind.ADABOUND, Regime.FULL)
-    assert (ab.param("eps_star").low, ab.param("eps_star").high,
-            ab.param("eps_star").scale) == (1e-2, 1e-1, "linear")
-    assert (ab.param("gamma").low, ab.param("gamma").high,
-            ab.param("gamma").scale) == (1e-4, 2e-3, "log")
+    nadam = ranges(search_space(OptimizerKind.NADAM, Regime.FULL))
+    assert nadam["alpha"] == (1e-4, 1e-2, "log")
+    ab = ranges(search_space(OptimizerKind.ADABOUND, Regime.FULL))
+    assert ab["eps_star"] == (1e-2, 1e-1, "linear")
+    assert ab["gamma"] == (1e-4, 2e-3, "log")
 
 
 def test_defaults_space_tunes_nothing():
@@ -112,7 +114,7 @@ def test_defaults_space_tunes_nothing():
 def test_adaptive_default_epsilon_outside_search_range(monkeypatch):
     for kind in ADAPTIVE_KINDS:
         space = search_space(kind, Regime.FULL)
-        assert default_config(kind).epsilon > space.param("epsilon").high
+        assert default_config(kind).epsilon > ranges(space)["epsilon"][1]
     # the import-time check of the table rejects a range that reaches the default
     wide = (ParamSpec("epsilon", 1e-7, 1e-2, "log"),)
     monkeypatch.setitem(tuning._SEARCHED, OptimizerKind.ADAM, wide)
@@ -123,7 +125,7 @@ def test_adaptive_default_epsilon_outside_search_range(monkeypatch):
 def test_sgd_space_has_only_epsilon():
     space = search_space(OptimizerKind.SGD, Regime.FULL)
     assert [p.name for p in space.params] == ["epsilon"]
-    assert (space.param("epsilon").low, space.param("epsilon").high) == (1e-7, 1e-3)
+    assert ranges(space)["epsilon"][:2] == (1e-7, 1e-3)
 
 
 def test_regime_reduction_is_pointwise_restriction():
@@ -357,3 +359,11 @@ def test_study_json_roundtrip(tmp_path):
         assert a.best_epoch == b.best_epoch
         assert a.best_dev == b.best_dev or (math.isinf(a.best_dev) and
                                             math.isinf(b.best_dev))
+    # best_epoch and best_dev are derived from the scores, never trusted from the file
+    doc = json.loads(path.read_text())
+    for field, value in (("best_dev", 0.5), ("best_epoch", 0), ("best_dev", None)):
+        bad = json.loads(json.dumps(doc))
+        bad["trials"][0][field] = value
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match="disagree"):
+            load_study_json(path)
