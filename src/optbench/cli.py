@@ -19,6 +19,7 @@ diverged).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -65,12 +66,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="optimizer kind, comma list, or 'all'")
     run_p.add_argument("--regime", required=True,
                        help="defaults | lr-only | full, comma list, or 'all'")
-    run_p.add_argument("--trials", type=int, default=30)
-    run_p.add_argument("--splits", type=int, default=5)
-    run_p.add_argument("--epochs", type=int, default=20)
-    run_p.add_argument("--batch-size", type=int, default=4)
-    run_p.add_argument("--size", type=int, default=240, help="synthetic dataset size")
-    run_p.add_argument("--seed", type=int, default=0)
+    default = {f.name: f.default for f in dataclasses.fields(RunSpec)}
+    run_p.add_argument("--trials", type=int, default=default["trial_budget"])
+    run_p.add_argument("--splits", type=int, default=default["n_splits"])
+    run_p.add_argument("--epochs", type=int, default=default["epochs"])
+    run_p.add_argument("--batch-size", type=int, default=default["batch_size"])
+    run_p.add_argument("--size", type=int, default=default["dataset_size"],
+                       help="synthetic dataset size")
+    run_p.add_argument("--seed", type=int, default=default["master_seed"])
     run_p.add_argument("--out", required=True)
     run_p.add_argument("--quiet", action="store_true")
 

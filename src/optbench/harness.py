@@ -29,7 +29,6 @@ from optbench.optimizers import (
     OptimizerConfig,
     OptimizerKind,
     apply_step,
-    default_config,
     init_state,
 )
 from optbench.tasks import (
@@ -52,9 +51,7 @@ from optbench.tuning import (
     TrialStatus,
     best_trial,
     save_study_json,
-    search_space,
     should_prune,
-    suggest,
 )
 
 __all__ = [
@@ -79,6 +76,7 @@ __all__ = [
 
 _RESULTS_COLUMNS = ("task", "optimizer", "regime", "split", "test_score", "best_dev",
                     "best_epoch")
+_RAW_CURVE_COLUMNS = ("step", "loss", "dev")
 
 # Fixed display order for report rows.
 _REPORT_ORDER = (
@@ -239,36 +237,19 @@ class SplitResult:
 
 def run_study(run: RunSpec, dataset: Dataset, split: DataSplit, repetition: int
               ) -> SplitResult:
-    """Suggest/train/record loop up to the study's trial budget, then the
-    best trial's best-epoch θ scored once on the test partition.
-
-    The budget is one trial when the regime's space tunes nothing (the
-    defaults regime) and ``run.trial_budget`` otherwise. Trial 0 is the
-    default configuration whenever it lies inside the search space. That
-    makes the defaults regime run exactly the untuned values; in the tuning
-    regimes it holds for SGD and SGDM, whose default learning rate is within
-    range, so their tuned studies can never report a worse dev score than
-    the defaults run.
-    """
-    space = search_space(run.optimizer, run.regime)
-    budget = run.trial_budget if space.params else 1
+    """Ask/train/tell loop until the study is full, then the best trial's
+    best-epoch θ scored once on the test partition. The study picks every
+    configuration; this loop only labels each trial's training seed."""
     sampler_seed = labeled_seed(run.master_seed, run.task.name, run.optimizer.value,
                                 run.regime.value, repetition, "sampler")
     study = StudyRecord(optimizer=run.optimizer, regime=run.regime,
-                        sampler_seed=sampler_seed, max_trials=budget)
-    sampler_rng = np.random.default_rng(sampler_seed)
-    defaults = default_config(run.optimizer)
+                        sampler_seed=sampler_seed, max_trials=run.trial_budget)
     artifacts = []  # (theta, curve) of each trial, in study.trials order
-    for trial_index in range(budget):
-        if trial_index == 0 and space.contains(defaults):
-            config = defaults
-        else:
-            config = suggest(study, space, sampler_rng)
-        train_seed = labeled_seed(run.master_seed, run.task.name, run.optimizer.value,
-                                  repetition, "trial", trial_index)
+    while not study.full:
         theta, record, curve = train(
-            config, dataset, split, epochs=run.epochs, batch_size=run.batch_size,
-            seed=train_seed,
+            study.ask(), dataset, split, epochs=run.epochs, batch_size=run.batch_size,
+            seed=labeled_seed(run.master_seed, run.task.name, run.optimizer.value,
+                              repetition, "trial", len(study.trials)),
             prune_hook=lambda epoch, score: should_prune(study, epoch, score),
         )
         study.add(record)
@@ -492,25 +473,39 @@ def write_run_outputs(result: ExperimentResult, out_dir) -> None:
         with open(out / f"curve_raw_{stem}_split{s.repetition}.csv", "w",
                   newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["step", "loss", "dev"])
+            writer.writerow(_RAW_CURVE_COLUMNS)
             for step, loss in enumerate(s.curve.losses.tolist(), start=1):
                 dev = dev_at.get(step)
                 writer.writerow([step, repr(loss),
                                  "" if dev is None else repr(dev)])
 
 
+def _csv_rows(path, columns):
+    """A CSV file's rows as dicts, after checking that its header has every
+    name in ``columns`` and each row the header's number of fields."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} lacks column(s) {', '.join(missing)}")
+        for row in reader:
+            if None in row or None in row.values():
+                raise ValueError(f"{path} line {reader.line_num} does not have the "
+                                 f"header's {len(reader.fieldnames)} fields")
+            yield row
+
+
 def _read_raw_curve(path) -> LearningCurve:
     """The curve a raw per-split file holds; its steps must run 1, 2, 3, ..."""
     losses, dev_steps, dev_scores = [], [], []
-    with open(path, newline="") as fh:
-        for step, row in enumerate(csv.DictReader(fh), start=1):
-            if int(row["step"]) != step:
-                raise ValueError(f"{path}: row {step} has step {row['step']}, "
-                                 f"expected {step} (steps run 1, 2, 3, ...)")
-            losses.append(float(row["loss"]))
-            if row["dev"] != "":
-                dev_steps.append(step)
-                dev_scores.append(float(row["dev"]))
+    for step, row in enumerate(_csv_rows(path, _RAW_CURVE_COLUMNS), start=1):
+        if int(row["step"]) != step:
+            raise ValueError(f"{path}: row {step} has step {row['step']}, "
+                             f"expected {step} (steps run 1, 2, 3, ...)")
+        losses.append(float(row["loss"]))
+        if row["dev"] != "":
+            dev_steps.append(step)
+            dev_scores.append(float(row["dev"]))
     return LearningCurve(losses=np.asarray(losses, dtype=np.float64),
                          dev_steps=np.asarray(dev_steps, dtype=np.int64),
                          dev_scores=np.asarray(dev_scores, dtype=np.float64))
@@ -541,17 +536,13 @@ def report_from_results_csv(in_dir) -> str:
     """Build report.txt/report.csv from a run directory's results.csv and
     return the text of report.txt. Every run written into the directory
     counts; for a repeated (task, optimizer, regime, split) the last row
-    wins. Raises ValueError when the header lacks a column."""
+    wins. Raises ValueError when the header lacks a column or a row has
+    too few or too many fields."""
     path = Path(in_dir) / "results.csv"
     scores: dict[tuple[str, str, str], dict[int, float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in _RESULTS_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{path} lacks column(s) {', '.join(missing)}")
-        for row in reader:
-            key = (row["task"], row["optimizer"], row["regime"])
-            scores.setdefault(key, {})[int(row["split"])] = float(row["test_score"])
+    for row in _csv_rows(path, _RESULTS_COLUMNS):
+        key = (row["task"], row["optimizer"], row["regime"])
+        scores.setdefault(key, {})[int(row["split"])] = float(row["test_score"])
     records = [
         ScoreRecord(task=task, optimizer=OptimizerKind.parse(optimizer),
                     regime=Regime.parse(regime), metric=make_task_spec(task).metric,

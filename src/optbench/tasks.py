@@ -139,7 +139,6 @@ class DataSplit:
     train: np.ndarray
     dev: np.ndarray
     test: np.ndarray
-    split_seed: int
 
 
 def _largest_remainder(total: int, fractions) -> list[int]:
@@ -251,7 +250,7 @@ def stratified_split(data: Dataset, split_seed: int = 0) -> DataSplit:
             parts[p].append(perm[start:start + n_p])
             start += n_p
     train, dev, test = (np.sort(np.concatenate(p)).astype(np.int64) for p in parts)
-    return DataSplit(train=train, dev=dev, test=test, split_seed=split_seed)
+    return DataSplit(train=train, dev=dev, test=test)
 
 
 def epoch_batches(split: DataSplit, batch_size: int, rng: np.random.Generator

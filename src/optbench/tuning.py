@@ -14,6 +14,7 @@ matching standard fine-tuning practice):
 
 Three regimes: ``defaults`` tunes nothing (one trial), ``lr_only`` tunes
 only epsilon, ``full`` tunes every ranged hyperparameter of the optimizer.
+A ``StudyRecord`` holds the whole search policy; its caller asks and adds.
 
 The sampler draws the first 10 trials uniformly (log-uniform on log dims),
 then switches to a Tree-structured-Parzen-style rule: trials are split at
@@ -192,20 +193,39 @@ class TrialRecord:
 
 @dataclass
 class StudyRecord:
-    """Append-only log of at most ``max_trials`` trials, maximizing dev score."""
+    """One search maximizing dev score: its optimizer and regime's space, a
+    sampler stream seeded once from ``sampler_seed``, and its trials."""
 
     optimizer: OptimizerKind
     regime: Regime
     sampler_seed: int
     trials: list[TrialRecord] = field(default_factory=list)
     max_trials: int = MAX_TRIALS
+    space: SpaceSpec = field(init=False, repr=False)
+    sampler_rng: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.max_trials <= MAX_TRIALS:
             raise ConfigError(f"trial budget must be in [1, {MAX_TRIALS}]")
+        self.space = search_space(self.optimizer, self.regime)
+        self.sampler_rng = np.random.default_rng(self.sampler_seed)
+
+    @property
+    def full(self) -> bool:
+        """After ``max_trials`` trials, or one if the space tunes nothing."""
+        return len(self.trials) >= (self.max_trials if self.space.params else 1)
+
+    def ask(self) -> OptimizerConfig:
+        """The next trial's configuration: the default one as trial 0 whenever
+        the space contains it (the defaults regime, and SGD and SGDM, whose
+        tuned best can then never fall below defaults), else ``suggest``'s."""
+        defaults = default_config(self.optimizer)
+        if not self.trials and self.space.contains(defaults):
+            return defaults
+        return suggest(self)
 
     def add(self, trial: TrialRecord) -> None:
-        if len(self.trials) >= self.max_trials:
+        if self.full:
             raise ValueError("study is full")
         self.trials.append(trial)
 
@@ -246,16 +266,16 @@ def _kde_logpdf(x: np.ndarray, points: np.ndarray, bw: np.ndarray) -> np.ndarray
     return (m[:, 0] + np.log(np.mean(np.exp(comp - m), axis=1)))
 
 
-def suggest(study: StudyRecord, space: SpaceSpec, rng: np.random.Generator
-            ) -> OptimizerConfig:
-    """Next configuration to try.
+def suggest(study: StudyRecord) -> OptimizerConfig:
+    """Next configuration in the study's space, from its sampler stream.
 
     Uniform within range for the first 10 trials, TPE-style afterwards.
     Every suggested value lies inside its range; fields the space does not
     tune keep their ``default_config`` value.
     """
-    if len(study.trials) >= study.max_trials:
+    if study.full:
         raise ValueError("study is full")
+    space, rng = study.space, study.sampler_rng
     values: dict[str, float] = {}
     n_observed = len(study.trials)
     use_tpe = n_observed >= N_STARTUP_TRIALS

@@ -214,3 +214,47 @@ def test_run_strips_names_in_every_list(tmp_path):
     rows = list(csv.DictReader(open(tmp_path / "results.csv")))
     assert [(r["task"], r["optimizer"]) for r in rows] == [
         ("cola_like", "adam"), ("stsb_like", "adam")]
+
+
+def test_run_defaults_are_runspec_defaults():
+    from optbench.cli import build_parser
+    from optbench.harness import RunSpec
+    from optbench.tasks import make_task_spec
+    from optbench.tuning import Regime
+
+    args = build_parser().parse_args(["run", "--task", "cola_like", "--optimizer", "sgd",
+                                      "--regime", "full", "--out", "x"])
+    spec = RunSpec(task=make_task_spec("cola_like"), optimizer=OptimizerKind.SGD,
+                   regime=Regime.FULL)
+    assert (args.trials, args.splits, args.epochs, args.batch_size, args.size, args.seed) == (
+        spec.trial_budget, spec.n_splits, spec.epochs, spec.batch_size, spec.dataset_size,
+        spec.master_seed)
+
+
+def test_report_rejects_short_results_row(tmp_path, capsys):
+    assert run_cli(*small_run_args(tmp_path)) == EXIT_OK
+    results = tmp_path / "results.csv"
+    n_lines = len(results.read_text().splitlines())
+    with open(results, "a") as fh:
+        fh.write("stsb_like,sgd\n")
+    capsys.readouterr()
+    assert run_cli("report", "--in", str(tmp_path)) == EXIT_INVALID_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {results} line {n_lines + 1} does not have the header's 7 fields\n")
+
+
+@pytest.mark.parametrize("fault", ["short row", "renamed column"])
+def test_curves_rejects_malformed_raw_curve(tmp_path, capsys, fault):
+    assert run_cli(*small_run_args(tmp_path)) == EXIT_OK
+    raw = tmp_path / "curve_raw_stsb_like_sgd_lr_only_split1.csv"
+    lines = raw.read_text().splitlines()
+    if fault == "short row":
+        lines[2] = lines[2].split(",")[0]
+        expected = f"{raw} line 3 does not have the header's 3 fields"
+    else:
+        lines[0] = "step,loss,devx"
+        expected = f"{raw} lacks column(s) dev"
+    raw.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("curves", "--in", str(tmp_path)) == EXIT_INVALID_CONFIG
+    assert capsys.readouterr().err == f"error: {expected}\n"

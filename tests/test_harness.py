@@ -35,7 +35,7 @@ from optbench.tasks import (
     predict,
     stratified_split,
 )
-from optbench.tuning import Regime, TrialStatus
+from optbench.tuning import Regime, StudyRecord, TrialStatus
 
 COLA = make_task_spec("cola_like")
 STSB = make_task_spec("stsb_like")
@@ -223,6 +223,19 @@ def test_run_study_seeds_defaults_for_sgd_family_only():
         outcome = run_study(run, data, split, repetition=1)
         first = outcome.study.trials[0].config
         assert (first == default_config(kind)) == seeded
+
+
+def test_run_study_sampler_seed_replays_its_configs():
+    # the stored sampler_seed is the seed of the stream that drew every config
+    for kind in (OptimizerKind.SGDM, OptimizerKind.ADAM):
+        run = run_spec(optimizer=kind, regime=Regime.FULL)
+        study = run_study(run, *experiment_data(run, 1), repetition=1).study
+        replay = StudyRecord(optimizer=kind, regime=Regime.FULL,
+                             sampler_seed=study.sampler_seed, max_trials=run.trial_budget)
+        for trial in study.trials:
+            assert replay.ask() == trial.config
+            replay.add(trial)
+        assert replay.full
 
 
 @pytest.mark.parametrize("kind", [OptimizerKind.SGD, OptimizerKind.SGDM])

@@ -42,8 +42,9 @@ def ranges(space):
     return {p.name: (p.low, p.high, p.scale) for p in space.params}
 
 
-def make_study(trials=(), kind=OptimizerKind.ADAM, regime=Regime.FULL, budget=MAX_TRIALS):
-    study = StudyRecord(optimizer=kind, regime=regime, sampler_seed=0, max_trials=budget)
+def make_study(trials=(), kind=OptimizerKind.ADAM, regime=Regime.FULL, budget=MAX_TRIALS,
+               seed=0):
+    study = StudyRecord(optimizer=kind, regime=regime, sampler_seed=seed, max_trials=budget)
     for t in trials:
         study.add(t)
     return study
@@ -88,7 +89,7 @@ def test_sgdm_lr_only_space():
     assert ranges(space)["epsilon"] == (1e-7, 1e-3, "log")
     alpha = ranges(search_space(OptimizerKind.SGDM, Regime.FULL))["alpha"]
     assert alpha == (0.7, 0.9999, "linear")
-    config = suggest(make_study(kind=OptimizerKind.SGDM), space, np.random.default_rng(0))
+    config = suggest(make_study(kind=OptimizerKind.SGDM, regime=Regime.LR_ONLY))
     assert config.alpha == 0.9
 
 
@@ -101,12 +102,11 @@ def test_nadam_alpha_and_adabound_extras():
 
 
 def test_defaults_space_tunes_nothing():
-    rng = np.random.default_rng(0)
     for kind in ALL_KINDS:
         space = search_space(kind, Regime.DEFAULTS)
         assert space.params == ()
         assert space.contains(default_config(kind))
-        assert suggest(make_study(kind=kind), space, rng) == default_config(kind)
+        assert suggest(make_study(kind=kind, regime=Regime.DEFAULTS)) == default_config(kind)
     ab = default_config(OptimizerKind.ADABOUND)
     assert (ab.epsilon, ab.eps_star, ab.gamma) == (1e-3, 0.1, 1e-3)
 
@@ -157,13 +157,13 @@ def test_contains_requires_untuned_fields_at_default():
 # ---------------------------------------------------------------------------
 
 def test_suggest_range_containment_mass():
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0)  # the trials' scores
     total = 0
     for kind in ALL_KINDS:
         space = search_space(kind, Regime.FULL)
         study = make_study(kind=kind)
         for i in range(25):
-            config = suggest(study, space, rng)
+            config = suggest(study)
             total += 1
             values = config.values_by_key()
             for p in space.params:
@@ -176,34 +176,29 @@ def test_suggest_range_containment_mass():
 
 def test_suggest_ten_thousand_in_range():
     # startup-phase (uniform) containment at volume
-    rng = np.random.default_rng(1)
     space = search_space(OptimizerKind.ADABOUND, Regime.FULL)
-    study = make_study(kind=OptimizerKind.ADABOUND)
+    study = make_study(kind=OptimizerKind.ADABOUND, seed=1)
     for _ in range(10_000):
-        values = suggest(study, space, rng).values_by_key()
+        values = suggest(study).values_by_key()
         for p in space.params:
             assert p.low <= values[p.name] <= p.high
 
 
 def test_suggest_pinned_dimensions_return_defaults():
-    rng = np.random.default_rng(2)
-    space = search_space(OptimizerKind.ADAM, Regime.LR_ONLY)
-    study = make_study(kind=OptimizerKind.ADAM, regime=Regime.LR_ONLY)
+    study = make_study(kind=OptimizerKind.ADAM, regime=Regime.LR_ONLY, seed=2)
     for _ in range(12):
-        config = suggest(study, space, rng)
+        config = suggest(study)
         assert (config.rho1, config.rho2, config.delta) == (0.9, 0.999, 1e-8)
         study.add(make_trial(OptimizerKind.ADAM, epsilon=config.epsilon))
 
 
 def test_suggest_deterministic_given_seed():
-    space = search_space(OptimizerKind.ADAM, Regime.FULL)
     seqs = []
     for _ in range(2):
-        rng = np.random.default_rng(33)
-        study = make_study()
+        study = make_study(seed=33)
         seq = []
         for i in range(15):
-            config = suggest(study, space, rng)
+            config = suggest(study)
             seq.append(config.values_by_key())
             study.add(make_trial(OptimizerKind.ADAM, scores=(i * 0.01,),
                                  epsilon=config.epsilon, rho1=config.rho1,
@@ -215,36 +210,61 @@ def test_suggest_deterministic_given_seed():
 def test_suggest_full_study_errors():
     study = make_study([make_trial() for _ in range(5)], budget=5)
     with pytest.raises(ValueError, match="full"):
-        suggest(study, search_space(OptimizerKind.ADAM, Regime.FULL),
-                np.random.default_rng(0))
+        suggest(study)
+
+
+def test_same_seed_and_trials_suggest_same_configs():
+    # startup (3 trials) and TPE (12 trials) phases; a study's configs depend
+    # only on its kind, regime, sampler_seed and trials
+    for n in (3, 12):
+        trials = [make_trial(scores=(0.05 * i,), epsilon=10 ** (-7 + 0.15 * i))
+                  for i in range(n)]
+        a, b = (make_study(trials, seed=5) for _ in range(2))
+        assert [suggest(a) for _ in range(4)] == [suggest(b) for _ in range(4)]
+        assert suggest(make_study(trials, seed=6)) != suggest(make_study(trials, seed=5))
+
+
+@pytest.mark.parametrize("regime", list(Regime), ids=lambda regime: regime.value)
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.value)
+def test_ask_starts_from_defaults_exactly_when_space_contains_them(kind, regime):
+    study = make_study(kind=kind, regime=regime, seed=4)
+    first = study.ask()
+    seeded = regime is Regime.DEFAULTS or kind in (OptimizerKind.SGD, OptimizerKind.SGDM)
+    assert (first == default_config(kind)) == seeded
+    if not seeded:  # trial 0 is the sampler's first draw
+        assert first == suggest(make_study(kind=kind, regime=regime, seed=4))
+    study.add(TrialRecord(first, (0.5,), TrialStatus.COMPLETED))
+    if regime is Regime.DEFAULTS:  # full after one trial, whatever max_trials says
+        assert study.max_trials == MAX_TRIALS and study.full
+        with pytest.raises(ValueError, match="full"):
+            study.ask()
+    else:  # every later trial is the sampler's
+        assert study.ask() != default_config(kind)
 
 
 def test_tpe_concentrates_on_good_region():
     # good trials cluster at epsilon ~ 1e-6; bad ones at the range edges
-    rng = np.random.default_rng(7)
-    space = search_space(OptimizerKind.ADAM, Regime.LR_ONLY)
     trials = []
     for i in range(10):
         good = i < 5
         eps = 10 ** (-6 + 0.03 * (i - 2)) if good else (1.2e-7 if i % 2 else 9e-6)
         trials.append(make_trial(OptimizerKind.ADAM, scores=(1.0 if good else 0.0,),
                                  epsilon=eps))
-    study = make_study(trials, regime=Regime.LR_ONLY)
+    study = make_study(trials, regime=Regime.LR_ONLY, seed=7)
     hits = 0
     for _ in range(50):
-        config = suggest(study, space, rng)
+        config = suggest(study)
         if abs(math.log10(config.epsilon) + 6.0) < 0.5:
             hits += 1
     assert hits >= 40
 
 
 def test_suggest_uniform_startup_spreads_log_scale():
-    rng = np.random.default_rng(10)
-    space = search_space(OptimizerKind.ADAM, Regime.LR_ONLY)
+    study = make_study(regime=Regime.LR_ONLY, seed=10)  # no trials: every draw is uniform
     lows = 0
     n = 400
     for _ in range(n):
-        config = suggest(make_study(), space, rng)
+        config = suggest(study)
         if config.epsilon < 1e-6:
             lows += 1
     assert 0.35 < lows / n < 0.65  # log-uniform: half the draws below mid-decade
@@ -330,6 +350,16 @@ def test_study_trial_cap_and_monotone_best():
     with pytest.raises(ConfigError):
         StudyRecord(optimizer=OptimizerKind.SGD, regime=Regime.FULL,
                     sampler_seed=0, max_trials=MAX_TRIALS + 1)
+
+
+def test_loaded_defaults_study_accepts_no_second_trial(tmp_path):
+    study = make_study([make_trial(OptimizerKind.SGD)], kind=OptimizerKind.SGD,
+                       regime=Regime.DEFAULTS, budget=1)
+    save_study_json(study, tmp_path / "study.json")
+    back = load_study_json(tmp_path / "study.json")
+    with pytest.raises(ValueError, match="full"):
+        back.add(make_trial(OptimizerKind.SGD))
+    assert back.full
 
 
 def test_study_json_roundtrip(tmp_path):
