@@ -50,6 +50,7 @@ from optbench.tuning import (
     TrialRecord,
     TrialStatus,
     best_trial,
+    check_trial_budget,
     save_study_json,
     should_prune,
 )
@@ -136,8 +137,7 @@ class RunSpec:
             raise ValueError("batch_size must be >= 1")
         if self.n_splits < 1:
             raise ValueError("n_splits must be >= 1")
-        if not 1 <= self.trial_budget <= MAX_TRIALS:
-            raise ValueError(f"trial_budget must be in [1, {MAX_TRIALS}]")
+        check_trial_budget(self.trial_budget)
         if self.dataset_size < 50:
             raise ValueError("dataset_size must be >= 50")
 
@@ -480,9 +480,11 @@ def write_run_outputs(result: ExperimentResult, out_dir) -> None:
                                  "" if dev is None else repr(dev)])
 
 
-def _csv_rows(path, columns):
+def _csv_rows(path, columns, parsers):
     """A CSV file's rows as dicts, after checking that its header has every
-    name in ``columns`` and each row the header's number of fields."""
+    name in ``columns`` and each row the header's number of fields. Each
+    field named in ``parsers`` is replaced by its parser's value; a field it
+    cannot parse raises ValueError naming the file and line."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in columns if c not in (reader.fieldnames or ())]
@@ -492,20 +494,32 @@ def _csv_rows(path, columns):
             if None in row or None in row.values():
                 raise ValueError(f"{path} line {reader.line_num} does not have the "
                                  f"header's {len(reader.fieldnames)} fields")
+            for column, parse in parsers.items():
+                try:
+                    row[column] = parse(row[column])
+                except ValueError:
+                    raise ValueError(f"{path} line {reader.line_num}: cannot read "
+                                     f"{column} {row[column]!r}") from None
             yield row
+
+
+def _float_or_none(text: str) -> float | None:
+    return float(text) if text else None
 
 
 def _read_raw_curve(path) -> LearningCurve:
     """The curve a raw per-split file holds; its steps must run 1, 2, 3, ..."""
     losses, dev_steps, dev_scores = [], [], []
-    for step, row in enumerate(_csv_rows(path, _RAW_CURVE_COLUMNS), start=1):
-        if int(row["step"]) != step:
+    rows = _csv_rows(path, _RAW_CURVE_COLUMNS,
+                     {"step": int, "loss": float, "dev": _float_or_none})
+    for step, row in enumerate(rows, start=1):
+        if row["step"] != step:
             raise ValueError(f"{path}: row {step} has step {row['step']}, "
                              f"expected {step} (steps run 1, 2, 3, ...)")
-        losses.append(float(row["loss"]))
-        if row["dev"] != "":
+        losses.append(row["loss"])
+        if row["dev"] is not None:
             dev_steps.append(step)
-            dev_scores.append(float(row["dev"]))
+            dev_scores.append(row["dev"])
     return LearningCurve(losses=np.asarray(losses, dtype=np.float64),
                          dev_steps=np.asarray(dev_steps, dtype=np.int64),
                          dev_scores=np.asarray(dev_scores, dtype=np.float64))
@@ -536,13 +550,14 @@ def report_from_results_csv(in_dir) -> str:
     """Build report.txt/report.csv from a run directory's results.csv and
     return the text of report.txt. Every run written into the directory
     counts; for a repeated (task, optimizer, regime, split) the last row
-    wins. Raises ValueError when the header lacks a column or a row has
-    too few or too many fields."""
+    wins. Raises ValueError when the header lacks a column, or a row has
+    too few or too many fields or a split or test score that is not a
+    number."""
     path = Path(in_dir) / "results.csv"
     scores: dict[tuple[str, str, str], dict[int, float]] = {}
-    for row in _csv_rows(path, _RESULTS_COLUMNS):
+    for row in _csv_rows(path, _RESULTS_COLUMNS, {"split": int, "test_score": float}):
         key = (row["task"], row["optimizer"], row["regime"])
-        scores.setdefault(key, {})[int(row["split"])] = float(row["test_score"])
+        scores.setdefault(key, {})[row["split"]] = row["test_score"]
     records = [
         ScoreRecord(task=task, optimizer=OptimizerKind.parse(optimizer),
                     regime=Regime.parse(regime), metric=make_task_spec(task).metric,

@@ -16,12 +16,14 @@ Three regimes: ``defaults`` tunes nothing (one trial), ``lr_only`` tunes
 only epsilon, ``full`` tunes every ranged hyperparameter of the optimizer.
 A ``StudyRecord`` holds the whole search policy; its caller asks and adds.
 
-The sampler draws the first 10 trials uniformly (log-uniform on log dims),
-then switches to a Tree-structured-Parzen-style rule: trials are split at
-the median objective into good and bad halves, each half gets a
-per-dimension Gaussian kernel density (bandwidth from adjacent-point
-spacing), 24 candidates are drawn from the good density, and the candidate
-with the highest good/bad density ratio wins. Median pruning stops a trial
+Trial i draws from its own stream, ``default_rng([sampler_seed, i])``, so
+a study's next configuration follows from its seed and trials alone. The
+sampler draws the first 10 trials uniformly (log-uniform on log dims), then
+switches to a Tree-structured-Parzen-style rule: trials are split at the
+median objective into good and bad halves, each half gets a per-dimension
+Gaussian kernel density (bandwidth from adjacent-point spacing), 24
+candidates are drawn from the good density, and the candidate with the
+highest good/bad density ratio wins. Median pruning stops a trial
 whose epoch score falls strictly below the median score of at least five
 completed trials at the same epoch (never during a trial's first epoch).
 """
@@ -51,6 +53,7 @@ __all__ = [
     "TrialStatus",
     "TrialRecord",
     "StudyRecord",
+    "check_trial_budget",
     "search_space",
     "suggest",
     "should_prune",
@@ -141,6 +144,12 @@ _REGIME_SLICE = {Regime.DEFAULTS: slice(0), Regime.LR_ONLY: slice(1),
                  Regime.FULL: slice(None)}
 
 
+def check_trial_budget(n_trials: int) -> None:
+    """The one rule for a study's trial budget: 1 to ``MAX_TRIALS`` trials."""
+    if not 1 <= n_trials <= MAX_TRIALS:
+        raise ConfigError(f"trial budget must be in [1, {MAX_TRIALS}], got {n_trials}")
+
+
 def _check_searched() -> None:
     """The adaptive optimizers' default learning rate lies strictly above
     its search range."""
@@ -193,8 +202,9 @@ class TrialRecord:
 
 @dataclass
 class StudyRecord:
-    """One search maximizing dev score: its optimizer and regime's space, a
-    sampler stream seeded once from ``sampler_seed``, and its trials."""
+    """One search maximizing dev score, wholly described by its init fields:
+    its optimizer and regime (from which its space is derived), the seed of
+    its sampler, its trials and its trial budget."""
 
     optimizer: OptimizerKind
     regime: Regime
@@ -202,13 +212,10 @@ class StudyRecord:
     trials: list[TrialRecord] = field(default_factory=list)
     max_trials: int = MAX_TRIALS
     space: SpaceSpec = field(init=False, repr=False)
-    sampler_rng: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 1 <= self.max_trials <= MAX_TRIALS:
-            raise ConfigError(f"trial budget must be in [1, {MAX_TRIALS}]")
+        check_trial_budget(self.max_trials)
         self.space = search_space(self.optimizer, self.regime)
-        self.sampler_rng = np.random.default_rng(self.sampler_seed)
 
     @property
     def full(self) -> bool:
@@ -267,7 +274,9 @@ def _kde_logpdf(x: np.ndarray, points: np.ndarray, bw: np.ndarray) -> np.ndarray
 
 
 def suggest(study: StudyRecord) -> OptimizerConfig:
-    """Next configuration in the study's space, from its sampler stream.
+    """Next configuration in the study's space, drawn from trial
+    ``len(study.trials)``'s own stream, so the same study always gives the
+    same configuration.
 
     Uniform within range for the first 10 trials, TPE-style afterwards.
     Every suggested value lies inside its range; fields the space does not
@@ -275,9 +284,9 @@ def suggest(study: StudyRecord) -> OptimizerConfig:
     """
     if study.full:
         raise ValueError("study is full")
-    space, rng = study.space, study.sampler_rng
+    space, n_observed = study.space, len(study.trials)
+    rng = np.random.default_rng([study.sampler_seed, n_observed])
     values: dict[str, float] = {}
-    n_observed = len(study.trials)
     use_tpe = n_observed >= N_STARTUP_TRIALS
     if use_tpe:
         ordered = sorted(range(n_observed),
@@ -354,10 +363,13 @@ def _trial_from_doc(doc: dict) -> TrialRecord:
 
 
 def save_study_json(study: StudyRecord, path) -> None:
+    """Write every init field of ``study``, so ``load_study_json`` returns an
+    equal study that asks for the same next configuration."""
     doc = {
         "optimizer": study.optimizer.value,
         "regime": study.regime.value,
         "sampler_seed": study.sampler_seed,
+        "max_trials": study.max_trials,
         "trials": [_trial_to_doc(t) for t in study.trials],
     }
     with open(path, "w") as fh:
@@ -365,12 +377,14 @@ def save_study_json(study: StudyRecord, path) -> None:
 
 
 def load_study_json(path) -> StudyRecord:
+    """The study ``save_study_json`` wrote to ``path``; every key is required."""
     with open(path) as fh:
         doc = json.load(fh)
     study = StudyRecord(
         optimizer=OptimizerKind.parse(doc["optimizer"]),
         regime=Regime.parse(doc["regime"]),
         sampler_seed=int(doc["sampler_seed"]),
+        max_trials=int(doc["max_trials"]),
     )
     for trial_doc in doc["trials"]:
         study.add(_trial_from_doc(trial_doc))

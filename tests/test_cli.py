@@ -81,6 +81,14 @@ def test_run_checks_batch_size_before_any_experiment(tmp_path, capsys, monkeypat
     assert "stsb_like split 1: batch_size must be in [1, 190], got 191" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("trials", ["0", "31"])
+def test_run_checks_trial_budget_before_any_experiment(tmp_path, capsys, trials):
+    out = tmp_path / "out"
+    assert run_cli(*small_run_args(out, **{"--trials": trials})) == EXIT_INVALID_CONFIG
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: trial budget must be in [1, 30], got {trials}\n"
+
+
 def test_run_rejects_unknown_optimizer_and_regime(tmp_path):
     assert run_cli(*small_run_args(tmp_path, optimizer="lion")) == EXIT_INVALID_CONFIG
     assert run_cli(*small_run_args(tmp_path, regime="half")) == EXIT_INVALID_CONFIG
@@ -258,3 +266,21 @@ def test_curves_rejects_malformed_raw_curve(tmp_path, capsys, fault):
     capsys.readouterr()
     assert run_cli("curves", "--in", str(tmp_path)) == EXIT_INVALID_CONFIG
     assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize("fault", ["test_score", "step", "loss"])
+def test_non_numeric_field_names_file_and_line(tmp_path, capsys, fault):
+    assert run_cli(*small_run_args(tmp_path)) == EXIT_OK
+    if fault == "test_score":
+        command, path, column, value = "report", tmp_path / "results.csv", 4, "abc"
+    else:
+        command, path = "curves", tmp_path / "curve_raw_stsb_like_sgd_lr_only_split1.csv"
+        column, value = {"step": (0, "x"), "loss": (1, "zz")}[fault]
+    lines = path.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[column] = value
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli(command, "--in", str(tmp_path)) == EXIT_INVALID_CONFIG
+    assert capsys.readouterr().err == f"error: {path} line 3: cannot read {fault} {value!r}\n"

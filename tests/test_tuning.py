@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from optbench.optimizers import (
     ADAPTIVE_KINDS,
@@ -175,11 +176,10 @@ def test_suggest_range_containment_mass():
 
 
 def test_suggest_ten_thousand_in_range():
-    # startup-phase (uniform) containment at volume
+    # startup-phase (uniform) containment at volume, one empty study per seed
     space = search_space(OptimizerKind.ADABOUND, Regime.FULL)
-    study = make_study(kind=OptimizerKind.ADABOUND, seed=1)
-    for _ in range(10_000):
-        values = suggest(study).values_by_key()
+    for seed in range(10_000):
+        values = suggest(make_study(kind=OptimizerKind.ADABOUND, seed=seed)).values_by_key()
         for p in space.params:
             assert p.low <= values[p.name] <= p.high
 
@@ -214,14 +214,15 @@ def test_suggest_full_study_errors():
 
 
 def test_same_seed_and_trials_suggest_same_configs():
-    # startup (3 trials) and TPE (12 trials) phases; a study's configs depend
-    # only on its kind, regime, sampler_seed and trials
+    # startup (3 trials) and TPE (12 trials) phases; suggest is pure: a
+    # study's next config depends only on its kind, regime, sampler_seed and trials
     for n in (3, 12):
         trials = [make_trial(scores=(0.05 * i,), epsilon=10 ** (-7 + 0.15 * i))
                   for i in range(n)]
         a, b = (make_study(trials, seed=5) for _ in range(2))
-        assert [suggest(a) for _ in range(4)] == [suggest(b) for _ in range(4)]
-        assert suggest(make_study(trials, seed=6)) != suggest(make_study(trials, seed=5))
+        assert suggest(a) == suggest(a) == suggest(b)
+        assert a.ask() == b.ask() == suggest(a)
+        assert suggest(make_study(trials, seed=6)) != suggest(a)
 
 
 @pytest.mark.parametrize("regime", list(Regime), ids=lambda regime: regime.value)
@@ -250,21 +251,19 @@ def test_tpe_concentrates_on_good_region():
         eps = 10 ** (-6 + 0.03 * (i - 2)) if good else (1.2e-7 if i % 2 else 9e-6)
         trials.append(make_trial(OptimizerKind.ADAM, scores=(1.0 if good else 0.0,),
                                  epsilon=eps))
-    study = make_study(trials, regime=Regime.LR_ONLY, seed=7)
     hits = 0
-    for _ in range(50):
-        config = suggest(study)
+    for seed in range(7, 57):  # the same trials, one study per seed
+        config = suggest(make_study(trials, regime=Regime.LR_ONLY, seed=seed))
         if abs(math.log10(config.epsilon) + 6.0) < 0.5:
             hits += 1
     assert hits >= 40
 
 
 def test_suggest_uniform_startup_spreads_log_scale():
-    study = make_study(regime=Regime.LR_ONLY, seed=10)  # no trials: every draw is uniform
     lows = 0
     n = 400
-    for _ in range(n):
-        config = suggest(study)
+    for seed in range(10, 10 + n):  # no trials: every study's draw is uniform
+        config = suggest(make_study(regime=Regime.LR_ONLY, seed=seed))
         if config.epsilon < 1e-6:
             lows += 1
     assert 0.35 < lows / n < 0.65  # log-uniform: half the draws below mid-decade
@@ -371,7 +370,7 @@ def test_study_json_roundtrip(tmp_path):
         make_trial(kind=OptimizerKind.ADAMW, scores=(0.1, 0.3), epsilon=3e-6, rho1=0.83,
                    rho2=0.95, delta=2e-8, alpha=0.25, lambda_=0.3, eps_star=0.05,
                    gamma=7e-4),
-    ], kind=OptimizerKind.ADAMW, regime=Regime.LR_ONLY)
+    ], kind=OptimizerKind.ADAMW, regime=Regime.LR_ONLY, budget=7)
     moved = study.trials[-1].config.values_by_key()
     defaults = default_config(OptimizerKind.ADAMW).values_by_key()
     assert [k for k in moved if moved[k] == defaults[k]] == ["kind"]
@@ -381,7 +380,9 @@ def test_study_json_roundtrip(tmp_path):
     assert back.optimizer is OptimizerKind.ADAMW
     assert back.regime is Regime.LR_ONLY
     assert back.sampler_seed == study.sampler_seed
+    assert back.max_trials == 7
     assert len(back.trials) == 4
+    assert back == study
     for a, b in zip(back.trials, study.trials):
         assert a.config == b.config
         assert a.epoch_scores == b.epoch_scores
@@ -397,3 +398,50 @@ def test_study_json_roundtrip(tmp_path):
         path.write_text(json.dumps(bad))
         with pytest.raises(ValueError, match="disagree"):
             load_study_json(path)
+
+
+def test_loaded_budget_two_study_is_full(tmp_path):
+    study = make_study([make_trial(), make_trial()], regime=Regime.LR_ONLY, budget=2)
+    save_study_json(study, tmp_path / "study.json")
+    back = load_study_json(tmp_path / "study.json")
+    assert back.max_trials == 2 and back.full
+    with pytest.raises(ValueError, match="full"):
+        back.ask()
+
+
+def test_loaded_study_asks_what_the_original_asks(tmp_path):
+    study = make_study(kind=OptimizerKind.ADAM, regime=Regime.LR_ONLY, seed=5)
+    for i in range(3):
+        study.add(TrialRecord(study.ask(), (0.1 * i,), TrialStatus.COMPLETED))
+    save_study_json(study, tmp_path / "study.json")
+    back = load_study_json(tmp_path / "study.json")
+    assert back.ask() == study.ask()
+    assert back.ask() not in [t.config for t in study.trials]
+
+
+_SCORES = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3)
+_TRIAL_RESULTS = st.lists(
+    st.one_of(st.tuples(st.sampled_from([TrialStatus.COMPLETED, TrialStatus.PRUNED]), _SCORES),
+              st.just((TrialStatus.DIVERGED, []))),
+    max_size=29)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(ALL_KINDS), regime=st.sampled_from(list(Regime)),
+       seed=st.integers(0, 2**64 - 1), budget=st.integers(1, MAX_TRIALS),
+       results=_TRIAL_RESULTS)
+def test_study_is_its_stored_fields(tmp_path_factory, kind, regime, seed, budget, results):
+    # a study built from its own asks: suggest is pure, and a saved study
+    # loads back equal and asks for the same next config
+    study = make_study(kind=kind, regime=regime, seed=seed, budget=budget)
+    for status, scores in results:
+        if study.full:
+            break
+        study.add(TrialRecord(study.ask(), tuple(scores), status))
+    path = tmp_path_factory.mktemp("study") / "study.json"
+    save_study_json(study, path)
+    back = load_study_json(path)
+    assert back == study
+    if not study.full:
+        assert suggest(study) == suggest(study)
+        assert back.ask() == study.ask()
