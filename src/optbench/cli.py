@@ -33,7 +33,7 @@ from optbench.harness import (
     write_run_outputs,
 )
 from optbench.optimizers import ConfigError, OptimizerKind
-from optbench.tasks import TASK_NAMES, make_task_spec
+from optbench.tasks import TASK_NAMES, check_batch_size, make_task_spec
 from optbench.tuning import Regime
 
 EXIT_OK = 0
@@ -97,10 +97,10 @@ def _cmd_run(args) -> int:
     # a run's data depend only on its task, so one run per task covers them all
     for run in {run.task.name: run for run in runs}.values():
         for repetition in range(1, run.n_splits + 1):
-            n_train = experiment_data(run, repetition)[1].train.size
-            if run.batch_size > n_train:
-                raise ConfigError(f"{run.task.name} split {repetition}: batch_size must be "
-                                  f"in [1, {n_train}], got {run.batch_size}")
+            try:
+                check_batch_size(experiment_data(run, repetition)[1], run.batch_size)
+            except ValueError as exc:
+                raise ConfigError(f"{run.task.name} split {repetition}: {exc}") from None
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):

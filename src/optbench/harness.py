@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from optbench.metrics import MetricKind, MetricValue, evaluate
+from optbench.metrics import MetricKind, evaluate
 from optbench.optimizers import (
     OptimizerConfig,
     OptimizerKind,
@@ -118,7 +118,8 @@ def _entropy(master_seed: int, labels) -> list[int]:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Protocol parameters for one (task, optimizer, regime) experiment."""
+    """Protocol parameters for one (task, optimizer, regime) experiment. Where the
+    data are made, ``make_dataset`` checks dataset_size and ``check_batch_size`` batch_size."""
 
     task: TaskSpec
     optimizer: OptimizerKind
@@ -133,29 +134,19 @@ class RunSpec:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.n_splits < 1:
             raise ValueError("n_splits must be >= 1")
         check_trial_budget(self.trial_budget)
-        if self.dataset_size < 50:
-            raise ValueError("dataset_size must be >= 50")
 
 
 @dataclass(frozen=True)
 class LearningCurve:
-    """Training loss per step (``losses[i]`` is step ``i + 1``'s) plus the dev
-    score at each epoch's final step."""
+    """Finite training loss per step (``losses[i]`` is step ``i + 1``'s) and the dev
+    score at each epoch's last step, as ``train`` builds and ``_read_raw_curve`` checks."""
 
     losses: np.ndarray
     dev_steps: np.ndarray
     dev_scores: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.diff(self.dev_steps) <= 0):
-            raise ValueError("dev step indices must be strictly increasing")
-        if not np.isfinite(self.losses).all():
-            raise ValueError("losses must be finite")
 
 
 def train(config: OptimizerConfig, dataset: Dataset, split: DataSplit, *,
@@ -200,7 +191,7 @@ def train(config: OptimizerConfig, dataset: Dataset, split: DataSplit, *,
                     break
             if status is TrialStatus.DIVERGED:
                 break
-            score = evaluate(spec, predict(theta, dev_x, spec), dev_y).value
+            score = evaluate(spec, predict(theta, dev_x, spec), dev_y)
             dev_steps.append(step)
             dev_scores.append(score)
             snapshots.append(theta)
@@ -225,7 +216,7 @@ class SplitResult:
     the test partition."""
 
     repetition: int
-    test: MetricValue
+    test: float
     theta: np.ndarray
     curve: LearningCurve
     study: StudyRecord
@@ -302,7 +293,7 @@ class ExperimentResult:
     def record(self) -> ScoreRecord:
         return ScoreRecord(task=self.task.name, optimizer=self.optimizer,
                            regime=self.regime, metric=self.task.metric,
-                           scores=tuple(s.test.value for s in self.splits))
+                           scores=tuple(s.test for s in self.splits))
 
 
 def experiment_data(run: RunSpec, repetition: int) -> tuple[Dataset, DataSplit]:
@@ -464,7 +455,7 @@ def write_run_outputs(result: ExperimentResult, out_dir) -> None:
             writer.writerow(_RESULTS_COLUMNS)
         for s in result.splits:
             writer.writerow([result.task.name, result.optimizer.value, result.regime.value,
-                             s.repetition, repr(s.test.value), repr(s.trial.best_dev),
+                             s.repetition, repr(s.test), repr(s.trial.best_dev),
                              s.trial.best_epoch])
     stem = f"{result.task.name}_{result.optimizer.value}_{result.regime.value}"
     for s in result.splits:
@@ -503,15 +494,22 @@ def _csv_rows(path, columns, parsers):
             yield row
 
 
-def _float_or_none(text: str) -> float | None:
-    return float(text) if text else None
+def _finite_float(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError(text)
+    return value
+
+
+def _finite_float_or_none(text: str) -> float | None:
+    return _finite_float(text) if text else None
 
 
 def _read_raw_curve(path) -> LearningCurve:
-    """The curve a raw per-split file holds; its steps must run 1, 2, 3, ..."""
+    """The curve a raw per-split file holds; its steps must run 1, 2, 3, ...
+    (so its dev steps increase) and its losses and dev scores must be finite."""
     losses, dev_steps, dev_scores = [], [], []
     rows = _csv_rows(path, _RAW_CURVE_COLUMNS,
-                     {"step": int, "loss": float, "dev": _float_or_none})
+                     {"step": int, "loss": _finite_float, "dev": _finite_float_or_none})
     for step, row in enumerate(rows, start=1):
         if row["step"] != step:
             raise ValueError(f"{path}: row {step} has step {row['step']}, "
@@ -533,6 +531,8 @@ def aggregate_curve_files(in_dir) -> list[Path]:
     groups: dict[str, list[tuple[int, Path]]] = {}
     for path in in_dir.glob("curve_raw_*_split*.csv"):
         stem, _, split = path.stem[len("curve_raw_"):].rpartition("_split")
+        if not split.isdecimal():
+            raise ValueError(f"{path} does not end in _split<k>.csv with an integer k")
         groups.setdefault(stem, []).append((int(split), path))
     if not groups:
         raise FileNotFoundError(f"no curve_raw_*_split*.csv files in {in_dir}")

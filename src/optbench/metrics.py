@@ -3,19 +3,18 @@
 Edge-case conventions (the measures' definitions leave these open):
 a class with precision + recall = 0 contributes F1 = 0 to the macro
 average, a zero denominator makes the Matthews coefficient 0, and a
-constant sequence makes Pearson r 0.
+constant sequence makes Pearson r 0. A score is a plain float; ``evaluate``
+makes every score and checks its range.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 __all__ = [
     "MetricKind",
-    "MetricValue",
     "accuracy",
     "macro_f1",
     "matthews_corr",
@@ -36,26 +35,14 @@ class MetricKind(str, Enum):
         return self in (MetricKind.ACCURACY, MetricKind.MACRO_F1)
 
 
-@dataclass(frozen=True)
-class MetricValue:
-    kind: MetricKind
-    value: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise ValueError(f"metric value must be finite, got {self.value}")
-        lo = 0.0 if self.kind.percent_scale else -1.0
-        if not lo - 1e-12 <= self.value <= 1.0 + 1e-12:
-            raise ValueError(f"{self.kind.value} out of range [{lo}, 1]: {self.value}")
-
-
-def _check_labels(preds, golds) -> tuple[np.ndarray, np.ndarray]:
+def _check_labels(preds, golds, min_len: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The one rule for a prediction/gold pair: 1-d, of one length >= min_len."""
     preds = np.asarray(preds)
     golds = np.asarray(golds)
     if preds.shape != golds.shape or preds.ndim != 1:
         raise ValueError(f"prediction/gold shapes disagree: {preds.shape} vs {golds.shape}")
-    if preds.shape[0] == 0:
-        raise ValueError("empty input")
+    if preds.shape[0] < min_len:
+        raise ValueError(f"need at least {min_len} prediction(s), got {preds.shape[0]}")
     return preds, golds
 
 
@@ -103,12 +90,7 @@ def matthews_corr(preds, golds) -> float:
 
 def pearson_corr(preds, golds) -> float:
     """Sample Pearson correlation; constant input yields 0 by convention."""
-    preds = np.asarray(preds, dtype=np.float64)
-    golds = np.asarray(golds, dtype=np.float64)
-    if preds.shape != golds.shape or preds.ndim != 1:
-        raise ValueError(f"prediction/gold shapes disagree: {preds.shape} vs {golds.shape}")
-    if preds.shape[0] < 2:
-        raise ValueError("pearson_corr needs at least 2 points")
+    preds, golds = (a.astype(np.float64) for a in _check_labels(preds, golds, min_len=2))
     dx = preds - preds.mean()
     dy = golds - golds.mean()
     denom = np.sqrt(np.sum(dx * dx) * np.sum(dy * dy))
@@ -117,8 +99,9 @@ def pearson_corr(preds, golds) -> float:
     return float(np.clip(np.sum(dx * dy) / denom, -1.0, 1.0))
 
 
-def evaluate(spec, preds, golds) -> MetricValue:
-    """Score predictions with the measure bound to the task."""
+def evaluate(spec, preds, golds) -> float:
+    """Score predictions with the measure bound to the task; raises ValueError
+    unless the score is finite and in [0, 1] (percent scale) or [-1, 1]."""
     kind = spec.metric
     if kind is MetricKind.ACCURACY:
         value = accuracy(preds, golds)
@@ -126,8 +109,9 @@ def evaluate(spec, preds, golds) -> MetricValue:
         value = macro_f1(preds, golds, spec.n_classes)
     elif kind is MetricKind.MATTHEWS:
         value = matthews_corr(preds, golds)
-    elif kind is MetricKind.PEARSON:
-        value = pearson_corr(preds, golds)
     else:
-        raise ValueError(f"unknown metric kind: {kind!r}")
-    return MetricValue(kind=kind, value=value)
+        value = pearson_corr(preds, golds)
+    lo = 0.0 if kind.percent_scale else -1.0
+    if not lo - 1e-12 <= value <= 1.0 + 1e-12:  # false for NaN too
+        raise ValueError(f"{kind.value} score must be finite and in [{lo}, 1], got {value}")
+    return value

@@ -129,8 +129,6 @@ class OptimizerConfig:
     gamma: float = 1e-3
 
     def __post_init__(self):
-        if not isinstance(self.kind, OptimizerKind):
-            object.__setattr__(self, "kind", OptimizerKind.parse(str(self.kind)))
         if not self.epsilon > 0:
             raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
         if not 0.0 <= self.rho1 < 1.0:
@@ -165,8 +163,6 @@ class OptimizerConfig:
         }
 
     def with_values(self, **updates) -> "OptimizerConfig":
-        if "lambda" in updates:
-            updates["lambda_"] = updates.pop("lambda")
         return replace(self, **updates)
 
 
@@ -177,7 +173,6 @@ def default_config(kind: OptimizerKind) -> OptimizerConfig:
     alpha is 0.9 for SGDM and 4e-3 for Nadam. Fields an optimizer never
     reads keep their generic values so configs stay fully populated.
     """
-    kind = OptimizerKind.parse(kind) if not isinstance(kind, OptimizerKind) else kind
     epsilon = 2e-3 if kind in (OptimizerKind.NADAM, OptimizerKind.ADAMAX) else 1e-3
     alpha = {OptimizerKind.SGDM: 0.9, OptimizerKind.NADAM: 4e-3}.get(kind, 0.0)
     return OptimizerConfig(kind=kind, epsilon=epsilon, alpha=alpha)

@@ -47,6 +47,7 @@ __all__ = [
     "make_task_spec",
     "make_dataset",
     "stratified_split",
+    "check_batch_size",
     "epoch_batches",
     "param_layout",
     "init_params",
@@ -253,18 +254,22 @@ def stratified_split(data: Dataset, split_seed: int = 0) -> DataSplit:
     return DataSplit(train=train, dev=dev, test=test)
 
 
+def check_batch_size(split: DataSplit, batch_size: int) -> None:
+    """The one rule for a mini-batch size: 1 to the split's train size."""
+    if not 1 <= batch_size <= split.train.size:
+        raise ValueError(f"batch_size must be in [1, {split.train.size}], got {batch_size}")
+
+
 def epoch_batches(split: DataSplit, batch_size: int, rng: np.random.Generator
                   ) -> Iterator[np.ndarray]:
     """Mini-batch index arrays for one epoch: a fresh shuffle of the train
     set cut into consecutive batches (the last one may be short), so the
     concatenation of one epoch's batches is a permutation of the train set.
-    With batch_size equal to the train size this degenerates to exact GD.
-    """
-    k = split.train.size
-    if batch_size < 1 or batch_size > k:
-        raise ValueError(f"batch_size must be in [1, {k}], got {batch_size}")
+    A batch_size equal to the train size gives exact GD; ``check_batch_size``
+    rejects one outside [1, train size]."""
+    check_batch_size(split, batch_size)
     order = rng.permutation(split.train)
-    for start in range(0, k, batch_size):
+    for start in range(0, order.size, batch_size):
         yield order[start:start + batch_size]
 
 
@@ -307,9 +312,11 @@ def segments(theta: np.ndarray, spec: TaskSpec) -> dict[str, np.ndarray]:
 
 
 def _forward(seg: dict[str, np.ndarray], x: np.ndarray, spec: TaskSpec):
-    """Model output for the batch ``x`` and the MLP's hidden activations
-    (None for the linear and logistic families): real scores for the linear
-    model, one logit per class for the classifiers."""
+    """Model output for the batch ``x``, which must be (m, FEATURE_DIM), and the
+    MLP's hidden activations (None for the linear and logistic families): real
+    scores for the linear model, one logit per class for the classifiers."""
+    if x.ndim != 2 or x.shape[1] != FEATURE_DIM:
+        raise ValueError(f"features must be (m, {FEATURE_DIM}), got {x.shape}")
     if spec.model == "linear":
         return x @ seg["w"] + seg["b"][0], None
     if spec.model == "logistic":
@@ -327,13 +334,11 @@ def loss_and_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, spec: TaskSpe
     squared error on the raw model output. θ is split into segments once,
     and the forward pass is the one ``predict`` uses.
     """
-    if x.ndim != 2 or x.shape[1] != FEATURE_DIM:
-        raise ValueError(f"batch features must be (m, {FEATURE_DIM}), got {x.shape}")
+    seg = segments(theta, spec)
+    out, hidden = _forward(seg, x, spec)
     m = x.shape[0]
     if m == 0:
         raise ValueError("empty batch")
-    seg = segments(theta, spec)
-    out, hidden = _forward(seg, x, spec)
 
     if spec.task_type == "regression":
         err = out - y
@@ -361,8 +366,6 @@ def predict(theta: np.ndarray, x: np.ndarray, spec: TaskSpec) -> np.ndarray:
     """Class labels (argmax, ties to the lowest index) or clamped real scores
     of the model whose flat parameter vector is θ, from the forward pass
     ``loss_and_grad`` uses."""
-    if x.ndim != 2 or x.shape[1] != FEATURE_DIM:
-        raise ValueError(f"inputs must be (m, {FEATURE_DIM}), got {x.shape}")
     out, _ = _forward(segments(theta, spec), x, spec)
     if spec.task_type == "regression":
         return np.clip(out, *TARGET_RANGE)

@@ -233,7 +233,7 @@ class StudyRecord:
 
     def add(self, trial: TrialRecord) -> None:
         if self.full:
-            raise ValueError("study is full")
+            raise ValueError(f"study is full at {len(self.trials)} trial(s)")
         self.trials.append(trial)
 
     def best_so_far(self) -> list[float]:
@@ -377,15 +377,18 @@ def save_study_json(study: StudyRecord, path) -> None:
 
 
 def load_study_json(path) -> StudyRecord:
-    """The study ``save_study_json`` wrote to ``path``; every key is required."""
+    """The study ``save_study_json`` wrote to ``path``; a bad or missing value names the file."""
     with open(path) as fh:
         doc = json.load(fh)
-    study = StudyRecord(
-        optimizer=OptimizerKind.parse(doc["optimizer"]),
-        regime=Regime.parse(doc["regime"]),
-        sampler_seed=int(doc["sampler_seed"]),
-        max_trials=int(doc["max_trials"]),
-    )
-    for trial_doc in doc["trials"]:
-        study.add(_trial_from_doc(trial_doc))
+    try:
+        study = StudyRecord(optimizer=OptimizerKind.parse(doc["optimizer"]),
+                            regime=Regime.parse(doc["regime"]),
+                            sampler_seed=int(doc["sampler_seed"]),
+                            max_trials=int(doc["max_trials"]))
+        for trial_doc in doc["trials"]:
+            study.add(_trial_from_doc(trial_doc))
+    except KeyError as exc:
+        raise ValueError(f"{path} lacks key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return study

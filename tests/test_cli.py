@@ -81,6 +81,21 @@ def test_run_checks_batch_size_before_any_experiment(tmp_path, capsys, monkeypat
     assert "stsb_like split 1: batch_size must be in [1, 190], got 191" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--size", "49", "stsb_like split 1: size must be >= 50, got 49"),
+    ("--size", "10", "stsb_like split 1: size must be >= 50, got 10"),
+    ("--batch-size", "0", "stsb_like split 1: batch_size must be in [1, 50], got 0"),
+    ("--batch-size", "51", "stsb_like split 1: batch_size must be in [1, 50], got 51"),
+])
+def test_run_checks_data_rules_before_any_experiment(tmp_path, capsys, option, value,
+                                                     message):
+    # at --size 60 the stsb_like train partition has 50 rows
+    out = tmp_path / "out"
+    assert run_cli(*small_run_args(out, **{option: value})) == EXIT_INVALID_CONFIG
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("trials", ["0", "31"])
 def test_run_checks_trial_budget_before_any_experiment(tmp_path, capsys, trials):
     out = tmp_path / "out"
@@ -284,3 +299,28 @@ def test_non_numeric_field_names_file_and_line(tmp_path, capsys, fault):
     capsys.readouterr()
     assert run_cli(command, "--in", str(tmp_path)) == EXIT_INVALID_CONFIG
     assert capsys.readouterr().err == f"error: {path} line 3: cannot read {fault} {value!r}\n"
+
+
+@pytest.mark.parametrize("loss", ["nan", "inf", "-inf"])
+def test_curves_rejects_non_finite_loss(tmp_path, capsys, loss):
+    assert run_cli(*small_run_args(tmp_path)) == EXIT_OK
+    path = tmp_path / "curve_raw_stsb_like_sgd_lr_only_split2.csv"
+    lines = path.read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[1] = loss
+    lines[3] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("curves", "--in", str(tmp_path)) == EXIT_INVALID_CONFIG
+    assert capsys.readouterr().err == f"error: {path} line 4: cannot read loss {loss!r}\n"
+
+
+def test_curves_names_raw_curve_without_integer_split(tmp_path, capsys):
+    assert run_cli(*small_run_args(tmp_path, regime="defaults")) == EXIT_OK
+    raw = tmp_path / "curve_raw_stsb_like_sgd_defaults_split1.csv"
+    bad = tmp_path / "curve_raw_stsb_like_sgd_defaults_splitx.csv"
+    bad.write_bytes(raw.read_bytes())
+    capsys.readouterr()
+    assert run_cli("curves", "--in", str(tmp_path)) == EXIT_INVALID_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {bad} does not end in _split<k>.csv with an integer k\n")

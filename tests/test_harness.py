@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from optbench.harness import (
-    LearningCurve,
     NoViableTrialError,
     RunSpec,
     ScoreRecord,
@@ -61,13 +60,19 @@ def test_labeled_streams_deterministic_and_distinct():
     assert labeled_seed(7, "s") == labeled_seed(7, "s") != labeled_seed(7, "t")
 
 
-def test_learning_curve_validation():
-    with pytest.raises(ValueError):
-        LearningCurve(losses=np.array([0.5, 0.5]), dev_steps=np.array([2, 2]),
-                      dev_scores=np.array([0.1, 0.1]))
-    with pytest.raises(ValueError):
-        LearningCurve(losses=np.array([0.5, np.inf]), dev_steps=np.array([2]),
-                      dev_scores=np.array([0.1]))
+def test_learning_curve_validation(tmp_path):
+    # a curve enters from outside only as a raw curve file, so its reader
+    # checks what train builds right by construction
+    path = tmp_path / "curve_raw_cola_like_adam_full_split1.csv"
+    for rows, match in (
+        ("1,0.5,\n2,0.5,0.1\n2,0.5,0.1", "row 3 has step 2"),  # a repeated dev step
+        ("1,0.5,\n2,inf,0.1", "line 3: cannot read loss 'inf'"),
+        ("1,0.5,\n2,0.5,0.1\n3,nan,", "line 4: cannot read loss 'nan'"),
+        ("1,0.5,\n2,0.5,nan", "line 3: cannot read dev 'nan'"),
+    ):
+        path.write_text(f"step,loss,dev\n{rows}\n")
+        with pytest.raises(ValueError, match=match):
+            aggregate_curve_files(tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +102,7 @@ def test_train_returns_best_epoch_snapshot():
         assert record.best_dev == max(record.epoch_scores)
         # retained snapshot scores exactly the recorded best dev value
         dev_score = evaluate(COLA, predict(params, data.features[split.dev], COLA),
-                             data.targets[split.dev]).value
+                             data.targets[split.dev])
         assert dev_score == record.best_dev
         # a truncated run with the same seed retains the same snapshot
         if k < len(record.epoch_scores) - 1:
@@ -309,7 +314,7 @@ def test_run_experiment_cardinality_and_aggregates():
     res = run_experiment(run)
     assert len(res.splits) == 3
     rec = res.record
-    scores = np.array([s.test.value for s in res.splits])
+    scores = np.array([s.test for s in res.splits])
     assert rec.scores == tuple(scores)
     assert rec.mean == pytest.approx(scores.mean(), abs=1e-15)
     assert rec.std == pytest.approx(scores.std(ddof=0), abs=1e-15)
@@ -319,7 +324,7 @@ def test_run_experiment_deterministic():
     run = run_spec(task=STSB, optimizer=OptimizerKind.ADAM, n_splits=2, trial_budget=4)
     a, b = run_experiment(run), run_experiment(run)
     for sa, sb in zip(a.splits, b.splits):
-        assert sa.test.value == sb.test.value
+        assert sa.test == sb.test
         assert sa.trial.config == sb.trial.config
         np.testing.assert_array_equal(sa.curve.losses, sb.curve.losses)
 
@@ -449,7 +454,7 @@ def test_write_run_outputs_and_rebuild(tmp_path):
     rows = list(csv.DictReader(open(tmp_path / "results.csv")))
     assert len(rows) == 2
     assert rows[0]["task"] == "stsb_like"
-    assert float(rows[0]["test_score"]) == pytest.approx(res.splits[0].test.value)
+    assert float(rows[0]["test_score"]) == pytest.approx(res.splits[0].test)
     # a second write appends its rows under the one header; the last row wins
     write_run_outputs(res, tmp_path)
     lines = (tmp_path / "results.csv").read_text().splitlines()

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from optbench.metrics import (
-    MetricKind,
-    MetricValue,
     accuracy,
     evaluate,
     macro_f1,
@@ -183,15 +181,24 @@ def test_output_ranges_on_random_inputs():
 
 
 # ---------------------------------------------------------------------------
-# MetricValue and dispatch
+# evaluate: dispatch and the range of a score
 # ---------------------------------------------------------------------------
 
-def test_metric_value_validation():
-    MetricValue(MetricKind.MATTHEWS, -0.5)
-    with pytest.raises(ValueError):
-        MetricValue(MetricKind.ACCURACY, -0.5)
-    with pytest.raises(ValueError):
-        MetricValue(MetricKind.PEARSON, float("nan"))
+def test_metric_value_validation(monkeypatch):
+    # evaluate makes every score, so it alone checks a score's range
+    import optbench.metrics as metrics
+
+    def score(task, measure, value):
+        monkeypatch.setattr(metrics, measure, lambda preds, golds: value)
+        return evaluate(make_task_spec(task), [0, 1], [0, 1])
+
+    assert score("cola_like", "matthews_corr", -0.5) == -0.5  # a correlation may be negative
+    for task, measure, value in (("sst2_like", "accuracy", -0.5),
+                                 ("sst2_like", "accuracy", 1.5),
+                                 ("stsb_like", "pearson_corr", float("nan")),
+                                 ("stsb_like", "pearson_corr", 1.5)):
+        with pytest.raises(ValueError, match="score must be finite and in"):
+            score(task, measure, value)
 
 
 def test_evaluate_dispatch():
@@ -200,10 +207,15 @@ def test_evaluate_dispatch():
     cola = make_task_spec("cola_like")
     sst2 = make_task_spec("sst2_like")
     mnli = make_task_spec("mnli_like")
-    assert evaluate(mrpc, [0, 1], [0, 1]).kind is MetricKind.MACRO_F1
-    assert evaluate(stsb, [1.0, 2.0, 3.0], [1.0, 2.0, 3.5]).kind is MetricKind.PEARSON
-    assert evaluate(cola, [0, 1], [0, 1]).kind is MetricKind.MATTHEWS
-    assert evaluate(sst2, [0, 1], [0, 1]).kind is MetricKind.ACCURACY
-    assert evaluate(mnli, [0, 1, 2], [0, 1, 2]).kind is MetricKind.ACCURACY
+    p, g = [0, 1, 1, 0, 1], [0, 1, 0, 0, 0]
+    x, y = [1.0, 2.0, 3.0], [1.0, 2.0, 3.5]
+    assert evaluate(mrpc, p, g) == macro_f1(p, g, 2)
+    assert evaluate(stsb, x, y) == pearson_corr(x, y)
+    assert evaluate(cola, p, g) == matthews_corr(p, g)
+    assert evaluate(sst2, p, g) == accuracy(p, g)
+    assert evaluate(mnli, [0, 1, 2, 2], [0, 1, 2, 1]) == accuracy([0, 1, 2, 2], [0, 1, 2, 1])
+    # the classification measures disagree on (p, g), so each task reached its own
+    assert len({macro_f1(p, g, 2), matthews_corr(p, g), accuracy(p, g)}) == 3
+    assert all(type(evaluate(spec, p, g)) is float for spec in (mrpc, cola, sst2))
     with pytest.raises(ValueError):
         evaluate(cola, [0, 2], [0, 1])  # 3-class input to a binary measure

@@ -273,6 +273,18 @@ def test_predict_rejects_dimension_mismatch():
         predict(params, np.zeros((2, FEATURE_DIM + 1)), spec)
 
 
+@pytest.mark.parametrize("name", ["cola_like", "mrpc_like", "stsb_like"])
+def test_loss_and_predict_share_one_feature_shape_check(name):
+    spec = make_task_spec(name)
+    theta = init_params(spec, np.random.default_rng(0))
+    x, y = np.zeros((3, FEATURE_DIM - 1)), np.zeros(3)
+    message = rf"features must be \(m, {FEATURE_DIM}\), got \(3, {FEATURE_DIM - 1}\)"
+    with pytest.raises(ValueError, match=message):
+        loss_and_grad(theta, x, y, spec)
+    with pytest.raises(ValueError, match=message):
+        predict(theta, x, spec)
+
+
 def test_segments_cover_theta():
     for name in TASK_NAMES:
         spec = make_task_spec(name)

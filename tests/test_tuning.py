@@ -400,6 +400,27 @@ def test_study_json_roundtrip(tmp_path):
             load_study_json(path)
 
 
+@pytest.mark.parametrize("fault", ["over budget", "no sampler_seed", "null sampler_seed"])
+def test_load_study_json_names_file(tmp_path, fault):
+    study = make_study([make_trial(), make_trial()], regime=Regime.LR_ONLY, budget=2)
+    path = tmp_path / "study.json"
+    save_study_json(study, path)
+    doc = json.loads(path.read_text())
+    if fault == "over budget":
+        doc["max_trials"] = 1
+        expected = f"{path}: study is full at 1 trial(s)"
+    elif fault == "no sampler_seed":
+        del doc["sampler_seed"]
+        expected = f"{path} lacks key 'sampler_seed'"
+    else:
+        doc["sampler_seed"] = None
+        expected = f"{path}: int() argument"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as info:
+        load_study_json(path)
+    assert str(info.value).startswith(expected)
+
+
 def test_loaded_budget_two_study_is_full(tmp_path):
     study = make_study([make_trial(), make_trial()], regime=Regime.LR_ONLY, budget=2)
     save_study_json(study, tmp_path / "study.json")
