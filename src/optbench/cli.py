@@ -6,14 +6,16 @@
     optbench curves --in runs/demo
 
 ``run`` executes the five-split protocol. As each experiment finishes it
-appends that experiment's rows to results.csv and writes its per-split
+passes that experiment's RunSpec and split results to ``write_run_outputs``,
+which appends its rows to results.csv and writes its per-split
 study_<...>.json and curve_raw_<...>.csv files, so a run that stops early
 keeps what it finished. After the last experiment it builds the aggregated
 curve_<...>.csv files and report.txt/report.csv from the directory with the
 functions ``curves`` and ``report`` call, so each file has one writer.
 Exit codes: 0 success, 2 invalid configuration (including an ``--out`` or
-``--in`` path that is not a directory), 3 no viable trial (every trial
-diverged).
+``--in`` path that is not a directory, or a run-directory file that
+``report`` or ``curves`` cannot read, which the message names), 3 no viable
+trial (every trial diverged).
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ def _cmd_run(args) -> int:
         if not args.quiet:
             print(f"running {run.task.name} / {run.optimizer.value} / {run.regime.value} ...",
                   file=sys.stderr)
-        write_run_outputs(run_experiment(run), args.out)
+        write_run_outputs(run, run_experiment(run), args.out)
     aggregate_curve_files(args.out)
     report_from_results_csv(args.out)
     if not args.quiet:

@@ -7,6 +7,9 @@ mini-batches (default batch size 4), keeps the parameter snapshot from its
 best dev epoch, and may be stopped early by median pruning. The chosen
 trial's snapshot is scored once on the test partition, and the per-split
 test scores are aggregated as mean and population standard deviation.
+``run_experiment`` returns one experiment's ``SplitResult``s, which
+``write_run_outputs`` writes under names taken from its RunSpec; reports and
+aggregated curves are built from the run directory alone.
 
 Every random choice is drawn from a stream derived from the master seed and
 a fixed label path, so a whole experiment is a pure function of its RunSpec
@@ -24,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from optbench.metrics import MetricKind, evaluate
+from optbench.metrics import MetricKind, check_score, evaluate
 from optbench.optimizers import (
     OptimizerConfig,
     OptimizerKind,
@@ -59,7 +62,6 @@ __all__ = [
     "RunSpec",
     "LearningCurve",
     "SplitResult",
-    "ExperimentResult",
     "ScoreRecord",
     "NoViableTrialError",
     "labeled_rng",
@@ -79,16 +81,16 @@ _RESULTS_COLUMNS = ("task", "optimizer", "regime", "split", "test_score", "best_
                     "best_epoch")
 _RAW_CURVE_COLUMNS = ("step", "loss", "dev")
 
-# Fixed display order for report rows.
-_REPORT_ORDER = (
-    OptimizerKind.ADABOUND,
-    OptimizerKind.ADAMW,
-    OptimizerKind.ADAMAX,
-    OptimizerKind.NADAM,
-    OptimizerKind.ADAM,
-    OptimizerKind.SGDM,
-    OptimizerKind.SGD,
-)
+# Report rows: each optimizer's display name, in row order.
+_REPORT_ROWS = {
+    OptimizerKind.ADABOUND: "AdaBound",
+    OptimizerKind.ADAMW: "AdamW",
+    OptimizerKind.ADAMAX: "AdaMax",
+    OptimizerKind.NADAM: "Nadam",
+    OptimizerKind.ADAM: "Adam",
+    OptimizerKind.SGDM: "SGDM",
+    OptimizerKind.SGD: "SGD",
+}
 
 
 class NoViableTrialError(RuntimeError):
@@ -280,22 +282,6 @@ class ScoreRecord:
         return float(np.std(self.scores))
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
-    """Per-(task, optimizer, regime) outcome of every split."""
-
-    task: TaskSpec
-    optimizer: OptimizerKind
-    regime: Regime
-    splits: tuple[SplitResult, ...]
-
-    @property
-    def record(self) -> ScoreRecord:
-        return ScoreRecord(task=self.task.name, optimizer=self.optimizer,
-                           regime=self.regime, metric=self.task.metric,
-                           scores=tuple(s.test for s in self.splits))
-
-
 def experiment_data(run: RunSpec, repetition: int) -> tuple[Dataset, DataSplit]:
     """Dataset and stratified split for one repetition (1-based).
 
@@ -311,13 +297,11 @@ def experiment_data(run: RunSpec, repetition: int) -> tuple[Dataset, DataSplit]:
     return dataset, split
 
 
-def run_experiment(run: RunSpec) -> ExperimentResult:
-    """Run the ``run.n_splits``-split protocol for one (task, optimizer,
-    regime): one ``run_study`` per repetition, on that repetition's data."""
-    splits = tuple(run_study(run, *experiment_data(run, repetition), repetition)
-                   for repetition in range(1, run.n_splits + 1))
-    return ExperimentResult(task=run.task, optimizer=run.optimizer, regime=run.regime,
-                            splits=splits)
+def run_experiment(run: RunSpec) -> tuple[SplitResult, ...]:
+    """The ``SplitResult``s of one (task, optimizer, regime), in split order:
+    one ``run_study`` per repetition, on that repetition's data."""
+    return tuple(run_study(run, *experiment_data(run, repetition), repetition)
+                 for repetition in range(1, run.n_splits + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -332,34 +316,29 @@ def format_cell(kind: MetricKind, mean: float, std: float) -> str:
     return f"{mean:.2f} ({std:.2f})"
 
 
-def _grouped(records) -> dict[Regime, dict[str, dict[OptimizerKind, tuple]]]:
-    tables: dict = {}
-    for rec in records:
-        cell = (rec.metric, rec.mean, rec.std)
-        tables.setdefault(rec.regime, {}).setdefault(rec.task, {})[rec.optimizer] = cell
-    return tables
-
-
 def format_report(records) -> str:
     """Text table per regime from ``ScoreRecord``s: rows are optimizers,
     columns tasks, cells ``mean (std)`` with the best per column flagged
     ``*``."""
     if not records:
         raise ValueError("no results to report")
-    tables = _grouped(records)
+    tables: dict = {}  # regime -> task -> optimizer -> (metric, mean, std)
+    for rec in records:
+        cell = (rec.metric, rec.mean, rec.std)
+        tables.setdefault(rec.regime, {}).setdefault(rec.task, {})[rec.optimizer] = cell
     lines = []
     for regime in Regime:
         if regime not in tables:
             continue
         columns = sorted(tables[regime])
-        optimizers = [k for k in _REPORT_ORDER
+        optimizers = [k for k in _REPORT_ROWS
                       if any(k in tables[regime][c] for c in columns)]
         lines.append(f"== regime: {regime.value} ==")
         header = ["Optimizer"] + columns
         rows = [header]
         best = {c: max(v[1] for v in tables[regime][c].values()) for c in columns}
         for kind in optimizers:
-            row = [kind.display]
+            row = [_REPORT_ROWS[kind]]
             for c in columns:
                 entry = tables[regime][c].get(kind)
                 if entry is None:
@@ -387,7 +366,7 @@ def write_report(records, out_dir) -> str:
         writer = csv.writer(fh)
         writer.writerow(["task", "optimizer", "regime", "metric", "mean", "std", "cell"])
         for rec in sorted(records, key=lambda r: (r.regime.value, r.task,
-                                                  _REPORT_ORDER.index(r.optimizer))):
+                                                  list(_REPORT_ROWS).index(r.optimizer))):
             writer.writerow([
                 rec.task, rec.optimizer.value, rec.regime.value, rec.metric.value,
                 repr(rec.mean), repr(rec.std), format_cell(rec.metric, rec.mean, rec.std),
@@ -441,24 +420,24 @@ def _write_curve_csv(path, rows) -> None:
             ])
 
 
-def write_run_outputs(result: ExperimentResult, out_dir) -> None:
-    """One finished experiment's files: its rows appended to results.csv
-    (after the header if the file is empty), and a study JSON and a raw
-    curve file per split. ``run`` calls it as each experiment finishes, so a
-    run that stops early keeps the experiments it finished; ``report`` and
-    ``curves`` build everything else from these files."""
+def write_run_outputs(run: RunSpec, splits, out_dir) -> None:
+    """One finished experiment's files, named from its RunSpec: the rows of
+    ``splits`` appended to results.csv (after the header if the file is
+    empty), and a study JSON and a raw curve file per split. The ``run``
+    command calls it as each experiment finishes, so a run that stops early
+    keeps what it finished; ``report`` and ``curves`` build the rest from them."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    key = (run.task.name, run.optimizer.value, run.regime.value)
     with open(out / "results.csv", "a", newline="") as fh:
         writer = csv.writer(fh)
         if fh.tell() == 0:  # new, or left empty by a run killed before its header
             writer.writerow(_RESULTS_COLUMNS)
-        for s in result.splits:
-            writer.writerow([result.task.name, result.optimizer.value, result.regime.value,
-                             s.repetition, repr(s.test), repr(s.trial.best_dev),
+        for s in splits:
+            writer.writerow([*key, s.repetition, repr(s.test), repr(s.trial.best_dev),
                              s.trial.best_epoch])
-    stem = f"{result.task.name}_{result.optimizer.value}_{result.regime.value}"
-    for s in result.splits:
+    stem = "_".join(key)
+    for s in splits:
         save_study_json(s.study, out / f"study_{stem}_split{s.repetition}.json")
         dev_at = {int(t): float(v) for t, v in zip(s.curve.dev_steps, s.curve.dev_scores)}
         with open(out / f"curve_raw_{stem}_split{s.repetition}.csv", "w",
@@ -472,10 +451,10 @@ def write_run_outputs(result: ExperimentResult, out_dir) -> None:
 
 
 def _csv_rows(path, columns, parsers):
-    """A CSV file's rows as dicts, after checking that its header has every
-    name in ``columns`` and each row the header's number of fields. Each
-    field named in ``parsers`` is replaced by its parser's value; a field it
-    cannot parse raises ValueError naming the file and line."""
+    """A CSV file's rows as (line number, dict) pairs, after checking that its
+    header has every name in ``columns`` and each row the header's number of
+    fields. A field named in ``parsers`` is replaced by its parser's value;
+    one it cannot parse raises ValueError naming the file and line."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in columns if c not in (reader.fieldnames or ())]
@@ -491,7 +470,7 @@ def _csv_rows(path, columns, parsers):
                 except ValueError:
                     raise ValueError(f"{path} line {reader.line_num}: cannot read "
                                      f"{column} {row[column]!r}") from None
-            yield row
+            yield reader.line_num, row
 
 
 def _finite_float(text: str) -> float:
@@ -510,9 +489,9 @@ def _read_raw_curve(path) -> LearningCurve:
     losses, dev_steps, dev_scores = [], [], []
     rows = _csv_rows(path, _RAW_CURVE_COLUMNS,
                      {"step": int, "loss": _finite_float, "dev": _finite_float_or_none})
-    for step, row in enumerate(rows, start=1):
+    for step, (line, row) in enumerate(rows, start=1):
         if row["step"] != step:
-            raise ValueError(f"{path}: row {step} has step {row['step']}, "
+            raise ValueError(f"{path} line {line}: step {row['step']}, "
                              f"expected {step} (steps run 1, 2, 3, ...)")
         losses.append(row["loss"])
         if row["dev"] is not None:
@@ -550,18 +529,23 @@ def report_from_results_csv(in_dir) -> str:
     """Build report.txt/report.csv from a run directory's results.csv and
     return the text of report.txt. Every run written into the directory
     counts; for a repeated (task, optimizer, regime, split) the last row
-    wins. Raises ValueError when the header lacks a column, or a row has
-    too few or too many fields or a split or test score that is not a
-    number."""
+    wins. Raises ValueError naming the file (and line) when the header lacks
+    a column or a row has the wrong number of fields, an unknown name, a
+    split that is not an integer or a score outside its metric's range."""
     path = Path(in_dir) / "results.csv"
-    scores: dict[tuple[str, str, str], dict[int, float]] = {}
-    for row in _csv_rows(path, _RESULTS_COLUMNS, {"split": int, "test_score": float}):
+    parsers = {"task": make_task_spec, "optimizer": OptimizerKind.parse,
+               "regime": Regime.parse, "split": int, "test_score": _finite_float}
+    scores: dict[tuple[TaskSpec, OptimizerKind, Regime], dict[int, float]] = {}
+    for line, row in _csv_rows(path, _RESULTS_COLUMNS, parsers):
+        try:
+            check_score(row["task"].metric, row["test_score"])
+        except ValueError as exc:
+            raise ValueError(f"{path} line {line}: {exc}") from None
         key = (row["task"], row["optimizer"], row["regime"])
         scores.setdefault(key, {})[row["split"]] = row["test_score"]
     records = [
-        ScoreRecord(task=task, optimizer=OptimizerKind.parse(optimizer),
-                    regime=Regime.parse(regime), metric=make_task_spec(task).metric,
+        ScoreRecord(task=task.name, optimizer=optimizer, regime=regime, metric=task.metric,
                     scores=tuple(by_split[k] for k in sorted(by_split)))
-        for (task, optimizer, regime), by_split in sorted(scores.items())
+        for (task, optimizer, regime), by_split in scores.items()
     ]
     return write_report(records, path.parent)

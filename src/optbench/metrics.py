@@ -4,7 +4,7 @@ Edge-case conventions (the measures' definitions leave these open):
 a class with precision + recall = 0 contributes F1 = 0 to the macro
 average, a zero denominator makes the Matthews coefficient 0, and a
 constant sequence makes Pearson r 0. A score is a plain float; ``evaluate``
-makes every score and checks its range.
+makes every score and ``check_score`` checks its range.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ __all__ = [
     "macro_f1",
     "matthews_corr",
     "pearson_corr",
+    "check_score",
     "evaluate",
 ]
 
@@ -99,9 +100,16 @@ def pearson_corr(preds, golds) -> float:
     return float(np.clip(np.sum(dx * dy) / denom, -1.0, 1.0))
 
 
+def check_score(kind: MetricKind, value: float) -> float:
+    """``value`` if finite and in [0, 1] (percent scale) or [-1, 1], else ValueError."""
+    lo = 0.0 if kind.percent_scale else -1.0
+    if not lo - 1e-12 <= value <= 1.0 + 1e-12:  # false for NaN too
+        raise ValueError(f"{kind.value} score must be finite and in [{lo}, 1], got {value}")
+    return value
+
+
 def evaluate(spec, preds, golds) -> float:
-    """Score predictions with the measure bound to the task; raises ValueError
-    unless the score is finite and in [0, 1] (percent scale) or [-1, 1]."""
+    """The task's measure of the predictions, checked by ``check_score``."""
     kind = spec.metric
     if kind is MetricKind.ACCURACY:
         value = accuracy(preds, golds)
@@ -111,7 +119,4 @@ def evaluate(spec, preds, golds) -> float:
         value = matthews_corr(preds, golds)
     else:
         value = pearson_corr(preds, golds)
-    lo = 0.0 if kind.percent_scale else -1.0
-    if not lo - 1e-12 <= value <= 1.0 + 1e-12:  # false for NaN too
-        raise ValueError(f"{kind.value} score must be finite and in [{lo}, 1], got {value}")
-    return value
+    return check_score(kind, value)

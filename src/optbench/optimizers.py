@@ -70,10 +70,6 @@ class OptimizerKind(str, Enum):
     ADAMAX = "adamax"
     ADABOUND = "adabound"
 
-    @property
-    def display(self) -> str:
-        return _DISPLAY[self]
-
     @classmethod
     def parse(cls, text: str) -> "OptimizerKind":
         try:
@@ -81,16 +77,6 @@ class OptimizerKind(str, Enum):
         except ValueError:
             raise ConfigError(f"unknown optimizer kind: {text!r}") from None
 
-
-_DISPLAY = {
-    OptimizerKind.SGD: "SGD",
-    OptimizerKind.SGDM: "SGDM",
-    OptimizerKind.ADAM: "Adam",
-    OptimizerKind.NADAM: "Nadam",
-    OptimizerKind.ADAMW: "AdamW",
-    OptimizerKind.ADAMAX: "AdaMax",
-    OptimizerKind.ADABOUND: "AdaBound",
-}
 
 # The five optimizers that rescale their learning rate per coordinate.
 ADAPTIVE_KINDS = (
@@ -201,10 +187,6 @@ class OptimizerState:
             raise DimensionError(f"s, r and v must be 1-d vectors of one length, got shapes "
                                  f"{self.s.shape}, {self.r.shape} and {self.v.shape}")
 
-    @property
-    def dim(self) -> int:
-        return self.s.shape[0]
-
 
 def init_state(config: OptimizerConfig, dim: int) -> OptimizerState:
     """Zero-initialized state for a ``dim``-dimensional parameter vector."""
@@ -309,7 +291,7 @@ def apply_step(config, state, theta, g):
     """
     theta = np.asarray(theta, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
-    if theta.ndim != 1 or g.ndim != 1 or not theta.shape[0] == g.shape[0] == state.dim:
-        raise DimensionError(f"theta and g must be 1-d vectors of the state's length "
-                             f"{state.dim}, got shapes {theta.shape} and {g.shape}")
+    if not theta.shape == g.shape == state.s.shape:  # OptimizerState keeps s 1-d
+        raise DimensionError(f"theta and g must be 1-d vectors of the state's shape "
+                             f"{state.s.shape}, got shapes {theta.shape} and {g.shape}")
     return _RULES[config.kind](config, state, theta, g)

@@ -362,13 +362,14 @@ def test_criterion_7_tuning_helps_on_cola():
         results[regime] = run_experiment(run)
     tuned = results[Regime.LR_ONLY]
     defaults = results[Regime.DEFAULTS]
-    tuned_mean, defaults_mean = tuned.record.mean, defaults.record.mean
-    assert defaults.splits[0].trial.config.epsilon == 1e-3  # far outside [1e-7, 1e-5]
-    assert all(1e-7 <= s.trial.config.epsilon <= 1e-5 for s in tuned.splits)
+    tuned_mean = float(np.mean([s.test for s in tuned]))
+    defaults_mean = float(np.mean([s.test for s in defaults]))
+    assert defaults[0].trial.config.epsilon == 1e-3  # far outside [1e-7, 1e-5]
+    assert all(1e-7 <= s.trial.config.epsilon <= 1e-5 for s in tuned)
     assert tuned_mean >= defaults_mean
 
-    for res in results.values():
-        for split in res.splits:
+    for splits in results.values():
+        for split in splits:
             seq = split.study.best_so_far()
             assert all(a <= b for a, b in zip(seq, seq[1:]))
 

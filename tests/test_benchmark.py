@@ -1,22 +1,45 @@
 """Guard for the benchmark's own output checks on a traced run.
 
-``perfbench/run.py`` fails a traced repetition whose results differ from an
-untraced one's, or whose count of ``tasks.loss_and_grad`` calls differs from
-the training steps its study files record. This runs one small command both
-ways through ``perfbench/launch.py`` and applies the same two checks.
+``perfbench/run.py`` fails a repetition whose commands exit nonzero or whose
+run directory its output checks reject, a traced repetition whose results
+differ from an untraced one's, and one whose count of
+``tasks.loss_and_grad`` calls differs from the training steps its study
+files record. This runs one small command through ``perfbench/launch.py``
+and ``run.py``'s own ``run_sequence`` and applies the same checks.
 """
 
 import importlib.util
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench"
-RUN_ARGS = ["run", "--quiet", "--task", "cola_like,stsb_like", "--optimizer", "adam,sgdm",
-            "--regime", "lr_only", "--trials", "4", "--splits", "1", "--epochs", "2",
-            "--size", "60", "--seed", "3"]
+SEED = "3"
+WORKLOAD_ARGS = ("--quiet", "--task", "cola_like,stsb_like", "--optimizer", "adam,sgdm",
+                 "--regime", "lr_only", "--trials", "4", "--splits", "1", "--epochs", "2",
+                 "--size", "60")
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """``perfbench/run.py`` as a module, imported without writing under perfbench/."""
+    monkeypatch.syspath_prepend(str(BENCH))  # run.py imports the tracer module
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_run", BENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def workload(bench, follow=()):
+    return bench.Workload(run_args=WORKLOAD_ARGS, experiments=4, splits=1, trials=4,
+                          epochs=2, follow=follow)
 
 
 def launch(tmp_path, mode, out):
@@ -26,19 +49,13 @@ def launch(tmp_path, mode, out):
     spans = tmp_path / f"{mode}.spans"
     proc = subprocess.run(
         [sys.executable, str(BENCH / "launch.py"), str(tmp_path / f"{mode}.marks.json"), mode,
-         str(spans), *RUN_ARGS, "--out", str(out)],
+         str(spans), "run", *WORKLOAD_ARGS, "--seed", SEED, "--out", str(out)],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return spans
 
 
-def test_traced_run_passes_the_benchmark_output_checks(tmp_path, monkeypatch):
-    monkeypatch.syspath_prepend(str(BENCH))  # run.py imports the tracer module
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
-    spec = importlib.util.spec_from_file_location("perfbench_run", BENCH / "run.py")
-    bench = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, bench)  # its dataclasses look it up
-    spec.loader.exec_module(bench)
+def test_traced_run_passes_the_benchmark_output_checks(tmp_path, bench):
     import tracer
 
     plain, traced = tmp_path / "plain", tmp_path / "traced"
@@ -47,10 +64,25 @@ def test_traced_run_passes_the_benchmark_output_checks(tmp_path, monkeypatch):
     assert spans.absent == []
     assert (traced / "results.csv").read_bytes() == (plain / "results.csv").read_bytes()
 
-    workload = bench.Workload(run_args=tuple(RUN_ARGS[1:]), experiments=4, splits=1,
-                              trials=4, epochs=2)
-    counts = bench.work_counts(workload, traced)
-    assert counts == bench.work_counts(workload, plain)
+    counts = bench.work_counts(workload(bench), traced)
+    assert counts == bench.work_counts(workload(bench), plain)
     assert counts["diverged"] == 0  # a diverged trial's last epoch is not in the files
     name_id = spans.names.index("tasks.loss_and_grad")
     assert sum(1 for n in spans.name_id if n == name_id) == counts["steps"] > 0
+
+
+def test_run_sequence_passes_the_benchmark_output_checks(tmp_path, bench, monkeypatch):
+    # the benchmark's own repetition: the run command and its report and
+    # curves follow-ups, once plain and once traced, in a scratch directory
+    monkeypatch.setattr(bench, "WORK", tmp_path)
+    monkeypatch.setattr(bench, "ROOT", ROOT)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    w = workload(bench, follow=("report", "curves"))
+    deadline = time.monotonic() + 240
+    reps = [bench.run_sequence(w, int(SEED), index, traced, deadline)
+            for index, traced in ((1, False), (2, True))]
+    bench.flag_nondeterminism(reps)
+    assert [r.problems for r in reps] == [[], []]
+    assert reps[1].counts["trials"] == 16
+    _, table = bench.per_layer(reps[1], reps[0].wall_s)
+    assert table.problems == []

@@ -266,7 +266,7 @@ def test_report_rejects_short_results_row(tmp_path, capsys):
         f"error: {results} line {n_lines + 1} does not have the header's 7 fields\n")
 
 
-@pytest.mark.parametrize("fault", ["short row", "renamed column"])
+@pytest.mark.parametrize("fault", ["short row", "renamed column", "gapped steps"])
 def test_curves_rejects_malformed_raw_curve(tmp_path, capsys, fault):
     assert run_cli(*small_run_args(tmp_path)) == EXIT_OK
     raw = tmp_path / "curve_raw_stsb_like_sgd_lr_only_split1.csv"
@@ -274,6 +274,9 @@ def test_curves_rejects_malformed_raw_curve(tmp_path, capsys, fault):
     if fault == "short row":
         lines[2] = lines[2].split(",")[0]
         expected = f"{raw} line 3 does not have the header's 3 fields"
+    elif fault == "gapped steps":
+        lines[2] = "3," + lines[2].split(",", 1)[1]
+        expected = f"{raw} line 3: step 3, expected 2 (steps run 1, 2, 3, ...)"
     else:
         lines[0] = "step,loss,devx"
         expected = f"{raw} lacks column(s) dev"
@@ -283,14 +286,17 @@ def test_curves_rejects_malformed_raw_curve(tmp_path, capsys, fault):
     assert capsys.readouterr().err == f"error: {expected}\n"
 
 
-@pytest.mark.parametrize("fault", ["test_score", "step", "loss"])
+@pytest.mark.parametrize("fault", ["test_score", "step", "loss", "task", "optimizer", "regime"])
 def test_non_numeric_field_names_file_and_line(tmp_path, capsys, fault):
+    # also an unknown name in one of results.csv's three name columns
     assert run_cli(*small_run_args(tmp_path)) == EXIT_OK
-    if fault == "test_score":
-        command, path, column, value = "report", tmp_path / "results.csv", 4, "abc"
-    else:
+    if fault in ("step", "loss"):
         command, path = "curves", tmp_path / "curve_raw_stsb_like_sgd_lr_only_split1.csv"
-        column, value = {"step": (0, "x"), "loss": (1, "zz")}[fault]
+    else:
+        command, path = "report", tmp_path / "results.csv"
+    column, value = {"task": (0, "qnli_like"), "optimizer": (1, "adamx"),
+                     "regime": (2, "lr_onlyx"), "test_score": (4, "abc"),
+                     "step": (0, "x"), "loss": (1, "zz")}[fault]
     lines = path.read_text().splitlines()
     fields = lines[2].split(",")
     fields[column] = value
@@ -299,6 +305,26 @@ def test_non_numeric_field_names_file_and_line(tmp_path, capsys, fault):
     capsys.readouterr()
     assert run_cli(command, "--in", str(tmp_path)) == EXIT_INVALID_CONFIG
     assert capsys.readouterr().err == f"error: {path} line 3: cannot read {fault} {value!r}\n"
+
+
+@pytest.mark.parametrize("task, score, problem", [
+    ("sst2_like", "nan", "cannot read test_score 'nan'"),
+    ("sst2_like", "inf", "cannot read test_score 'inf'"),
+    ("sst2_like", "1.5", "accuracy score must be finite and in [0.0, 1], got 1.5"),
+    ("sst2_like", "-0.25", "accuracy score must be finite and in [0.0, 1], got -0.25"),
+    ("stsb_like", "nan", "cannot read test_score 'nan'"),
+    ("stsb_like", "-inf", "cannot read test_score '-inf'"),
+    ("stsb_like", "-1.5", "pearson score must be finite and in [-1.0, 1], got -1.5"),
+    ("cola_like", "7.5", "matthews score must be finite and in [-1.0, 1], got 7.5"),
+])
+def test_report_rejects_score_outside_metric_range(tmp_path, capsys, task, score, problem):
+    # a correlation may be negative (line 2), a rate may not
+    path = tmp_path / "results.csv"
+    path.write_text("task,optimizer,regime,split,test_score,best_dev,best_epoch\n"
+                    f"{task},sgd,full,1,{'0.5' if task == 'sst2_like' else '-0.5'},0.5,0\n"
+                    f"{task},sgd,full,2,{score},0.5,0\n")
+    assert run_cli("report", "--in", str(tmp_path)) == EXIT_INVALID_CONFIG
+    assert capsys.readouterr().err == f"error: {path} line 3: {problem}\n"
 
 
 @pytest.mark.parametrize("loss", ["nan", "inf", "-inf"])

@@ -65,7 +65,7 @@ def test_learning_curve_validation(tmp_path):
     # checks what train builds right by construction
     path = tmp_path / "curve_raw_cola_like_adam_full_split1.csv"
     for rows, match in (
-        ("1,0.5,\n2,0.5,0.1\n2,0.5,0.1", "row 3 has step 2"),  # a repeated dev step
+        ("1,0.5,\n2,0.5,0.1\n2,0.5,0.1", "line 4: step 2, expected 3"),  # a repeated dev step
         ("1,0.5,\n2,inf,0.1", "line 3: cannot read loss 'inf'"),
         ("1,0.5,\n2,0.5,0.1\n3,nan,", "line 4: cannot read loss 'nan'"),
         ("1,0.5,\n2,0.5,nan", "line 3: cannot read dev 'nan'"),
@@ -309,12 +309,17 @@ def test_run_study_no_viable_trial():
 # run_experiment
 # ---------------------------------------------------------------------------
 
+def score_record(run, splits):
+    return ScoreRecord(task=run.task.name, optimizer=run.optimizer, regime=run.regime,
+                       metric=run.task.metric, scores=tuple(s.test for s in splits))
+
+
 def test_run_experiment_cardinality_and_aggregates():
     run = run_spec(optimizer=OptimizerKind.SGD, task=STSB, n_splits=3, trial_budget=3)
-    res = run_experiment(run)
-    assert len(res.splits) == 3
-    rec = res.record
-    scores = np.array([s.test for s in res.splits])
+    splits = run_experiment(run)
+    assert [s.repetition for s in splits] == [1, 2, 3]
+    rec = score_record(run, splits)
+    scores = np.array([s.test for s in splits])
     assert rec.scores == tuple(scores)
     assert rec.mean == pytest.approx(scores.mean(), abs=1e-15)
     assert rec.std == pytest.approx(scores.std(ddof=0), abs=1e-15)
@@ -323,7 +328,7 @@ def test_run_experiment_cardinality_and_aggregates():
 def test_run_experiment_deterministic():
     run = run_spec(task=STSB, optimizer=OptimizerKind.ADAM, n_splits=2, trial_budget=4)
     a, b = run_experiment(run), run_experiment(run)
-    for sa, sb in zip(a.splits, b.splits):
+    for sa, sb in zip(a, b):
         assert sa.test == sb.test
         assert sa.trial.config == sb.trial.config
         np.testing.assert_array_equal(sa.curve.losses, sb.curve.losses)
@@ -432,7 +437,7 @@ def test_aggregate_curve_files_truncates_unequal_with_warning(tmp_path):
 def test_aggregate_curve_files_rejects_gapped_steps(tmp_path):
     (tmp_path / "curve_raw_cola_like_adam_full_split1.csv").write_text(
         "step,loss,dev\n1,0.4,\n3,0.4,\n5,0.4,0.5\n")
-    with pytest.raises(ValueError, match="row 2 has step 3"):
+    with pytest.raises(ValueError, match="line 3: step 3, expected 2"):
         aggregate_curve_files(tmp_path)
 
 
@@ -442,8 +447,8 @@ def test_aggregate_curve_files_rejects_gapped_steps(tmp_path):
 
 def test_write_run_outputs_and_rebuild(tmp_path):
     run = run_spec(task=STSB, optimizer=OptimizerKind.SGD, n_splits=2, trial_budget=3)
-    res = run_experiment(run)
-    write_run_outputs(res, tmp_path)
+    splits = run_experiment(run)
+    write_run_outputs(run, splits, tmp_path)
     assert {p.name for p in tmp_path.iterdir()} == {
         "results.csv",
         "study_stsb_like_sgd_lr_only_split1.json",
@@ -454,16 +459,16 @@ def test_write_run_outputs_and_rebuild(tmp_path):
     rows = list(csv.DictReader(open(tmp_path / "results.csv")))
     assert len(rows) == 2
     assert rows[0]["task"] == "stsb_like"
-    assert float(rows[0]["test_score"]) == pytest.approx(res.splits[0].test)
+    assert float(rows[0]["test_score"]) == pytest.approx(splits[0].test)
     # a second write appends its rows under the one header; the last row wins
-    write_run_outputs(res, tmp_path)
+    write_run_outputs(run, splits, tmp_path)
     lines = (tmp_path / "results.csv").read_text().splitlines()
     assert len(lines) == 5 and lines[1:3] == lines[3:5]
     text = report_from_results_csv(tmp_path)
     assert text == (tmp_path / "report.txt").read_text()
     assert "SGD" in text and "stsb_like" in text
     # the report read back from results.csv is the one the scores in memory give
-    assert write_report([res.record], tmp_path / "memory") == text
+    assert write_report([score_record(run, splits)], tmp_path / "memory") == text
     for name in ("report.txt", "report.csv"):
         assert (tmp_path / "memory" / name).read_bytes() == (tmp_path / name).read_bytes()
     agg = aggregate_curve_files(tmp_path)
@@ -494,16 +499,16 @@ def test_aggregate_curve_files_matches_run_with_ten_plus_splits(tmp_path):
                      epochs=2, dataset_size=60)
             for kind in (OptimizerKind.SGD, OptimizerKind.ADAM)]
     results = [run_experiment(run) for run in runs]
-    for res in results:
-        write_run_outputs(res, tmp_path)
+    for run, splits in zip(runs, results):
+        write_run_outputs(run, splits, tmp_path)
     rebuilt = aggregate_curve_files(tmp_path)
     assert [p.name for p in rebuilt] == ["curve_stsb_like_adam_defaults.csv",
                                          "curve_stsb_like_sgd_defaults.csv"]
-    for res in results:
-        path = tmp_path / f"curve_stsb_like_{res.optimizer.value}_defaults.csv"
+    for run, splits in zip(runs, results):
+        path = tmp_path / f"curve_stsb_like_{run.optimizer.value}_defaults.csv"
         rows = list(csv.reader(open(path, newline="")))
         assert rows[0] == ["step", "mean_loss", "std_loss", "mean_dev", "std_dev"]
-        assert rows[1:] == expected_curve_rows([s.curve for s in res.splits]), path.name
+        assert rows[1:] == expected_curve_rows([s.curve for s in splits]), path.name
 
 
 # ---------------------------------------------------------------------------
