@@ -138,6 +138,8 @@ class RunSpec:
             raise ValueError("epochs must be >= 1")
         if self.n_splits < 1:
             raise ValueError("n_splits must be >= 1")
+        if not 0 <= self.master_seed < 2**32:  # _entropy keeps 32 bits of it
+            raise ValueError(f"master_seed must be in [0, 2**32), got {self.master_seed}")
         check_trial_budget(self.trial_budget)
 
 

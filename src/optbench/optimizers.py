@@ -34,7 +34,7 @@ detects it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -92,7 +92,8 @@ class OptimizerConfig:
     """Full hyperparameter set for any of the seven optimizers.
 
     Fields irrelevant to ``kind`` are stored anyway so that configs
-    round-trip through serialization unchanged.
+    round-trip through serialization unchanged; ``tuning`` writes and reads
+    a config's study-file form.
 
     epsilon   learning rate (> 0)
     rho1      first-moment decay in [0, 1)
@@ -133,23 +134,6 @@ class OptimizerConfig:
             raise ConfigError(f"eps_star must be > 0, got {self.eps_star}")
         if not self.gamma > 0:
             raise ConfigError(f"gamma must be > 0, got {self.gamma}")
-
-    def values_by_key(self) -> dict:
-        """Map wire-format keys to values (``lambda_`` appears as ``lambda``)."""
-        return {
-            "kind": self.kind.value,
-            "epsilon": self.epsilon,
-            "rho1": self.rho1,
-            "rho2": self.rho2,
-            "delta": self.delta,
-            "alpha": self.alpha,
-            "lambda": self.lambda_,
-            "eps_star": self.eps_star,
-            "gamma": self.gamma,
-        }
-
-    def with_values(self, **updates) -> "OptimizerConfig":
-        return replace(self, **updates)
 
 
 def default_config(kind: OptimizerKind) -> OptimizerConfig:

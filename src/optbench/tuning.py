@@ -14,7 +14,10 @@ matching standard fine-tuning practice):
 
 Three regimes: ``defaults`` tunes nothing (one trial), ``lr_only`` tunes
 only epsilon, ``full`` tunes every ranged hyperparameter of the optimizer.
-A ``StudyRecord`` holds the whole search policy; its caller asks and adds.
+A study tunes its ``params``, its regime's slice of its optimizer's row of
+``_SEARCHED``, and its trial 0 is the default config iff each tuned value
+of that lies in range. A ``StudyRecord`` holds the whole search policy; its
+caller asks and adds.
 
 Trial i draws from its own stream, ``default_rng([sampler_seed, i])``, so
 a study's next configuration follows from its seed and trials alone. The
@@ -32,13 +35,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
 from optbench.optimizers import (
-    ADAPTIVE_KINDS,
     ConfigError,
     OptimizerConfig,
     OptimizerKind,
@@ -49,12 +51,10 @@ __all__ = [
     "MAX_TRIALS",
     "Regime",
     "ParamSpec",
-    "SpaceSpec",
     "TrialStatus",
     "TrialRecord",
     "StudyRecord",
     "check_trial_budget",
-    "search_space",
     "suggest",
     "should_prune",
     "best_trial",
@@ -91,34 +91,6 @@ class ParamSpec:
     high: float
     scale: str  # "log" | "linear"
 
-    def __post_init__(self):
-        if self.scale not in ("log", "linear"):
-            raise ConfigError(f"bad scale {self.scale!r}")
-        if not self.low < self.high:
-            raise ConfigError(f"{self.name}: low must be < high")
-        if self.scale == "log" and self.low <= 0:
-            raise ConfigError(f"{self.name}: log scale needs positive bounds")
-
-
-@dataclass(frozen=True)
-class SpaceSpec:
-    """The hyperparameters a study of ``kind`` tunes, in sampling order;
-    every other field keeps its ``default_config(kind)`` value."""
-
-    kind: OptimizerKind
-    params: tuple[ParamSpec, ...]
-
-    def contains(self, config: OptimizerConfig) -> bool:
-        """True iff every tuned value lies in its range and every other
-        field equals ``default_config(kind)``'s value."""
-        values = config.values_by_key()
-        expected = default_config(self.kind).values_by_key()
-        for p in self.params:
-            if not p.low <= values[p.name] <= p.high:
-                return False
-            expected[p.name] = values[p.name]
-        return values == expected
-
 
 _LR_SGD = ParamSpec("epsilon", 1e-7, 1e-3, "log")
 _LR_ADAPTIVE = ParamSpec("epsilon", 1e-7, 1e-5, "log")
@@ -127,7 +99,8 @@ _MOMENTS = (ParamSpec("rho1", 0.8, 0.95, "linear"),
             ParamSpec("delta", 1e-9, 1e-7, "log"))
 
 # What each optimizer searches in the full regime, in sampling order. The
-# learning rate comes first: the lr_only regime is the first entry.
+# learning rate comes first: the lr_only regime is the first entry. The
+# adaptive optimizers' default learning rate lies above their range.
 _SEARCHED: dict[OptimizerKind, tuple[ParamSpec, ...]] = {
     OptimizerKind.SGD: (_LR_SGD,),
     OptimizerKind.SGDM: (_LR_SGD, ParamSpec("alpha", 0.7, 0.9999, "linear")),
@@ -148,25 +121,6 @@ def check_trial_budget(n_trials: int) -> None:
     """The one rule for a study's trial budget: 1 to ``MAX_TRIALS`` trials."""
     if not 1 <= n_trials <= MAX_TRIALS:
         raise ConfigError(f"trial budget must be in [1, {MAX_TRIALS}], got {n_trials}")
-
-
-def _check_searched() -> None:
-    """The adaptive optimizers' default learning rate lies strictly above
-    its search range."""
-    for kind in ADAPTIVE_KINDS:
-        default, high = default_config(kind).epsilon, _SEARCHED[kind][0].high
-        if not default > high:
-            raise ConfigError(f"{kind.value}: default epsilon {default} must lie above "
-                              f"the search range upper bound {high}")
-
-
-_check_searched()
-
-
-def search_space(kind: OptimizerKind, regime: Regime) -> SpaceSpec:
-    """Space for ``kind`` under ``regime``: nothing for defaults, the
-    learning rate for lr_only, and the whole row of ``_SEARCHED`` for full."""
-    return SpaceSpec(kind=kind, params=_SEARCHED[kind][_REGIME_SLICE[regime]])
 
 
 class TrialStatus(str, Enum):
@@ -203,31 +157,37 @@ class TrialRecord:
 @dataclass
 class StudyRecord:
     """One search maximizing dev score, wholly described by its init fields:
-    its optimizer and regime (from which its space is derived), the seed of
-    its sampler, its trials and its trial budget."""
+    its optimizer and regime (from which its ``params`` are derived), the
+    seed of its sampler, its trials and its trial budget."""
 
     optimizer: OptimizerKind
     regime: Regime
     sampler_seed: int
     trials: list[TrialRecord] = field(default_factory=list)
     max_trials: int = MAX_TRIALS
-    space: SpaceSpec = field(init=False, repr=False)
 
     def __post_init__(self):
         check_trial_budget(self.max_trials)
-        self.space = search_space(self.optimizer, self.regime)
+
+    @property
+    def params(self) -> tuple[ParamSpec, ...]:
+        """What the study tunes, in sampling order: its regime's slice of its
+        optimizer's row of ``_SEARCHED``. Every other field keeps its
+        ``default_config`` value."""
+        return _SEARCHED[self.optimizer][_REGIME_SLICE[self.regime]]
 
     @property
     def full(self) -> bool:
-        """After ``max_trials`` trials, or one if the space tunes nothing."""
-        return len(self.trials) >= (self.max_trials if self.space.params else 1)
+        """After ``max_trials`` trials, or one if the study tunes nothing."""
+        return len(self.trials) >= (self.max_trials if self.params else 1)
 
     def ask(self) -> OptimizerConfig:
-        """The next trial's configuration: the default one as trial 0 whenever
-        the space contains it (the defaults regime, and SGD and SGDM, whose
-        tuned best can then never fall below defaults), else ``suggest``'s."""
+        """The next trial's configuration: the default one as trial 0 iff each
+        of its tuned values lies in range (the defaults regime, SGD and SGDM,
+        whose tuned best then never falls below defaults), else ``suggest``'s."""
         defaults = default_config(self.optimizer)
-        if not self.trials and self.space.contains(defaults):
+        if not self.trials and all(p.low <= getattr(defaults, p.name) <= p.high
+                                   for p in self.params):
             return defaults
         return suggest(self)
 
@@ -274,17 +234,17 @@ def _kde_logpdf(x: np.ndarray, points: np.ndarray, bw: np.ndarray) -> np.ndarray
 
 
 def suggest(study: StudyRecord) -> OptimizerConfig:
-    """Next configuration in the study's space, drawn from trial
+    """Next configuration of the study's ``params``, drawn from trial
     ``len(study.trials)``'s own stream, so the same study always gives the
     same configuration.
 
     Uniform within range for the first 10 trials, TPE-style afterwards.
-    Every suggested value lies inside its range; fields the space does not
+    Every suggested value lies inside its range; fields the study does not
     tune keep their ``default_config`` value.
     """
     if study.full:
         raise ValueError("study is full")
-    space, n_observed = study.space, len(study.trials)
+    n_observed = len(study.trials)
     rng = np.random.default_rng([study.sampler_seed, n_observed])
     values: dict[str, float] = {}
     use_tpe = n_observed >= N_STARTUP_TRIALS
@@ -293,14 +253,12 @@ def suggest(study: StudyRecord) -> OptimizerConfig:
                          key=lambda i: (-study.trials[i].best_dev, i))
         n_good = max(1, math.ceil(n_observed / 2))
         good_idx, bad_idx = ordered[:n_good], ordered[n_good:]
-    for p in space.params:
+    for p in study.params:
         lo, hi = _transform(p.low, p), _transform(p.high, p)
         if not use_tpe:
             values[p.name] = _untransform(rng.uniform(lo, hi), p)
             continue
-        observed = np.array(
-            [_transform(t.config.values_by_key()[p.name], p) for t in study.trials]
-        )
+        observed = np.array([_transform(getattr(t.config, p.name), p) for t in study.trials])
         good, bad = observed[good_idx], observed[bad_idx]
         bw_good = _kde_bandwidths(good, lo, hi)
         bw_bad = _kde_bandwidths(bad, lo, hi)
@@ -309,7 +267,7 @@ def suggest(study: StudyRecord) -> OptimizerConfig:
                         lo, hi)
         score = _kde_logpdf(cands, good, bw_good) - _kde_logpdf(cands, bad, bw_bad)
         values[p.name] = _untransform(float(cands[np.argmax(score)]), p)
-    return default_config(space.kind).with_values(**values)
+    return replace(default_config(study.optimizer), **values)
 
 
 def should_prune(study: StudyRecord, epoch: int, score: float) -> bool:
@@ -337,9 +295,17 @@ def best_trial(study: StudyRecord) -> TrialRecord:
 # Persistence
 # ---------------------------------------------------------------------------
 
+def _config_to_doc(config: OptimizerConfig) -> dict:
+    """A config's study-file form, which ``_trial_from_doc`` reads: its fields
+    in order, the kind by name and ``lambda_`` under the key ``lambda``."""
+    doc = {("lambda" if k == "lambda_" else k): v for k, v in vars(config).items()}
+    doc["kind"] = config.kind.value
+    return doc
+
+
 def _trial_to_doc(trial: TrialRecord) -> dict:
     return {
-        "config": trial.config.values_by_key(),
+        "config": _config_to_doc(trial.config),
         "epoch_scores": list(trial.epoch_scores),
         "status": trial.status.value,
         "best_epoch": trial.best_epoch,
@@ -377,10 +343,13 @@ def save_study_json(study: StudyRecord, path) -> None:
 
 
 def load_study_json(path) -> StudyRecord:
-    """The study ``save_study_json`` wrote to ``path``; a bad or missing value names the file."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    """The study ``save_study_json`` wrote to ``path``; text that is not a JSON
+    object, or a bad or missing value, names the file."""
     try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("not a JSON object")
         study = StudyRecord(optimizer=OptimizerKind.parse(doc["optimizer"]),
                             regime=Regime.parse(doc["regime"]),
                             sampler_seed=int(doc["sampler_seed"]),

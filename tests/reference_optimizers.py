@@ -19,7 +19,7 @@ def ref_step(kind, cfg, t, theta, g, s, r, v):
     n = len(theta)
     eps = cfg["epsilon"]
     rho1, rho2 = cfg["rho1"], cfg["rho2"]
-    delta, alpha, lam = cfg["delta"], cfg["alpha"], cfg["lambda"]
+    delta, alpha, lam = cfg["delta"], cfg["alpha"], cfg["lambda_"]
     t2 = t + 1
     theta2, s2, r2, v2 = list(theta), list(s), list(r), list(v)
 

@@ -57,7 +57,8 @@ def test_criterion_1_optimizer_oracle_suite():
     for kind in ALL_KINDS:
         rng = np.random.default_rng(zlib.crc32(b"acc1-" + kind.value.encode()))
         for _ in range(100):
-            c = default_config(kind).with_values(
+            c = dataclasses.replace(
+                default_config(kind),
                 epsilon=10.0 ** rng.uniform(-7, -1),
                 rho1=rng.uniform(0.0, 0.99), rho2=rng.uniform(0.0, 0.9999),
                 delta=10.0 ** rng.uniform(-9, -6), alpha=rng.uniform(0.0, 0.99),
@@ -73,7 +74,7 @@ def test_criterion_1_optimizer_oracle_suite():
             g = rng.normal(0, 3, dim)
             theta2, state2 = apply_step(c, state, theta, g)
             ref_theta, ref_s, ref_r, ref_v, ref_t = ref_step(
-                kind.value, c.values_by_key(), state.t, theta.tolist(),
+                kind.value, dataclasses.asdict(c), state.t, theta.tolist(),
                 g.tolist(), state.s.tolist(), state.r.tolist(), state.v.tolist())
             np.testing.assert_allclose(theta2, ref_theta, rtol=1e-9, atol=0)
             np.testing.assert_allclose(state2.s, ref_s, rtol=1e-9)
@@ -84,11 +85,11 @@ def test_criterion_1_optimizer_oracle_suite():
     # the six derived step examples; stated values carry 6 significant
     # figures (some truncated, not rounded), so allow one ulp at figure six
     sigfig6 = dict(rtol=5e-6, atol=0)
-    c = default_config(OptimizerKind.SGD).with_values(epsilon=0.1)
+    c = dataclasses.replace(default_config(OptimizerKind.SGD), epsilon=0.1)
     theta, _ = apply_step(c, init_state(c, 1), [1.0], [0.5])
     np.testing.assert_allclose(theta, [0.95], **sigfig6)
 
-    c = default_config(OptimizerKind.SGDM).with_values(epsilon=0.1, alpha=0.9)
+    c = dataclasses.replace(default_config(OptimizerKind.SGDM), epsilon=0.1, alpha=0.9)
     theta, st = apply_step(c, init_state(c, 1), [1.0], [0.5])
     theta, st = apply_step(c, st, theta, [0.5])
     np.testing.assert_allclose(theta, [0.855], **sigfig6)
@@ -98,11 +99,11 @@ def test_criterion_1_optimizer_oracle_suite():
     theta, _ = apply_step(c, init_state(c, 1), [0.0], [1.0])
     np.testing.assert_allclose(theta, [-9.99999990e-4], **sigfig6)
 
-    c = default_config(OptimizerKind.NADAM).with_values(epsilon=1e-3)
+    c = dataclasses.replace(default_config(OptimizerKind.NADAM), epsilon=1e-3)
     theta, _ = apply_step(c, init_state(c, 1), [0.0], [1.0])
     np.testing.assert_allclose(theta, [-1.47442e-3], **sigfig6)
 
-    c = default_config(OptimizerKind.ADAMW).with_values(lambda_=0.01)
+    c = dataclasses.replace(default_config(OptimizerKind.ADAMW), lambda_=0.01)
     theta, _ = apply_step(c, init_state(c, 1), [0.5], [1.0])
     np.testing.assert_allclose(theta, [0.494000], **sigfig6)
 
@@ -126,8 +127,8 @@ def test_criterion_1_optimizer_oracle_suite():
 
 def test_criterion_2_identity_suite():
     rng = np.random.default_rng(202)
-    c_sgd = default_config(OptimizerKind.SGD).with_values(epsilon=0.02)
-    c_sgdm = default_config(OptimizerKind.SGDM).with_values(epsilon=0.02, alpha=0.0)
+    c_sgd = dataclasses.replace(default_config(OptimizerKind.SGD), epsilon=0.02)
+    c_sgdm = dataclasses.replace(default_config(OptimizerKind.SGDM), epsilon=0.02, alpha=0.0)
     theta_a = theta_b = rng.normal(0, 1, 6)
     st_a, st_b = init_state(c_sgd, 6), init_state(c_sgdm, 6)
     for _ in range(1000):
@@ -174,8 +175,8 @@ def test_criterion_3_adabound_bounds():
     from optbench.optimizers import adabound_bounds
 
     for eps_star, gamma in ((0.1, 1e-3), (0.05, 2e-3), (0.013, 1e-4)):
-        c = default_config(OptimizerKind.ADABOUND).with_values(eps_star=eps_star,
-                                                               gamma=gamma)
+        c = dataclasses.replace(default_config(OptimizerKind.ADABOUND),
+                                eps_star=eps_star, gamma=gamma)
         ts = np.unique(np.geomspace(1, 2e7 / gamma, 300).astype(np.int64))
         los, his = zip(*(adabound_bounds(int(t), c) for t in ts))
         los, his = np.array(los), np.array(his)
@@ -187,12 +188,12 @@ def test_criterion_3_adabound_bounds():
         assert abs(hi - eps_star) < 1e-6 * eps_star
 
     # clipping saturation, exactly at the bounds
-    c = default_config(OptimizerKind.ADABOUND).with_values(
+    c = dataclasses.replace(default_config(OptimizerKind.ADABOUND),
         epsilon=1.0, eps_star=0.01, gamma=10.0)
     lo1, hi1 = adabound_bounds(1, c)
     theta, state = apply_step(c, init_state(c, 1), np.zeros(1), np.array([1e-9]))
     assert theta[0] == -hi1 * state.s[0]  # raw rate far above hi -> clipped to hi
-    c2 = c.with_values(epsilon=1e-9, eps_star=0.9)
+    c2 = dataclasses.replace(c, epsilon=1e-9, eps_star=0.9)
     lo2, hi2 = adabound_bounds(1, c2)
     theta2, state2 = apply_step(c2, init_state(c2, 1), np.zeros(1), np.array([5.0]))
     assert theta2[0] == -lo2 * state2.s[0]  # raw rate far below lo -> clipped to lo

@@ -86,6 +86,8 @@ def test_run_checks_batch_size_before_any_experiment(tmp_path, capsys, monkeypat
     ("--size", "10", "stsb_like split 1: size must be >= 50, got 10"),
     ("--batch-size", "0", "stsb_like split 1: batch_size must be in [1, 50], got 0"),
     ("--batch-size", "51", "stsb_like split 1: batch_size must be in [1, 50], got 51"),
+    ("--seed", "-1", "master_seed must be in [0, 2**32), got -1"),
+    ("--seed", "4294967296", "master_seed must be in [0, 2**32), got 4294967296"),
 ])
 def test_run_checks_data_rules_before_any_experiment(tmp_path, capsys, option, value,
                                                      message):

@@ -116,7 +116,7 @@ def test_train_returns_best_epoch_snapshot():
 
 def test_train_frozen_model_keeps_first_epoch():
     data, split = small_data()
-    config = default_config(OptimizerKind.SGD).with_values(epsilon=1e-300)
+    config = dataclasses.replace(default_config(OptimizerKind.SGD), epsilon=1e-300)
     _, record, curve = train(config, data, split, epochs=5, batch_size=4, seed=2)
     assert len(set(record.epoch_scores)) == 1
     assert record.best_epoch == 0

@@ -2,6 +2,7 @@
 
 import math
 import zlib
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ ALL_KINDS = list(OptimizerKind)
 
 
 def cfg(kind, **kw):
-    return default_config(kind).with_values(**kw)
+    return replace(default_config(kind), **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +206,7 @@ def test_randomized_steps_match_scalar_reference(kind):
         state = type(state)(t=t0, s=s.copy(), r=r.copy(), v=v.copy())
         theta2, state2 = apply_step(c, state, theta, g)
         ref_theta, ref_s, ref_r, ref_v, ref_t = ref_step(
-            kind.value, c.values_by_key(), t0, theta.tolist(), g.tolist(),
+            kind.value, asdict(c), t0, theta.tolist(), g.tolist(),
             s.tolist(), r.tolist(), v.tolist())
         assert state2.t == ref_t
         np.testing.assert_allclose(theta2, ref_theta, rtol=1e-9, atol=0)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -10,13 +11,13 @@ from hypothesis import given, settings, strategies as st
 from optbench.optimizers import (
     ADAPTIVE_KINDS,
     ConfigError,
+    OptimizerConfig,
     OptimizerKind,
     default_config,
 )
 from optbench import tuning
 from optbench.tuning import (
     MAX_TRIALS,
-    ParamSpec,
     Regime,
     StudyRecord,
     TrialRecord,
@@ -24,7 +25,6 @@ from optbench.tuning import (
     best_trial,
     load_study_json,
     save_study_json,
-    search_space,
     should_prune,
     suggest,
 )
@@ -34,13 +34,8 @@ ALL_KINDS = list(OptimizerKind)
 
 def make_trial(kind=OptimizerKind.ADAM, scores=(0.5,), status=TrialStatus.COMPLETED,
                **config_overrides):
-    config = default_config(kind).with_values(**config_overrides)
+    config = replace(default_config(kind), **config_overrides)
     return TrialRecord(config, scores, status)
-
-
-def ranges(space):
-    """(low, high, scale) of each parameter the space tunes, by name."""
-    return {p.name: (p.low, p.high, p.scale) for p in space.params}
 
 
 def make_study(trials=(), kind=OptimizerKind.ADAM, regime=Regime.FULL, budget=MAX_TRIALS,
@@ -51,14 +46,22 @@ def make_study(trials=(), kind=OptimizerKind.ADAM, regime=Regime.FULL, budget=MA
     return study
 
 
+def params(kind, regime=Regime.FULL):
+    return make_study(kind=kind, regime=regime).params
+
+
+def ranges(kind, regime=Regime.FULL):
+    """(low, high, scale) of each hyperparameter a study tunes, by name."""
+    return {p.name: (p.low, p.high, p.scale) for p in params(kind, regime)}
+
+
 # ---------------------------------------------------------------------------
 # Search spaces
 # ---------------------------------------------------------------------------
 
 def test_adam_full_space_matches_published_ranges():
-    space = search_space(OptimizerKind.ADAM, Regime.FULL)
-    assert [p.name for p in space.params] == ["epsilon", "rho1", "rho2", "delta"]
-    got = ranges(space)
+    assert [p.name for p in params(OptimizerKind.ADAM)] == ["epsilon", "rho1", "rho2", "delta"]
+    got = ranges(OptimizerKind.ADAM)
     assert got["epsilon"] == (1e-7, 1e-5, "log")
     assert got["rho1"][:2] == (0.8, 0.95)
     assert got["rho1"][2] == "linear"
@@ -81,107 +84,100 @@ FULL_SPACE_ORDER = {
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.value)
 def test_full_space_order(kind):
     # the sampler draws the dimensions in this order, so results.csv depends on it
-    assert [p.name for p in search_space(kind, Regime.FULL).params] == FULL_SPACE_ORDER[kind]
+    assert [p.name for p in params(kind)] == FULL_SPACE_ORDER[kind]
+
+
+def test_searched_table_is_well_formed():
+    config_fields = {f.name for f in fields(OptimizerConfig)}
+    assert set(tuning._SEARCHED) == set(OptimizerKind)
+    for row in tuning._SEARCHED.values():
+        for p in row:
+            assert p.name in config_fields
+            assert p.scale in ("log", "linear")
+            assert p.low < p.high
+            if p.scale == "log":
+                assert p.low > 0
 
 
 def test_sgdm_lr_only_space():
-    space = search_space(OptimizerKind.SGDM, Regime.LR_ONLY)
-    assert [p.name for p in space.params] == ["epsilon"]
-    assert ranges(space)["epsilon"] == (1e-7, 1e-3, "log")
-    alpha = ranges(search_space(OptimizerKind.SGDM, Regime.FULL))["alpha"]
-    assert alpha == (0.7, 0.9999, "linear")
+    assert ranges(OptimizerKind.SGDM, Regime.LR_ONLY) == {"epsilon": (1e-7, 1e-3, "log")}
+    assert ranges(OptimizerKind.SGDM)["alpha"] == (0.7, 0.9999, "linear")
     config = suggest(make_study(kind=OptimizerKind.SGDM, regime=Regime.LR_ONLY))
     assert config.alpha == 0.9
 
 
 def test_nadam_alpha_and_adabound_extras():
-    nadam = ranges(search_space(OptimizerKind.NADAM, Regime.FULL))
-    assert nadam["alpha"] == (1e-4, 1e-2, "log")
-    ab = ranges(search_space(OptimizerKind.ADABOUND, Regime.FULL))
+    assert ranges(OptimizerKind.NADAM)["alpha"] == (1e-4, 1e-2, "log")
+    ab = ranges(OptimizerKind.ADABOUND)
     assert ab["eps_star"] == (1e-2, 1e-1, "linear")
     assert ab["gamma"] == (1e-4, 2e-3, "log")
 
 
 def test_defaults_space_tunes_nothing():
     for kind in ALL_KINDS:
-        space = search_space(kind, Regime.DEFAULTS)
-        assert space.params == ()
-        assert space.contains(default_config(kind))
+        assert params(kind, Regime.DEFAULTS) == ()
+        assert make_study(kind=kind, regime=Regime.DEFAULTS).ask() == default_config(kind)
         assert suggest(make_study(kind=kind, regime=Regime.DEFAULTS)) == default_config(kind)
     ab = default_config(OptimizerKind.ADABOUND)
     assert (ab.epsilon, ab.eps_star, ab.gamma) == (1e-3, 0.1, 1e-3)
 
 
-def test_adaptive_default_epsilon_outside_search_range(monkeypatch):
+def test_adaptive_default_epsilon_outside_search_range():
     for kind in ADAPTIVE_KINDS:
-        space = search_space(kind, Regime.FULL)
-        assert default_config(kind).epsilon > ranges(space)["epsilon"][1]
-    # the import-time check of the table rejects a range that reaches the default
-    wide = (ParamSpec("epsilon", 1e-7, 1e-2, "log"),)
-    monkeypatch.setitem(tuning._SEARCHED, OptimizerKind.ADAM, wide)
-    with pytest.raises(ConfigError, match="adam: default epsilon"):
-        tuning._check_searched()
+        assert default_config(kind).epsilon > ranges(kind)["epsilon"][1]
 
 
 def test_sgd_space_has_only_epsilon():
-    space = search_space(OptimizerKind.SGD, Regime.FULL)
-    assert [p.name for p in space.params] == ["epsilon"]
-    assert ranges(space)["epsilon"][:2] == (1e-7, 1e-3)
+    assert [p.name for p in params(OptimizerKind.SGD)] == ["epsilon"]
+    assert ranges(OptimizerKind.SGD)["epsilon"][:2] == (1e-7, 1e-3)
 
 
 def test_regime_reduction_is_pointwise_restriction():
     for kind in ALL_KINDS:
-        full = search_space(kind, Regime.FULL)
-        assert search_space(kind, Regime.LR_ONLY).params == full.params[:1]
-        assert search_space(kind, Regime.DEFAULTS).params == ()
+        full = params(kind)
+        assert params(kind, Regime.LR_ONLY) == full[:1]
+        assert params(kind, Regime.DEFAULTS) == ()
 
 
 def test_space_contains_defaults_only_for_sgd_family():
     for kind in ALL_KINDS:
+        defaults = default_config(kind)
         for regime in (Regime.LR_ONLY, Regime.FULL):
-            space = search_space(kind, regime)
-            expected = kind in (OptimizerKind.SGD, OptimizerKind.SGDM)
-            assert space.contains(default_config(kind)) == expected
-
-
-def test_contains_requires_untuned_fields_at_default():
-    space = search_space(OptimizerKind.ADAM, Regime.LR_ONLY)
-    tuned_lr = default_config(OptimizerKind.ADAM).with_values(epsilon=1e-6)
-    assert space.contains(tuned_lr)
-    assert not space.contains(tuned_lr.with_values(rho1=0.85))
-    assert search_space(OptimizerKind.ADAM, Regime.FULL).contains(
-        tuned_lr.with_values(rho1=0.85))
+            in_range = all(p.low <= getattr(defaults, p.name) <= p.high
+                           for p in params(kind, regime))
+            assert in_range == (kind in (OptimizerKind.SGD, OptimizerKind.SGDM))
 
 
 # ---------------------------------------------------------------------------
 # suggest
 # ---------------------------------------------------------------------------
 
+def _random_score(config, rng):
+    return float(rng.uniform())
+
+
 def test_suggest_range_containment_mass():
     rng = np.random.default_rng(0)  # the trials' scores
+    cases = [(kind, 0, _random_score) for kind in ALL_KINDS]
     total = 0
-    for kind in ALL_KINDS:
-        space = search_space(kind, Regime.FULL)
-        study = make_study(kind=kind)
-        for i in range(25):
+    for kind, seed, score in cases:
+        study = make_study(kind=kind, seed=seed)
+        for _ in range(25):
             config = suggest(study)
             total += 1
-            values = config.values_by_key()
-            for p in space.params:
-                assert p.low <= values[p.name] <= p.high
-            study.add(make_trial(kind, scores=(float(rng.uniform()),),
-                                 **{("lambda_" if p.name == "lambda" else p.name):
-                                    values[p.name] for p in space.params}))
-    assert total == 25 * len(ALL_KINDS)
+            for p in study.params:
+                assert p.low <= getattr(config, p.name) <= p.high, (kind, seed, p.name)
+            study.add(TrialRecord(config, (score(config, rng),), TrialStatus.COMPLETED))
+    assert total == 25 * len(cases)
 
 
 def test_suggest_ten_thousand_in_range():
     # startup-phase (uniform) containment at volume, one empty study per seed
-    space = search_space(OptimizerKind.ADABOUND, Regime.FULL)
     for seed in range(10_000):
-        values = suggest(make_study(kind=OptimizerKind.ADABOUND, seed=seed)).values_by_key()
-        for p in space.params:
-            assert p.low <= values[p.name] <= p.high
+        study = make_study(kind=OptimizerKind.ADABOUND, seed=seed)
+        config = suggest(study)
+        for p in study.params:
+            assert p.low <= getattr(config, p.name) <= p.high
 
 
 def test_suggest_pinned_dimensions_return_defaults():
@@ -199,7 +195,7 @@ def test_suggest_deterministic_given_seed():
         seq = []
         for i in range(15):
             config = suggest(study)
-            seq.append(config.values_by_key())
+            seq.append(config)
             study.add(make_trial(OptimizerKind.ADAM, scores=(i * 0.01,),
                                  epsilon=config.epsilon, rho1=config.rho1,
                                  rho2=config.rho2, delta=config.delta))
@@ -371,8 +367,8 @@ def test_study_json_roundtrip(tmp_path):
                    rho2=0.95, delta=2e-8, alpha=0.25, lambda_=0.3, eps_star=0.05,
                    gamma=7e-4),
     ], kind=OptimizerKind.ADAMW, regime=Regime.LR_ONLY, budget=7)
-    moved = study.trials[-1].config.values_by_key()
-    defaults = default_config(OptimizerKind.ADAMW).values_by_key()
+    moved = asdict(study.trials[-1].config)
+    defaults = asdict(default_config(OptimizerKind.ADAMW))
     assert [k for k in moved if moved[k] == defaults[k]] == ["kind"]
     path = tmp_path / "study.json"
     save_study_json(study, path)
@@ -400,13 +396,102 @@ def test_study_json_roundtrip(tmp_path):
             load_study_json(path)
 
 
-@pytest.mark.parametrize("fault", ["over budget", "no sampler_seed", "null sampler_seed"])
+def test_study_file_bytes(tmp_path):
+    # the study-file form, pinned: key names and order, indent=1, and null
+    # for a diverged trial's best_epoch and best_dev
+    config = replace(default_config(OptimizerKind.ADAMW), lambda_=0.05)
+    study = make_study([
+        TrialRecord(replace(config, epsilon=3e-06), (0.25, 0.75, 0.5), TrialStatus.COMPLETED),
+        TrialRecord(replace(config, epsilon=1e-06), (0.125,), TrialStatus.PRUNED),
+        TrialRecord(replace(config, epsilon=1e-05), (), TrialStatus.DIVERGED),
+    ], kind=OptimizerKind.ADAMW, regime=Regime.LR_ONLY, budget=3, seed=7)
+    path = tmp_path / "study.json"
+    save_study_json(study, path)
+    assert path.read_text() == STUDY_FILE_TEXT
+    assert load_study_json(path) == study
+
+
+STUDY_FILE_TEXT = """{
+ "optimizer": "adamw",
+ "regime": "lr_only",
+ "sampler_seed": 7,
+ "max_trials": 3,
+ "trials": [
+  {
+   "config": {
+    "kind": "adamw",
+    "epsilon": 3e-06,
+    "rho1": 0.9,
+    "rho2": 0.999,
+    "delta": 1e-08,
+    "alpha": 0.0,
+    "lambda": 0.05,
+    "eps_star": 0.1,
+    "gamma": 0.001
+   },
+   "epoch_scores": [
+    0.25,
+    0.75,
+    0.5
+   ],
+   "status": "completed",
+   "best_epoch": 1,
+   "best_dev": 0.75
+  },
+  {
+   "config": {
+    "kind": "adamw",
+    "epsilon": 1e-06,
+    "rho1": 0.9,
+    "rho2": 0.999,
+    "delta": 1e-08,
+    "alpha": 0.0,
+    "lambda": 0.05,
+    "eps_star": 0.1,
+    "gamma": 0.001
+   },
+   "epoch_scores": [
+    0.125
+   ],
+   "status": "pruned",
+   "best_epoch": 0,
+   "best_dev": 0.125
+  },
+  {
+   "config": {
+    "kind": "adamw",
+    "epsilon": 1e-05,
+    "rho1": 0.9,
+    "rho2": 0.999,
+    "delta": 1e-08,
+    "alpha": 0.0,
+    "lambda": 0.05,
+    "eps_star": 0.1,
+    "gamma": 0.001
+   },
+   "epoch_scores": [],
+   "status": "diverged",
+   "best_epoch": null,
+   "best_dev": null
+  }
+ ]
+}"""
+
+
+@pytest.mark.parametrize("fault", ["over budget", "no sampler_seed", "null sampler_seed",
+                                   "not json", "json array"])
 def test_load_study_json_names_file(tmp_path, fault):
     study = make_study([make_trial(), make_trial()], regime=Regime.LR_ONLY, budget=2)
     path = tmp_path / "study.json"
     save_study_json(study, path)
     doc = json.loads(path.read_text())
-    if fault == "over budget":
+    if fault == "not json":
+        doc = "{not json"  # written as is, not as a JSON string
+        expected = f"{path}: Expecting property name"
+    elif fault == "json array":
+        doc = [doc]
+        expected = f"{path}: not a JSON object"
+    elif fault == "over budget":
         doc["max_trials"] = 1
         expected = f"{path}: study is full at 1 trial(s)"
     elif fault == "no sampler_seed":
@@ -415,7 +500,7 @@ def test_load_study_json_names_file(tmp_path, fault):
     else:
         doc["sampler_seed"] = None
         expected = f"{path}: int() argument"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if fault == "not json" else json.dumps(doc))
     with pytest.raises(ValueError) as info:
         load_study_json(path)
     assert str(info.value).startswith(expected)
