@@ -14,10 +14,9 @@ matching standard fine-tuning practice):
 
 Three regimes: ``defaults`` tunes nothing (one trial), ``lr_only`` tunes
 only epsilon, ``full`` tunes every ranged hyperparameter of the optimizer.
-A study tunes its ``params``, its regime's slice of its optimizer's row of
-``_SEARCHED``, and its trial 0 is the default config iff each tuned value
-of that lies in range. A ``StudyRecord`` holds the whole search policy; its
-caller asks and adds.
+A ``StudyRecord`` holds the whole search policy; its caller asks and adds.
+It tunes its ``params``, a regime's slice of the optimizer's ``_SEARCHED``
+row; trial 0 is the default config iff each tuned default lies in range.
 
 Trial i draws from its own stream, ``default_rng([sampler_seed, i])``, so
 a study's next configuration follows from its seed and trials alone. The
@@ -99,8 +98,7 @@ _MOMENTS = (ParamSpec("rho1", 0.8, 0.95, "linear"),
             ParamSpec("delta", 1e-9, 1e-7, "log"))
 
 # What each optimizer searches in the full regime, in sampling order. The
-# learning rate comes first: the lr_only regime is the first entry. The
-# adaptive optimizers' default learning rate lies above their range.
+# learning rate comes first: the lr_only regime is the first entry.
 _SEARCHED: dict[OptimizerKind, tuple[ParamSpec, ...]] = {
     OptimizerKind.SGD: (_LR_SGD,),
     OptimizerKind.SGDM: (_LR_SGD, ParamSpec("alpha", 0.7, 0.9999, "linear")),
@@ -172,8 +170,7 @@ class StudyRecord:
     @property
     def params(self) -> tuple[ParamSpec, ...]:
         """What the study tunes, in sampling order: its regime's slice of its
-        optimizer's row of ``_SEARCHED``. Every other field keeps its
-        ``default_config`` value."""
+        optimizer's row of ``_SEARCHED``."""
         return _SEARCHED[self.optimizer][_REGIME_SLICE[self.regime]]
 
     @property
