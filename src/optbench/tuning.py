@@ -207,7 +207,8 @@ def _transform(value: float, spec: ParamSpec) -> float:
 
 
 def _untransform(value: float, spec: ParamSpec) -> float:
-    return 10.0**value if spec.scale == "log" else value
+    # clamped: 10**log10(2e-3) is 0.0020000000000000005
+    return min(max(10.0**value, spec.low), spec.high) if spec.scale == "log" else value
 
 
 def _kde_bandwidths(points: np.ndarray, lo: float, hi: float) -> np.ndarray:

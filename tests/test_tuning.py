@@ -156,19 +156,25 @@ def _random_score(config, rng):
     return float(rng.uniform())
 
 
+def _gamma_score(config, rng):
+    # rewards large gamma, so TPE draws near the top of its log range
+    return math.log10(config.gamma)
+
+
 def test_suggest_range_containment_mass():
     rng = np.random.default_rng(0)  # the trials' scores
-    cases = [(kind, 0, _random_score) for kind in ALL_KINDS]
+    cases = ([(kind, 0, _random_score) for kind in ALL_KINDS]
+             + [(OptimizerKind.ADABOUND, seed, _gamma_score) for seed in range(10)])
     total = 0
     for kind, seed, score in cases:
         study = make_study(kind=kind, seed=seed)
-        for _ in range(25):
+        while not study.full:
             config = suggest(study)
             total += 1
             for p in study.params:
                 assert p.low <= getattr(config, p.name) <= p.high, (kind, seed, p.name)
             study.add(TrialRecord(config, (score(config, rng),), TrialStatus.COMPLETED))
-    assert total == 25 * len(cases)
+    assert total == MAX_TRIALS * len(cases)
 
 
 def test_suggest_ten_thousand_in_range():
