@@ -158,8 +158,11 @@ def train(config: OptimizerConfig, dataset: Dataset, split: DataSplit, *,
           ) -> tuple[np.ndarray, TrialRecord, LearningCurve]:
     """Train one configuration on one split.
 
-    Runs ``epochs`` passes of shuffled mini-batches, logging the training
-    loss at every step and the dev score after every epoch. Returns the
+    Runs ``epochs`` passes of shuffled mini-batches (``epoch_batches``
+    gathers each epoch's rows once and checks the batch size), logging the
+    training loss at every step and the dev score after every epoch. Each
+    step is one ``loss_and_grad`` and one ``apply_step`` call, looked up in
+    this module, so a test or tracer may wrap either. Returns the
     flat parameter vector θ (segments: ``param_layout(dataset.spec)``) of
     the record's ``best_epoch``, or the initial θ if no epoch finished.
     ``prune_hook(epoch, dev_score) -> bool`` may stop the trial early
@@ -172,8 +175,7 @@ def train(config: OptimizerConfig, dataset: Dataset, split: DataSplit, *,
     theta0 = theta = init_params(spec, labeled_rng(seed, "init"))
     batch_rng = labeled_rng(seed, "batches")
     state = init_state(config, theta.shape[0])
-    features, targets = dataset.features, dataset.targets
-    dev_x, dev_y = features[split.dev], targets[split.dev]
+    dev_x, dev_y = dataset.features[split.dev], dataset.targets[split.dev]
 
     losses, dev_steps, dev_scores = [], [], []
     snapshots = []  # theta after each evaluated epoch
@@ -182,15 +184,15 @@ def train(config: OptimizerConfig, dataset: Dataset, split: DataSplit, *,
     # divergence (overflow to inf/NaN) is normal control flow here
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         for epoch in range(epochs):
-            for batch in epoch_batches(split, batch_size, batch_rng):
-                loss, grad = loss_and_grad(theta, features[batch], targets[batch], spec)
+            for x, y in epoch_batches(dataset, split, batch_size, batch_rng):
+                loss, grad = loss_and_grad(theta, x, y, spec)
                 if not math.isfinite(loss):
                     status = TrialStatus.DIVERGED
                     break
                 step += 1
                 losses.append(loss)
                 theta, state = apply_step(config, state, theta, grad)
-                if not np.isfinite(theta).all():
+                if not np.logical_and.reduce(np.isfinite(theta)):
                     status = TrialStatus.DIVERGED
                     break
             if status is TrialStatus.DIVERGED:

@@ -9,6 +9,7 @@ makes every score and ``check_score`` checks its range.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -53,19 +54,23 @@ def accuracy(preds, golds) -> float:
     return float(np.mean(preds == golds))
 
 
-def macro_f1(preds, golds, n_classes: int) -> float:
-    """Unweighted mean over classes of per-class F1 = 2PR/(P+R)."""
+def _confusion(preds, golds, n_classes: int) -> np.ndarray:
+    """counts[g, p]: how many examples of gold class g were predicted as p.
+    Raises ValueError unless every label is an integer in [0, n_classes)."""
     preds, golds = _check_labels(preds, golds)
     for name, labels in (("preds", preds), ("golds", golds)):
-        if labels.min() < 0 or labels.max() >= n_classes:
-            raise ValueError(f"{name} contain labels outside [0, {n_classes})")
-    f1s = []
-    for c in range(n_classes):
-        tp = int(np.sum((preds == c) & (golds == c)))
-        fp = int(np.sum((preds == c) & (golds != c)))
-        fn = int(np.sum((preds != c) & (golds == c)))
-        denom = 2 * tp + fp + fn
-        f1s.append(2.0 * tp / denom if denom > 0 else 0.0)
+        if labels.dtype.kind not in "biu" or labels.min() < 0 or labels.max() >= n_classes:
+            raise ValueError(f"{name} contain labels outside the integers [0, {n_classes})")
+    flat = np.bincount(golds * n_classes + preds, minlength=n_classes * n_classes)
+    return flat.reshape(n_classes, n_classes)
+
+
+def macro_f1(preds, golds, n_classes: int) -> float:
+    """Unweighted mean over classes of per-class F1 = 2PR/(P+R) = 2TP/(2TP+FP+FN)."""
+    counts = _confusion(preds, golds, n_classes)
+    tp = np.diagonal(counts)
+    denom = counts.sum(axis=0) + counts.sum(axis=1)  # 2TP + FP + FN per class
+    f1s = np.divide(2.0 * tp, denom, out=np.zeros(n_classes), where=denom > 0)
     return float(np.mean(f1s))
 
 
@@ -74,19 +79,14 @@ def matthews_corr(preds, golds) -> float:
 
     (TP*TN - FP*FN) / sqrt((TP+FP)(TP+FN)(TN+FP)(TN+FN)), with the
     convention that a zero denominator (any constant row or column of the
-    confusion matrix) yields 0.
+    confusion matrix) yields 0. The counts are Python ints, so their
+    product cannot overflow.
     """
-    preds, golds = _check_labels(preds, golds)
-    if not (set(np.unique(preds)) | set(np.unique(golds))) <= {0, 1}:
-        raise ValueError("matthews_corr requires binary labels in {0, 1}")
-    tp = int(np.sum((preds == 1) & (golds == 1)))
-    tn = int(np.sum((preds == 0) & (golds == 0)))
-    fp = int(np.sum((preds == 1) & (golds == 0)))
-    fn = int(np.sum((preds == 0) & (golds == 1)))
+    (tn, fp), (fn, tp) = _confusion(preds, golds, 2).tolist()
     denom = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
     if denom == 0:
         return 0.0
-    return float((tp * tn - fp * fn) / np.sqrt(denom))
+    return (tp * tn - fp * fn) / math.sqrt(float(denom))
 
 
 def pearson_corr(preds, golds) -> float:

@@ -22,9 +22,11 @@ The step counter t starts at 0 and is incremented before being used in any
 power term, so the first update uses t' = 1.
 
 ``apply_step`` is the one entry point and the one input check: it converts
-theta and g to float64 vectors, raises DimensionError unless both are 1-d
-with the state's length, and dispatches on ``config.kind`` to a private rule
-that only does arithmetic. An OptimizerState checks that its moments share
+theta and g to float64 arrays unless they already are (the training loop's
+always are, so a step converts nothing), raises DimensionError unless both
+are 1-d with the state's length, and dispatches on ``config.kind`` to a
+private rule that only does arithmetic, with ufuncs rather than their
+Python wrappers. An OptimizerState checks that its moments share
 one 1-d shape when it is built. Steps are pure: they never mutate their
 inputs and identical inputs produce identical outputs, so concurrent
 training runs only need to own their own state. A NaN or infinity in the
@@ -224,7 +226,7 @@ def _adamax(config, state, theta, g):
     s2 = rho1 * state.s + (1.0 - rho1) * g
     r2 = np.maximum(config.rho2 * state.r, np.abs(g))
     # != rather than >: a NaN in r' must reach theta' instead of reading as 0
-    ratio = np.divide(s2, r2, out=np.zeros_like(s2), where=r2 != 0.0)
+    ratio = np.divide(s2, r2, out=np.zeros(s2.shape), where=r2 != 0.0)
     theta2 = theta - (config.epsilon / (1.0 - rho1**t2)) * ratio
     return theta2, OptimizerState(t=t2, s=s2, r=r2, v=state.v)
 
@@ -251,7 +253,7 @@ def _adabound(config, state, theta, g):
     s2 = rho1 * state.s + (1.0 - rho1) * g
     r2 = rho2 * state.r + (1.0 - rho2) * g * g
     lo, hi = adabound_bounds(t2, config)
-    eta = np.clip(config.epsilon / (np.sqrt(r2) + config.delta), lo, hi)
+    eta = np.minimum(np.maximum(config.epsilon / (np.sqrt(r2) + config.delta), lo), hi)
     theta2 = theta - eta * s2
     return theta2, OptimizerState(t=t2, s=s2, r=r2, v=state.v)
 
@@ -273,8 +275,10 @@ def apply_step(config, state, theta, g):
     Raises DimensionError unless theta and g are 1-d vectors of the state's
     length; this is the only check on a step's inputs.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
+    if type(theta) is not np.ndarray or theta.dtype != np.float64:
+        theta = np.asarray(theta, dtype=np.float64)
+    if type(g) is not np.ndarray or g.dtype != np.float64:
+        g = np.asarray(g, dtype=np.float64)
     if not theta.shape == g.shape == state.s.shape:  # OptimizerState keeps s 1-d
         raise DimensionError(f"theta and g must be 1-d vectors of the state's shape "
                              f"{state.s.shape}, got shapes {theta.shape} and {g.shape}")

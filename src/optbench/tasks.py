@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -128,9 +127,6 @@ class Dataset:
     features: np.ndarray  # (n, FEATURE_DIM)
     targets: np.ndarray  # (n,) int labels or float scores
     spec: TaskSpec
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
 
 
 @dataclass(frozen=True)
@@ -260,17 +256,17 @@ def check_batch_size(split: DataSplit, batch_size: int) -> None:
         raise ValueError(f"batch_size must be in [1, {split.train.size}], got {batch_size}")
 
 
-def epoch_batches(split: DataSplit, batch_size: int, rng: np.random.Generator
-                  ) -> Iterator[np.ndarray]:
-    """Mini-batch index arrays for one epoch: a fresh shuffle of the train
-    set cut into consecutive batches (the last one may be short), so the
-    concatenation of one epoch's batches is a permutation of the train set.
-    A batch_size equal to the train size gives exact GD; ``check_batch_size``
-    rejects one outside [1, train size]."""
+def epoch_batches(data: Dataset, split: DataSplit, batch_size: int, rng: np.random.Generator
+                  ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One epoch's mini-batches as (features, targets) pairs: a fresh shuffle
+    of the train set, gathered once and cut into consecutive batches (the
+    last one may be short), so one epoch's batches hold each train example
+    exactly once. A batch_size equal to the train size gives exact GD;
+    ``check_batch_size`` rejects one outside [1, train size]."""
     check_batch_size(split, batch_size)
     order = rng.permutation(split.train)
-    for start in range(0, order.size, batch_size):
-        yield order[start:start + batch_size]
+    x, y = data.features[order], data.targets[order]
+    return [(x[i:i + batch_size], y[i:i + batch_size]) for i in range(0, order.size, batch_size)]
 
 
 # ---------------------------------------------------------------------------
@@ -293,36 +289,47 @@ def init_params(spec: TaskSpec, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-INIT_SCALE, INIT_SCALE, size=n)
 
 
-def segments(theta: np.ndarray, spec: TaskSpec) -> dict[str, np.ndarray]:
-    """Views of the flat vector θ reshaped per ``param_layout(spec)`` segment.
+# (model, class_probs), the fields param_layout reads -> (θ's length, each
+# segment's (slice, shape) in layout order)
+_SLICES: dict = {}
+
+
+def segments(theta: np.ndarray, spec: TaskSpec) -> list[np.ndarray]:
+    """Views of the flat vector θ reshaped per ``param_layout(spec)`` segment,
+    in layout order. The slices are worked out once per model and class skew.
 
     Raises ValueError unless θ is 1-d with exactly the layout's length.
     """
-    layout = param_layout(spec)
-    n = sum(math.prod(shape) for _, shape in layout)
+    key = spec.model, spec.class_probs
+    try:
+        n, table = _SLICES[key]
+    except KeyError:
+        n, table = 0, []
+        for _, shape in param_layout(spec):
+            size = math.prod(shape)
+            table.append((slice(n, n + size), shape))
+            n += size
+        _SLICES[key] = n, table
     if theta.shape != (n,):
         raise ValueError(f"{spec.model} layout covers {n} values, theta has shape {theta.shape}")
-    out = {}
-    start = 0
-    for name, shape in layout:
-        stop = start + math.prod(shape)
-        out[name] = theta[start:stop].reshape(shape)
-        start = stop
-    return out
+    return [theta[part].reshape(shape) for part, shape in table]
 
 
-def _forward(seg: dict[str, np.ndarray], x: np.ndarray, spec: TaskSpec):
+def _forward(seg: list[np.ndarray], x: np.ndarray, spec: TaskSpec):
     """Model output for the batch ``x``, which must be (m, FEATURE_DIM), and the
     MLP's hidden activations (None for the linear and logistic families): real
     scores for the linear model, one logit per class for the classifiers."""
     if x.ndim != 2 or x.shape[1] != FEATURE_DIM:
         raise ValueError(f"features must be (m, {FEATURE_DIM}), got {x.shape}")
     if spec.model == "linear":
-        return x @ seg["w"] + seg["b"][0], None
+        w, b = seg
+        return x @ w + b[0], None
     if spec.model == "logistic":
-        return x @ seg["W"].T + seg["b"], None
-    hidden = np.tanh(x @ seg["W1"].T + seg["b1"])
-    return hidden @ seg["W2"].T + seg["b2"], hidden
+        W, b = seg
+        return x @ W.T + b, None
+    W1, b1, W2, b2 = seg
+    hidden = np.tanh(x @ W1.T + b1)
+    return hidden @ W2.T + b2, hidden
 
 
 def loss_and_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, spec: TaskSpec
@@ -332,7 +339,9 @@ def loss_and_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, spec: TaskSpe
 
     Classification: softmax cross-entropy (natural log). Regression: mean
     squared error on the raw model output. θ is split into segments once,
-    and the forward pass is the one ``predict`` uses.
+    and the forward pass is the one ``predict`` uses. Sums and maxima call
+    the ufuncs' ``reduce`` directly, which is what ``sum``, ``max`` and
+    ``mean`` compute, without their Python wrappers.
     """
     seg = segments(theta, spec)
     out, hidden = _forward(seg, x, spec)
@@ -340,26 +349,25 @@ def loss_and_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, spec: TaskSpe
     if m == 0:
         raise ValueError("empty batch")
 
-    if spec.task_type == "regression":
+    if spec.model == "linear":
         err = out - y
-        per_example = err * err
-        grads = ((2.0 / m) * (x.T @ err), (2.0 / m) * err.sum())
-        return float(per_example.mean()), np.concatenate(grads, axis=None)
+        grads = ((2.0 / m) * (x.T @ err), (2.0 / m) * np.add.reduce(err))
+        return float(np.add.reduce(err * err) / m), np.concatenate(grads, axis=None)
 
-    labels = y.astype(np.int64)
-    shifted = out - out.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    per_example = log_z - shifted[np.arange(m), labels]
-    probs = np.exp(shifted - log_z[:, None])
-    dlogits = probs
-    dlogits[np.arange(m), labels] -= 1.0
+    pick = np.arange(m), (y if y.dtype == np.int64 else y.astype(np.int64))
+    shifted = out - np.maximum.reduce(out, axis=1, keepdims=True)
+    log_z = np.log(np.add.reduce(np.exp(shifted), axis=1))
+    per_example = log_z - shifted[pick]
+    dlogits = np.exp(shifted - log_z[:, None])
+    dlogits[pick] -= 1.0
     dlogits /= m
     if spec.model == "logistic":
-        grads = (dlogits.T @ x, dlogits.sum(axis=0))
+        grads = (dlogits.T @ x, np.add.reduce(dlogits, axis=0))
     else:
-        dhidden = (dlogits @ seg["W2"]) * (1.0 - hidden * hidden)
-        grads = (dhidden.T @ x, dhidden.sum(axis=0), dlogits.T @ hidden, dlogits.sum(axis=0))
-    return float(per_example.mean()), np.concatenate(grads, axis=None)
+        dhidden = (dlogits @ seg[2]) * (1.0 - hidden * hidden)
+        grads = (dhidden.T @ x, np.add.reduce(dhidden, axis=0),
+                 dlogits.T @ hidden, np.add.reduce(dlogits, axis=0))
+    return float(np.add.reduce(per_example) / m), np.concatenate(grads, axis=None)
 
 
 def predict(theta: np.ndarray, x: np.ndarray, spec: TaskSpec) -> np.ndarray:

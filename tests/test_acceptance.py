@@ -215,7 +215,7 @@ def test_criterion_4_gradient_checks():
         n = sum(math.prod(shape) for _, shape in param_layout(spec))
         for _ in range(20):
             theta0 = rng.uniform(-0.4, 0.4, size=n)  # init_params at a larger scale
-            idx = rng.choice(len(data), size=5, replace=False)
+            idx = rng.choice(data.features.shape[0], size=5, replace=False)
             x, y = data.features[idx], data.targets[idx]
             _, grad = loss_and_grad(theta0, x, y, spec)
             fd = np.zeros_like(grad)

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -23,6 +24,32 @@ def small_run_args(out_dir, task="stsb_like", optimizer="sgd", regime="lr-only",
     }
     args.update(overrides)
     return ["run", "--quiet"] + [t for kv in args.items() for t in kv]
+
+
+# A small run over all five tasks (so both model families that the protocol
+# command never trains, the MLP and the 3-class logistic, too) and all seven
+# optimizers, and the sha256 of its results.csv and of its raw curve files
+# (one "name sha256" line per file, sorted by name). Every training step's
+# loss, gradient and update reaches these bytes, so a one-bit drift in the
+# step path fails here.
+GOLDEN_ARGS = ["--task", "all", "--optimizer", "all", "--regime", "defaults,lr_only",
+               "--trials", "2", "--splits", "1", "--epochs", "2", "--batch-size", "4",
+               "--size", "240", "--seed", "11"]
+GOLDEN_RESULTS_SHA256 = "1b97f03fb8e70a37dde141372b5b8218396543f3c635b3e9c7dcd585f415e485"
+GOLDEN_RAW_CURVES_SHA256 = "6d5f050cb64b1390665a42e19d5873cd47865ee45e051f9492cc1ed7ca9433f2"
+
+
+def test_small_run_bytes_are_pinned(tmp_path):
+    assert run_cli("run", "--quiet", *GOLDEN_ARGS, "--out", str(tmp_path)) == EXIT_OK
+
+    def sha256(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    raw = sorted(tmp_path.glob("curve_raw_*.csv"))
+    assert len(raw) == 5 * 7 * 2
+    listing = "".join(f"{path.name} {sha256(path)}\n" for path in raw)
+    assert sha256(tmp_path / "results.csv") == GOLDEN_RESULTS_SHA256
+    assert hashlib.sha256(listing.encode()).hexdigest() == GOLDEN_RAW_CURVES_SHA256
 
 
 def test_run_writes_expected_files(tmp_path):

@@ -102,6 +102,50 @@ def test_matthews_rejects_nonbinary():
         matthews_corr([0, 2], [0, 1])
 
 
+def test_matthews_past_int64_margin_product():
+    # (TP+FP)(TP+FN)(TN+FP)(TN+FN) passes 2**63 at about 200,000 balanced labels
+    rng = np.random.default_rng(3)
+    preds, golds = rng.integers(0, 2, 240_000), rng.integers(0, 2, 240_000)
+    tp = int(np.sum((preds == 1) & (golds == 1)))
+    tn = int(np.sum((preds == 0) & (golds == 0)))
+    fp = int(np.sum((preds == 1) & (golds == 0)))
+    fn = int(np.sum((preds == 0) & (golds == 1)))
+    assert (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn) > 2**63
+    np.testing.assert_allclose(matthews_corr(preds, golds),
+                               brute_matthews(tp, fp, fn, tn), rtol=1e-12)
+
+
+def test_confusion_counts_match_per_class_passes():
+    # the per-class counting passes the confusion matrix replaced, kept as
+    # the reference: same integer counts, so the same bits
+    def loop_macro_f1(p, g, k):
+        f1s = []
+        for c in range(k):
+            tp = int(np.sum((p == c) & (g == c)))
+            fp = int(np.sum((p == c) & (g != c)))
+            fn = int(np.sum((p != c) & (g == c)))
+            f1s.append(2.0 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0)
+        return float(np.mean(f1s))
+
+    rng = np.random.default_rng(21)
+    for _ in range(500):
+        n, k = int(rng.integers(1, 60)), int(rng.integers(2, 5))
+        p, g = rng.integers(0, k, n), rng.integers(0, k, n)
+        assert macro_f1(p, g, k) == loop_macro_f1(p, g, k)
+        tp, fp, fn, tn = (int(np.sum((p % 2 == a) & (g % 2 == b)))
+                          for a, b in ((1, 1), (1, 0), (0, 1), (0, 0)))
+        denom = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
+        loop_mcc = float((tp * tn - fp * fn) / np.sqrt(denom)) if denom else 0.0
+        assert matthews_corr(p % 2, g % 2) == loop_mcc
+
+
+def test_label_measures_reject_non_integer_labels():
+    with pytest.raises(ValueError):
+        matthews_corr([0.0, 0.5], [0, 1])
+    with pytest.raises(ValueError):
+        macro_f1([0, 1], [0.0, 1.0], 2)
+
+
 def test_exhaustive_small_confusion_matrices():
     for tp, fp, fn, tn in itertools.product(range(6), repeat=4):
         if tp + fp + fn + tn == 0:

@@ -42,7 +42,7 @@ def finite_difference_grad(theta0, x, y, spec, h=1e-6):
 
 def test_make_dataset_class_counts_match_skew():
     data = make_dataset(make_task_spec("mrpc_like"), 1000, seed=7)
-    assert len(data) == 1000
+    assert data.features.shape[0] == 1000
     assert int(np.sum(data.targets == 0)) == 670
     assert int(np.sum(data.targets == 1)) == 330
 
@@ -154,38 +154,50 @@ def test_split_regression_stratifies_by_quintile():
 # Mini-batches
 # ---------------------------------------------------------------------------
 
+def batch_rows(data, batches):
+    """The dataset row of each example in ``batches``, in batch order; each
+    batch's targets must be its rows' targets."""
+    row_of = {row.tobytes(): i for i, row in enumerate(data.features)}
+    rows = []
+    for x, y in batches:
+        ids = [row_of[row.tobytes()] for row in x]
+        np.testing.assert_array_equal(y, data.targets[ids])
+        rows.append(ids)
+    return rows
+
+
 def test_epoch_batches_partition_property():
     data = make_dataset(make_task_spec("cola_like"), 60, seed=1)
     split = stratified_split(data, split_seed=1)
     rng = np.random.default_rng(0)
-    batches = list(epoch_batches(split, 4, rng))
-    assert len(batches) == 12  # 48 train items / 4
-    assert all(b.size == 4 for b in batches)
-    union = np.concatenate(batches)
-    assert sorted(union.tolist()) == sorted(split.train.tolist())
+    rows = batch_rows(data, epoch_batches(data, split, 4, rng))
+    assert len(rows) == 12  # 48 train items / 4
+    assert all(len(ids) == 4 for ids in rows)
+    assert sorted(sum(rows, [])) == sorted(split.train.tolist())
 
 
 def test_epoch_batches_deterministic_given_stream():
     data = make_dataset(make_task_spec("cola_like"), 60, seed=1)
     split = stratified_split(data, split_seed=1)
-    a = [b.tolist() for b in epoch_batches(split, 4, np.random.default_rng(42))]
-    b = [b.tolist() for b in epoch_batches(split, 4, np.random.default_rng(42))]
+    a = batch_rows(data, epoch_batches(data, split, 4, np.random.default_rng(42)))
+    b = batch_rows(data, epoch_batches(data, split, 4, np.random.default_rng(42)))
     assert a == b
 
 
 def test_epoch_batches_full_batch_is_exact_gd():
     data = make_dataset(make_task_spec("cola_like"), 60, seed=1)
     split = stratified_split(data, split_seed=1)
-    batches = list(epoch_batches(split, split.train.size, np.random.default_rng(0)))
-    assert len(batches) == 1
-    assert sorted(batches[0].tolist()) == sorted(split.train.tolist())
+    rows = batch_rows(data, epoch_batches(data, split, split.train.size,
+                                          np.random.default_rng(0)))
+    assert len(rows) == 1
+    assert sorted(rows[0]) == sorted(split.train.tolist())
 
 
 def test_epoch_batches_rejects_oversized_batch():
     data = make_dataset(make_task_spec("cola_like"), 60, seed=1)
     split = stratified_split(data, split_seed=1)
     with pytest.raises(ValueError):
-        list(epoch_batches(split, split.train.size + 1, np.random.default_rng(0)))
+        epoch_batches(data, split, split.train.size + 1, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +233,7 @@ def test_analytic_gradient_matches_finite_differences(name):
     n = sum(math.prod(shape) for _, shape in param_layout(spec))
     for probe in range(20):
         params = rng.uniform(-0.3, 0.3, size=n)  # init_params at a larger scale
-        idx = rng.choice(len(data), size=6, replace=False)
+        idx = rng.choice(data.features.shape[0], size=6, replace=False)
         x, y = data.features[idx], data.targets[idx]
         _, grad = loss_and_grad(params, x, y, spec)
         fd = finite_difference_grad(params, x, y, spec)
@@ -290,8 +302,23 @@ def test_segments_cover_theta():
         spec = make_task_spec(name)
         theta = init_params(spec, np.random.default_rng(1))
         segs = segments(theta, spec)
-        total = sum(v.size for v in segs.values())
+        total = sum(v.size for v in segs)
         assert total == theta.size
+
+
+def test_segments_slice_table_follows_each_layout():
+    # the slice table is cached per layout: a spec that changes only the class
+    # count after its task's table is cached must still get its own layout
+    specs = [make_task_spec(name) for name in TASK_NAMES]
+    specs += [dataclasses.replace(make_task_spec(name), class_probs=(0.5, 0.3, 0.2))
+              for name in ("cola_like", "mrpc_like")]
+    for spec in specs + specs[::-1]:
+        theta = init_params(spec, np.random.default_rng(5))
+        layout = param_layout(spec)
+        segs = segments(theta, spec)
+        assert [v.shape for v in segs] == [shape for _, shape in layout]
+        assert all(np.shares_memory(v, theta) for v in segs)
+        np.testing.assert_array_equal(np.concatenate(segs, axis=None), theta)
 
 
 @pytest.mark.parametrize("name", ["cola_like", "mrpc_like", "stsb_like"])
