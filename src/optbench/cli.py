@@ -14,8 +14,8 @@ curve_<...>.csv files and report.txt/report.csv from the directory with the
 functions ``curves`` and ``report`` call, so each file has one writer.
 Exit codes: 0 success, 2 invalid configuration (including an ``--out`` or
 ``--in`` path that is not a directory, or a run-directory file that
-``report`` or ``curves`` cannot read, which the message names), 3 no viable
-trial (every trial diverged).
+``report`` or ``curves`` cannot read or that is a directory, which the
+message names), 3 no viable trial (every trial diverged).
 """
 
 from __future__ import annotations
@@ -131,7 +131,8 @@ def main(argv=None) -> int:
             for path in aggregate_curve_files(args.in_dir):
                 print(path)
             return EXIT_OK
-    except (ConfigError, ValueError, FileNotFoundError, NotADirectoryError) as exc:
+    except (ConfigError, ValueError, FileNotFoundError, NotADirectoryError,
+            IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
     except NoViableTrialError as exc:

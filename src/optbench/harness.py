@@ -9,7 +9,10 @@ trial's snapshot is scored once on the test partition, and the per-split
 test scores are aggregated as mean and population standard deviation.
 ``run_experiment`` returns one experiment's ``SplitResult``s, which
 ``write_run_outputs`` writes under names taken from its RunSpec; reports and
-aggregated curves are built from the run directory alone.
+aggregated curves are built from the run directory alone. Every CSV file of
+a run directory is written by ``_write_csv``, with one cell format: a float
+is Python's shortest repr that reads back exactly, a missing value an empty
+field, and a file gets its header once.
 
 Every random choice is drawn from a stream derived from the master seed and
 a fixed label path, so a whole experiment is a pure function of its RunSpec
@@ -80,6 +83,8 @@ __all__ = [
 _RESULTS_COLUMNS = ("task", "optimizer", "regime", "split", "test_score", "best_dev",
                     "best_epoch")
 _RAW_CURVE_COLUMNS = ("step", "loss", "dev")
+_CURVE_COLUMNS = ("step", "mean_loss", "std_loss", "mean_dev", "std_dev")
+_REPORT_COLUMNS = ("task", "optimizer", "regime", "metric", "mean", "std", "cell")
 
 # Report rows: each optimizer's display name, in row order.
 _REPORT_ROWS = {
@@ -326,29 +331,30 @@ def format_report(records) -> str:
     ``*``."""
     if not records:
         raise ValueError("no results to report")
-    tables: dict = {}  # regime -> task -> optimizer -> (metric, mean, std)
+    tables: dict = {}  # regime -> (task, optimizer) -> (metric, mean, std)
     for rec in records:
-        cell = (rec.metric, rec.mean, rec.std)
-        tables.setdefault(rec.regime, {}).setdefault(rec.task, {})[rec.optimizer] = cell
+        cells = tables.setdefault(rec.regime, {})
+        cells[rec.task, rec.optimizer] = (rec.metric, rec.mean, rec.std)
     lines = []
     for regime in Regime:
         if regime not in tables:
             continue
-        columns = sorted(tables[regime])
-        optimizers = [k for k in _REPORT_ROWS
-                      if any(k in tables[regime][c] for c in columns)]
+        cells = tables[regime]
+        best: dict = {}  # task -> its column's best mean
+        for (task, _), (_, mean, _) in cells.items():
+            best[task] = max(mean, best.get(task, mean))
+        columns = sorted(best)
+        present = {kind for _, kind in cells}
         lines.append(f"== regime: {regime.value} ==")
         header = ["Optimizer"] + columns
         rows = [header]
-        best = {c: max(v[1] for v in tables[regime][c].values()) for c in columns}
-        for kind in optimizers:
+        for kind in (k for k in _REPORT_ROWS if k in present):
             row = [_REPORT_ROWS[kind]]
             for c in columns:
-                entry = tables[regime][c].get(kind)
-                if entry is None:
+                if (c, kind) not in cells:
                     row.append("-")
                     continue
-                metric, mean, std = entry
+                metric, mean, std = cells[c, kind]
                 flag = "*" if mean == best[c] else ""
                 row.append(format_cell(metric, mean, std) + flag)
             rows.append(row)
@@ -366,21 +372,40 @@ def write_report(records, out_dir) -> str:
     out.mkdir(parents=True, exist_ok=True)
     text = format_report(records)
     (out / "report.txt").write_text(text)
-    with open(out / "report.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["task", "optimizer", "regime", "metric", "mean", "std", "cell"])
-        for rec in sorted(records, key=lambda r: (r.regime.value, r.task,
-                                                  list(_REPORT_ROWS).index(r.optimizer))):
-            writer.writerow([
-                rec.task, rec.optimizer.value, rec.regime.value, rec.metric.value,
-                repr(rec.mean), repr(rec.std), format_cell(rec.metric, rec.mean, rec.std),
-            ])
+    order = sorted(records, key=lambda r: (r.regime.value, r.task,
+                                           list(_REPORT_ROWS).index(r.optimizer)))
+    _write_csv(out / "report.csv", _REPORT_COLUMNS, (
+        (rec.task, rec.optimizer.value, rec.regime.value, rec.metric.value, rec.mean,
+         rec.std, format_cell(rec.metric, rec.mean, rec.std)) for rec in order))
     return text
 
 
 # ---------------------------------------------------------------------------
 # Run-directory persistence (consumed by the CLI)
 # ---------------------------------------------------------------------------
+
+def _write_csv(path, columns, rows, mode="w") -> None:
+    """The one CSV writer of a run directory: ``rows`` under the header
+    ``columns``. The csv module writes a float as its repr, the shortest text
+    that reads back exactly, and None as an empty field, so rows hold Python
+    floats, not numpy scalars."""
+    with open(path, mode, newline="") as fh:
+        writer = csv.writer(fh)
+        if fh.tell() == 0:  # new, or an appended file left empty by a killed run
+            writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def _epoch_column(n_steps: int, dev_steps: np.ndarray, values: np.ndarray) -> list:
+    """A per-epoch series laid on rows 1..n_steps: ``values[j]`` on row
+    ``dev_steps[j]`` and None on every other row; a dev step past ``n_steps``
+    is dropped. ``_read_raw_curve`` reads a raw curve's dev column back."""
+    column = [None] * n_steps
+    for step, value in zip(dev_steps.tolist(), values.tolist()):
+        if step <= n_steps:
+            column[step - 1] = value
+    return column
+
 
 def _aggregate_curves(curves: list[LearningCurve]
                       ) -> list[tuple[int, float, float, float | None, float | None]]:
@@ -401,27 +426,11 @@ def _aggregate_curves(curves: list[LearningCurve]
     # differently and can change the last bits
     losses = np.stack([c.losses[:n_steps] for c in curves], axis=1)
     devs = np.stack([c.dev_scores[:n_dev] for c in curves], axis=1)
-    mean_loss, std_loss = losses.mean(axis=1).tolist(), losses.std(axis=1).tolist()
-    mean_dev, std_dev = devs.mean(axis=1).tolist(), devs.std(axis=1).tolist()
-    dev_at = {s: j for j, s in enumerate(curves[0].dev_steps[:n_dev].tolist())}
-    rows = []
-    for step, (mean, std) in enumerate(zip(mean_loss, std_loss), start=1):
-        j = dev_at.get(step)
-        dev = (None, None) if j is None else (mean_dev[j], std_dev[j])
-        rows.append((step, mean, std, *dev))
-    return rows
-
-
-def _write_curve_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "mean_loss", "std_loss", "mean_dev", "std_dev"])
-        for step, mean_loss, std_loss, mean_dev, std_dev in rows:
-            writer.writerow([
-                step, repr(mean_loss), repr(std_loss),
-                "" if mean_dev is None else repr(mean_dev),
-                "" if std_dev is None else repr(std_dev),
-            ])
+    dev_steps = curves[0].dev_steps[:n_dev]
+    return list(zip(range(1, n_steps + 1), losses.mean(axis=1).tolist(),
+                    losses.std(axis=1).tolist(),
+                    _epoch_column(n_steps, dev_steps, devs.mean(axis=1)),
+                    _epoch_column(n_steps, dev_steps, devs.std(axis=1))))
 
 
 def write_run_outputs(run: RunSpec, splits, out_dir) -> None:
@@ -433,25 +442,16 @@ def write_run_outputs(run: RunSpec, splits, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     key = (run.task.name, run.optimizer.value, run.regime.value)
-    with open(out / "results.csv", "a", newline="") as fh:
-        writer = csv.writer(fh)
-        if fh.tell() == 0:  # new, or left empty by a run killed before its header
-            writer.writerow(_RESULTS_COLUMNS)
-        for s in splits:
-            writer.writerow([*key, s.repetition, repr(s.test), repr(s.trial.best_dev),
-                             s.trial.best_epoch])
+    _write_csv(out / "results.csv", _RESULTS_COLUMNS,
+               ((*key, s.repetition, s.test, s.trial.best_dev, s.trial.best_epoch)
+                for s in splits), mode="a")
     stem = "_".join(key)
     for s in splits:
         save_study_json(s.study, out / f"study_{stem}_split{s.repetition}.json")
-        dev_at = {int(t): float(v) for t, v in zip(s.curve.dev_steps, s.curve.dev_scores)}
-        with open(out / f"curve_raw_{stem}_split{s.repetition}.csv", "w",
-                  newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_RAW_CURVE_COLUMNS)
-            for step, loss in enumerate(s.curve.losses.tolist(), start=1):
-                dev = dev_at.get(step)
-                writer.writerow([step, repr(loss),
-                                 "" if dev is None else repr(dev)])
+        losses = s.curve.losses.tolist()
+        dev = _epoch_column(len(losses), s.curve.dev_steps, s.curve.dev_scores)
+        _write_csv(out / f"curve_raw_{stem}_split{s.repetition}.csv", _RAW_CURVE_COLUMNS,
+                   zip(range(1, len(losses) + 1), losses, dev))
 
 
 def _csv_rows(path, columns, parsers):
@@ -524,7 +524,7 @@ def aggregate_curve_files(in_dir) -> list[Path]:
         # split order, not name order (split10 < split2): the float sums depend on it
         curves = [_read_raw_curve(p) for _, p in sorted(paths)]
         out_path = in_dir / f"curve_{stem}.csv"
-        _write_curve_csv(out_path, _aggregate_curves(curves))
+        _write_csv(out_path, _CURVE_COLUMNS, _aggregate_curves(curves))
         written.append(out_path)
     return written
 

@@ -23,11 +23,10 @@ power term, so the first update uses t' = 1.
 
 ``apply_step`` is the one entry point and the one input check: it converts
 theta and g to float64 arrays unless they already are (the training loop's
-always are, so a step converts nothing), raises DimensionError unless both
-are 1-d with the state's length, and dispatches on ``config.kind`` to a
-private rule that only does arithmetic, with ufuncs rather than their
-Python wrappers. An OptimizerState checks that its moments share
-one 1-d shape when it is built. Steps are pure: they never mutate their
+always are, so a step converts nothing), raises DimensionError unless theta,
+g and the state's s, r and v are 1-d vectors of one length, and dispatches
+on ``config.kind`` to a private rule that only does arithmetic, with ufuncs
+rather than their Python wrappers. Steps are pure: they never mutate their
 inputs and identical inputs produce identical outputs, so concurrent
 training runs only need to own their own state. A NaN or infinity in the
 gradient propagates into the returned parameters, where the training loop
@@ -159,19 +158,13 @@ class OptimizerState:
     r  second moment (sum of squares, or running max of |g| for AdaMax)
     v  velocity (SGDM)
 
-    s, r and v must be 1-d vectors of one length; DimensionError otherwise.
+    ``apply_step`` requires s, r and v to be 1-d vectors of one length.
     """
 
     t: int
     s: np.ndarray
     r: np.ndarray
     v: np.ndarray
-
-    def __post_init__(self):
-        # runs on every step, so it compares shapes and converts nothing
-        if self.s.ndim != 1 or not self.s.shape == self.r.shape == self.v.shape:
-            raise DimensionError(f"s, r and v must be 1-d vectors of one length, got shapes "
-                                 f"{self.s.shape}, {self.r.shape} and {self.v.shape}")
 
 
 def init_state(config: OptimizerConfig, dim: int) -> OptimizerState:
@@ -272,14 +265,16 @@ _RULES = {
 def apply_step(config, state, theta, g):
     """One update step of ``config.kind``'s rule. Returns (theta', state').
 
-    Raises DimensionError unless theta and g are 1-d vectors of the state's
-    length; this is the only check on a step's inputs.
+    Raises DimensionError unless theta, g and the state's s, r and v are 1-d
+    vectors of one length; this is the only check on a step's inputs.
     """
     if type(theta) is not np.ndarray or theta.dtype != np.float64:
         theta = np.asarray(theta, dtype=np.float64)
     if type(g) is not np.ndarray or g.dtype != np.float64:
         g = np.asarray(g, dtype=np.float64)
-    if not theta.shape == g.shape == state.s.shape:  # OptimizerState keeps s 1-d
-        raise DimensionError(f"theta and g must be 1-d vectors of the state's shape "
-                             f"{state.s.shape}, got shapes {theta.shape} and {g.shape}")
+    if theta.ndim != 1 or not (
+            theta.shape == g.shape == state.s.shape == state.r.shape == state.v.shape):
+        raise DimensionError(f"theta, g, s, r and v must be 1-d vectors of one length, got "
+                             f"shapes {theta.shape}, {g.shape}, {state.s.shape}, "
+                             f"{state.r.shape} and {state.v.shape}")
     return _RULES[config.kind](config, state, theta, g)

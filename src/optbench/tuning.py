@@ -337,7 +337,7 @@ def save_study_json(study: StudyRecord, path) -> None:
         "trials": [_trial_to_doc(t) for t in study.trials],
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
+        fh.write(json.dumps(doc, indent=1))
 
 
 def load_study_json(path) -> StudyRecord:

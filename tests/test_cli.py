@@ -28,15 +28,20 @@ def small_run_args(out_dir, task="stsb_like", optimizer="sgd", regime="lr-only",
 
 # A small run over all five tasks (so both model families that the protocol
 # command never trains, the MLP and the 3-class logistic, too) and all seven
-# optimizers, and the sha256 of its results.csv and of its raw curve files
-# (one "name sha256" line per file, sorted by name). Every training step's
-# loss, gradient and update reaches these bytes, so a one-bit drift in the
-# step path fails here.
+# optimizers, and the sha256 of each file it leaves: results.csv, report.txt
+# and report.csv by themselves, and each group of per-experiment files as one
+# "name sha256" line per file, sorted by name. Every training step's loss,
+# gradient and update reaches these bytes, so a one-bit drift in the step
+# path fails here, and so does any change to how a file is written.
 GOLDEN_ARGS = ["--task", "all", "--optimizer", "all", "--regime", "defaults,lr_only",
                "--trials", "2", "--splits", "1", "--epochs", "2", "--batch-size", "4",
                "--size", "240", "--seed", "11"]
 GOLDEN_RESULTS_SHA256 = "1b97f03fb8e70a37dde141372b5b8218396543f3c635b3e9c7dcd585f415e485"
+GOLDEN_REPORT_TXT_SHA256 = "90d1c186805314655dc130d1be47dfdb28da1c0125e79a2c0158b404ab9fa386"
+GOLDEN_REPORT_CSV_SHA256 = "d4ae210b5eecd379af149440e4792e80a38fea525bed585edb286793927f8a24"
 GOLDEN_RAW_CURVES_SHA256 = "6d5f050cb64b1390665a42e19d5873cd47865ee45e051f9492cc1ed7ca9433f2"
+GOLDEN_CURVES_SHA256 = "b2b8891942cd99c95c350c3e9baa57c64aea3fdafafcee6ea333fa573c775827"
+GOLDEN_STUDIES_SHA256 = "ce45a54780abf87feb83ba1dda2b98e261c00b65b3515e2ddab529e92371eeb5"
 
 
 def test_small_run_bytes_are_pinned(tmp_path):
@@ -45,11 +50,20 @@ def test_small_run_bytes_are_pinned(tmp_path):
     def sha256(path):
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
+    def listing_sha256(paths):
+        listing = "".join(f"{path.name} {sha256(path)}\n" for path in paths)
+        return hashlib.sha256(listing.encode()).hexdigest()
+
     raw = sorted(tmp_path.glob("curve_raw_*.csv"))
-    assert len(raw) == 5 * 7 * 2
-    listing = "".join(f"{path.name} {sha256(path)}\n" for path in raw)
+    curves = sorted(set(tmp_path.glob("curve_*.csv")) - set(raw))
+    studies = sorted(tmp_path.glob("study_*.json"))
+    assert len(raw) == len(curves) == len(studies) == 5 * 7 * 2
     assert sha256(tmp_path / "results.csv") == GOLDEN_RESULTS_SHA256
-    assert hashlib.sha256(listing.encode()).hexdigest() == GOLDEN_RAW_CURVES_SHA256
+    assert sha256(tmp_path / "report.txt") == GOLDEN_REPORT_TXT_SHA256
+    assert sha256(tmp_path / "report.csv") == GOLDEN_REPORT_CSV_SHA256
+    assert listing_sha256(raw) == GOLDEN_RAW_CURVES_SHA256
+    assert listing_sha256(curves) == GOLDEN_CURVES_SHA256
+    assert listing_sha256(studies) == GOLDEN_STUDIES_SHA256
 
 
 def test_run_writes_expected_files(tmp_path):
@@ -209,12 +223,17 @@ def test_report_names_missing_columns(tmp_path, capsys):
         f"error: {results} lacks column(s) regime, split, test_score, best_dev, best_epoch\n")
 
 
-@pytest.mark.parametrize("where", ["missing", "empty", "file"])
+@pytest.mark.parametrize("where", ["missing", "empty", "file", "results-dir", "curve-dir"])
 @pytest.mark.parametrize("command", ["report", "curves"])
 def test_report_missing_directory(tmp_path, command, where):
-    in_dir = {"missing": tmp_path / "nope", "empty": tmp_path, "file": tmp_path / "f"}[where]
+    in_dir = {"missing": tmp_path / "nope", "file": tmp_path / "f"}.get(where, tmp_path)
     if where == "file":
         in_dir.write_text("")
+    # a directory where the command reads a file
+    if where == "results-dir":
+        (tmp_path / "results.csv").mkdir()
+    if where == "curve-dir":
+        (tmp_path / "curve_raw_stsb_like_sgd_defaults_split1.csv").mkdir()
     assert run_cli(command, "--in", str(in_dir)) == EXIT_INVALID_CONFIG
 
 

@@ -365,8 +365,11 @@ def test_dimension_mismatch_raises(kind):
     ((), (), ()),
 ])
 def test_state_rejects_mismatched_moments(s, r, v):
-    with pytest.raises(DimensionError):
-        OptimizerState(t=0, s=np.zeros(s), r=np.zeros(r), v=np.zeros(v))
+    # theta and g take s's shape, so only the moments (or their rank) are wrong
+    state = OptimizerState(t=0, s=np.zeros(s), r=np.zeros(r), v=np.zeros(v))
+    for kind in ALL_KINDS:
+        with pytest.raises(DimensionError):
+            apply_step(default_config(kind), state, np.zeros(s), np.zeros(s))
 
 
 def test_nonfinite_gradient_reaches_theta():
