@@ -5,17 +5,17 @@
     optbench report --in runs/demo
     optbench curves --in runs/demo
 
-``run`` executes the five-split protocol. As each experiment finishes it
-passes that experiment's RunSpec and split results to ``write_run_outputs``,
-which appends its rows to results.csv and writes its per-split
-study_<...>.json and curve_raw_<...>.csv files, so a run that stops early
-keeps what it finished. After the last experiment it builds the aggregated
-curve_<...>.csv files and report.txt/report.csv from the directory with the
-functions ``curves`` and ``report`` call, so each file has one writer.
-Exit codes: 0 success, 2 invalid configuration (including an ``--out`` or
-``--in`` path that is not a directory, or a run-directory file that
-``report`` or ``curves`` cannot read or that is a directory, which the
-message names), 3 no viable trial (every trial diverged).
+``run`` executes the five-split protocol into an ``--out`` whose results.csv
+holds none of its experiments. As each experiment finishes it passes that
+experiment's RunSpec and split results to ``write_run_outputs``, which appends
+its rows to results.csv and writes its per-split study_<...>.json and
+curve_raw_<...>.csv files, so a run that stops early keeps what it finished. It
+then builds the aggregated curve_<...>.csv files and report.txt/report.csv with
+the functions ``curves`` and ``report`` call. Exit codes: 0 success, 2 invalid
+configuration (an ``--out`` or ``--in`` path that is not a directory, an
+``--out`` holding one of the run's experiments, or a run-directory file that
+cannot be read, is a directory or holds an experiment twice, which the message
+names), 3 no viable trial (every trial diverged).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from optbench.harness import (
     RunSpec,
     aggregate_curve_files,
     experiment_data,
+    read_results,
     report_from_results_csv,
     run_experiment,
     write_run_outputs,
@@ -103,6 +104,12 @@ def _cmd_run(args) -> int:
                 check_batch_size(experiment_data(run, repetition)[1], run.batch_size)
             except ValueError as exc:
                 raise ConfigError(f"{run.task.name} split {repetition}: {exc}") from None
+    results = Path(args.out) / "results.csv"
+    keys = {(run.task.name, run.optimizer, run.regime) for run in runs}
+    for rec in read_results(results) if results.exists() else ():
+        if (rec.task, rec.optimizer, rec.regime) in keys:
+            raise ConfigError(f"{results} already holds {rec.task}/{rec.optimizer.value}/"
+                              f"{rec.regime.value}")
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,6 +76,7 @@ __all__ = [
     "write_report",
     "write_run_outputs",
     "aggregate_curve_files",
+    "read_results",
     "report_from_results_csv",
 ]
 
@@ -185,7 +185,6 @@ def train(config: OptimizerConfig, dataset: Dataset, split: DataSplit, *,
     losses, dev_steps, dev_scores = [], [], []
     snapshots = []  # theta after each evaluated epoch
     status = TrialStatus.COMPLETED
-    step = 0
     # divergence (overflow to inf/NaN) is normal control flow here
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         for epoch in range(epochs):
@@ -194,7 +193,6 @@ def train(config: OptimizerConfig, dataset: Dataset, split: DataSplit, *,
                 if not math.isfinite(loss):
                     status = TrialStatus.DIVERGED
                     break
-                step += 1
                 losses.append(loss)
                 theta, state = apply_step(config, state, theta, grad)
                 if not np.logical_and.reduce(np.isfinite(theta)):
@@ -203,7 +201,7 @@ def train(config: OptimizerConfig, dataset: Dataset, split: DataSplit, *,
             if status is TrialStatus.DIVERGED:
                 break
             score = evaluate(spec, predict(theta, dev_x, spec), dev_y)
-            dev_steps.append(step)
+            dev_steps.append(len(losses))
             dev_scores.append(score)
             snapshots.append(theta)
             if prune_hook is not None and prune_hook(epoch, score):
@@ -381,7 +379,9 @@ def write_report(records, out_dir) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Run-directory persistence (consumed by the CLI)
+# Run-directory persistence (consumed by the CLI). A run directory holds each
+# (task, optimizer, regime) experiment once: ``run`` checks results.csv before
+# it trains, and a reader refuses a directory that holds one twice.
 # ---------------------------------------------------------------------------
 
 def _write_csv(path, columns, rows, mode="w") -> None:
@@ -397,36 +397,25 @@ def _write_csv(path, columns, rows, mode="w") -> None:
 
 
 def _epoch_column(n_steps: int, dev_steps: np.ndarray, values: np.ndarray) -> list:
-    """A per-epoch series laid on rows 1..n_steps: ``values[j]`` on row
-    ``dev_steps[j]`` and None on every other row; a dev step past ``n_steps``
-    is dropped. ``_read_raw_curve`` reads a raw curve's dev column back."""
+    """A per-epoch series on rows 1..n_steps: ``values[j]`` on row ``dev_steps[j]``,
+    None elsewhere. ``_read_raw_curve`` reads a raw curve's dev column back."""
     column = [None] * n_steps
     for step, value in zip(dev_steps.tolist(), values.tolist()):
-        if step <= n_steps:
-            column[step - 1] = value
+        column[step - 1] = value
     return column
 
 
 def _aggregate_curves(curves: list[LearningCurve]
                       ) -> list[tuple[int, float, float, float | None, float | None]]:
-    """Pointwise mean/std across splits at matching step indices.
-
-    Rows: (step, mean_loss, std_loss, mean_dev, std_dev); dev columns are
-    None except at epoch-end steps. Curves of unequal length are truncated
-    to the shortest, with a warning.
-    """
-    n_steps = min(c.losses.size for c in curves)
-    n_dev = min(c.dev_steps.size for c in curves)
-    if any(c.losses.size != n_steps for c in curves) or \
-            any(c.dev_steps.size != n_dev for c in curves):
-        warnings.warn("split curves have unequal lengths; truncating to shortest",
-                      stacklevel=2)
+    """Pointwise mean/std across the splits of curves that share their step
+    count and dev steps. Rows: (step, mean_loss, std_loss, mean_dev,
+    std_dev); dev columns are None except at epoch-end steps."""
     # step-major, so each step reduces one contiguous vector of its splits;
     # a reduction along axis 0 of a split-major stack groups the float sums
     # differently and can change the last bits
-    losses = np.stack([c.losses[:n_steps] for c in curves], axis=1)
-    devs = np.stack([c.dev_scores[:n_dev] for c in curves], axis=1)
-    dev_steps = curves[0].dev_steps[:n_dev]
+    losses = np.stack([c.losses for c in curves], axis=1)
+    devs = np.stack([c.dev_scores for c in curves], axis=1)
+    n_steps, dev_steps = losses.shape[0], curves[0].dev_steps
     return list(zip(range(1, n_steps + 1), losses.mean(axis=1).tolist(),
                     losses.std(axis=1).tolist(),
                     _epoch_column(n_steps, dev_steps, devs.mean(axis=1)),
@@ -509,7 +498,8 @@ def _read_raw_curve(path) -> LearningCurve:
 def aggregate_curve_files(in_dir) -> list[Path]:
     """Build the curve_<...>.csv files from the raw per-split curves in a
     run directory; ``run`` and ``curves`` both call it. Raises
-    FileNotFoundError when the directory holds no raw curves."""
+    FileNotFoundError when the directory holds no raw curves, and ValueError
+    when an experiment's raw curves differ in step count or dev steps."""
     in_dir = Path(in_dir)
     groups: dict[str, list[tuple[int, Path]]] = {}
     for path in in_dir.glob("curve_raw_*_split*.csv"):
@@ -523,20 +513,25 @@ def aggregate_curve_files(in_dir) -> list[Path]:
     for stem, paths in sorted(groups.items()):
         # split order, not name order (split10 < split2): the float sums depend on it
         curves = [_read_raw_curve(p) for _, p in sorted(paths)]
+        if any(c.losses.size != curves[0].losses.size
+               or not np.array_equal(c.dev_steps, curves[0].dev_steps) for c in curves):
+            raise ValueError(f"{in_dir / f'curve_raw_{stem}_split*.csv'} differ in step "
+                             "count or dev steps: a run directory holds each experiment once")
         out_path = in_dir / f"curve_{stem}.csv"
         _write_csv(out_path, _CURVE_COLUMNS, _aggregate_curves(curves))
         written.append(out_path)
     return written
 
 
-def report_from_results_csv(in_dir) -> str:
-    """Build report.txt/report.csv from a run directory's results.csv and
-    return the text of report.txt. Every run written into the directory
-    counts; for a repeated (task, optimizer, regime, split) the last row
-    wins. Raises ValueError naming the file (and line) when the header lacks
-    a column or a row has the wrong number of fields, an unknown name, a
-    split that is not an integer or a score outside its metric's range."""
-    path = Path(in_dir) / "results.csv"
+def read_results(path) -> list[ScoreRecord]:
+    """The experiments a results.csv holds, in the order of their first rows,
+    each with its scores in split order; an empty file holds none. Raises
+    ValueError naming the file (and line) when the header lacks a column or a
+    row has the wrong number of fields, an unknown name, a split that is not
+    an integer, a score outside its metric's range, or the (task, optimizer,
+    regime, split) of an earlier row."""
+    if Path(path).stat().st_size == 0:  # a run killed before it wrote the header
+        return []
     parsers = {"task": make_task_spec, "optimizer": OptimizerKind.parse,
                "regime": Regime.parse, "split": int, "test_score": _finite_float}
     scores: dict[tuple[TaskSpec, OptimizerKind, Regime], dict[int, float]] = {}
@@ -546,10 +541,18 @@ def report_from_results_csv(in_dir) -> str:
         except ValueError as exc:
             raise ValueError(f"{path} line {line}: {exc}") from None
         key = (row["task"], row["optimizer"], row["regime"])
-        scores.setdefault(key, {})[row["split"]] = row["test_score"]
-    records = [
+        by_split = scores.setdefault(key, {})
+        if row["split"] in by_split:
+            raise ValueError(f"{path} line {line}: repeats split {row['split']} of "
+                             f"{key[0].name}/{key[1].value}/{key[2].value}")
+        by_split[row["split"]] = row["test_score"]
+    return [
         ScoreRecord(task=task.name, optimizer=optimizer, regime=regime, metric=task.metric,
                     scores=tuple(by_split[k] for k in sorted(by_split)))
         for (task, optimizer, regime), by_split in scores.items()
     ]
-    return write_report(records, path.parent)
+
+
+def report_from_results_csv(in_dir) -> str:
+    """Write report.txt/report.csv from in_dir's results.csv; returns report.txt."""
+    return write_report(read_results(Path(in_dir) / "results.csv"), in_dir)

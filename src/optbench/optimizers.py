@@ -181,13 +181,8 @@ def _sgd(config, state, theta, g):
 
 
 def _sgdm(config, state, theta, g):
-    # with alpha = 0 the momentum term is skipped, so theta is bitwise SGD's
-    alpha = config.alpha
-    if alpha == 0.0:
-        theta2 = theta - config.epsilon * g
-    else:
-        theta2 = theta - config.epsilon * g + alpha * state.v
-    v2 = alpha * state.v - config.epsilon * g
+    theta2 = theta - config.epsilon * g + config.alpha * state.v
+    v2 = config.alpha * state.v - config.epsilon * g
     return theta2, OptimizerState(t=state.t + 1, s=state.s, r=state.r, v=v2)
 
 

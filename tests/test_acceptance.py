@@ -342,7 +342,8 @@ def test_criterion_6_protocol_replication(protocol_dir):
     bytes_b = (protocol_dir / "b" / "results.csv").read_bytes()
     assert bytes_a == bytes_b
 
-    rows = list(csv.DictReader(open(run_dir / "results.csv")))
+    with open(run_dir / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 2 * 7 * 3 * 5
     report("6 protocol replication",
            f"42 experiments, 630 studies formatted/ranged/deterministic, "

@@ -15,6 +15,11 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def small_run_args(out_dir, task="stsb_like", optimizer="sgd", regime="lr-only",
                    **overrides):
     args = {
@@ -73,7 +78,7 @@ def test_run_writes_expected_files(tmp_path):
     assert "report.txt" in names and "report.csv" in names
     assert "curve_stsb_like_sgd_lr_only.csv" in names
     assert "study_stsb_like_sgd_lr_only_split1.json" in names
-    rows = list(csv.DictReader(open(tmp_path / "results.csv")))
+    rows = read_csv(tmp_path / "results.csv")
     assert {r["split"] for r in rows} == {"1", "2"}
     assert all(r["regime"] == "lr_only" for r in rows)
 
@@ -179,7 +184,7 @@ def test_run_keeps_finished_experiments_when_one_fails(tmp_path, capsys, monkeyp
 
     monkeypatch.setattr(cli, "run_experiment", run_experiment)
     assert run_cli(*small_run_args(tmp_path, optimizer="sgd,adam")) == EXIT_NO_VIABLE_TRIAL
-    rows = list(csv.DictReader(open(tmp_path / "results.csv")))
+    rows = read_csv(tmp_path / "results.csv")
     assert [(r["optimizer"], r["split"]) for r in rows] == [("sgd", "1"), ("sgd", "2")]
     assert {p.name for p in tmp_path.iterdir()} == {
         "results.csv",
@@ -193,24 +198,66 @@ def test_run_keeps_finished_experiments_when_one_fails(tmp_path, capsys, monkeyp
     assert "SGD" in capsys.readouterr().out
 
 
-def test_run_into_used_directory_matches_rebuild(tmp_path):
+def directory_bytes(path):
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+def test_run_into_used_directory_matches_rebuild(tmp_path, capsys):
     # every derived file reflects the whole directory, as `report` and
     # `curves` build it, not only the experiments of the last run
     assert run_cli(*small_run_args(tmp_path, optimizer="adam")) == EXIT_OK
     assert run_cli(*small_run_args(tmp_path, optimizer="sgd")) == EXIT_OK
-    written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    assert [r["optimizer"] for r in csv.DictReader(open(tmp_path / "report.csv"))] == [
+    written = directory_bytes(tmp_path)
+    assert [r["optimizer"] for r in read_csv(tmp_path / "report.csv")] == [
         "adam", "sgd"]
+    # a third run of an experiment the directory holds is refused
+    capsys.readouterr()
+    assert run_cli(*small_run_args(tmp_path, optimizer="adam",
+                                   **{"--seed": "4"})) == EXIT_INVALID_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'results.csv'} already holds stsb_like/adam/lr_only\n")
+    assert directory_bytes(tmp_path) == written
     assert run_cli("report", "--in", str(tmp_path)) == EXIT_OK
     assert run_cli("curves", "--in", str(tmp_path)) == EXIT_OK
-    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == written
+    assert directory_bytes(tmp_path) == written
+
+
+def test_run_refuses_an_experiment_the_directory_holds(tmp_path, capsys, monkeypatch):
+    # the same experiment at other protocol parameters would mix two runs
+    import optbench.cli as cli
+
+    assert run_cli(*small_run_args(tmp_path, **{"--seed": "1"})) == EXIT_OK
+    written = directory_bytes(tmp_path)
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", calls.append)
+    capsys.readouterr()
+    assert run_cli(*small_run_args(tmp_path, optimizer="adam,sgd", **{
+        "--splits": "1", "--epochs": "1", "--seed": "2"})) == EXIT_INVALID_CONFIG
+    assert calls == []
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'results.csv'} already holds stsb_like/sgd/lr_only\n")
+    assert directory_bytes(tmp_path) == written
+
+
+def test_run_checks_results_csv_before_any_experiment(tmp_path, capsys, monkeypatch):
+    # rows without their header: the first row reads as a header lacking columns
+    import optbench.cli as cli
+
+    results = tmp_path / "results.csv"
+    results.write_text("stsb_like,adam,lr_only,1,0.5,0.5,0\n")
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", calls.append)
+    assert run_cli(*small_run_args(tmp_path)) == EXIT_INVALID_CONFIG
+    assert calls == []
+    assert capsys.readouterr().err.startswith(f"error: {results} lacks column(s) task, ")
+    assert directory_bytes(tmp_path) == {"results.csv": b"stsb_like,adam,lr_only,1,0.5,0.5,0\n"}
 
 
 def test_run_into_directory_with_empty_results_csv(tmp_path):
     # a run killed between creating results.csv and writing its header leaves it empty
     (tmp_path / "results.csv").write_text("")
     assert run_cli(*small_run_args(tmp_path)) == EXIT_OK
-    rows = list(csv.DictReader(open(tmp_path / "results.csv")))
+    rows = read_csv(tmp_path / "results.csv")
     assert [r["split"] for r in rows] == ["1", "2"]
     assert run_cli("report", "--in", str(tmp_path)) == EXIT_OK
 
@@ -255,7 +302,7 @@ def test_optimizer_all_expands(tmp_path):
     assert run_cli(*small_run_args(
         tmp_path, optimizer="all",
         **{"--trials": "2", "--splits": "1", "--epochs": "1"})) == EXIT_OK
-    rows = list(csv.DictReader(open(tmp_path / "results.csv")))
+    rows = read_csv(tmp_path / "results.csv")
     assert {r["optimizer"] for r in rows} == {
         "sgd", "sgdm", "adam", "nadam", "adamw", "adamax", "adabound"}
 
@@ -271,7 +318,7 @@ def test_run_drops_repeated_names(tmp_path):
     assert run_cli(*small_run_args(
         tmp_path, task="stsb_like,stsb_like", optimizer="sgd,SGD",
         regime="defaults,defaults", **{"--epochs": "1"})) == EXIT_OK
-    rows = list(csv.DictReader(open(tmp_path / "results.csv")))
+    rows = read_csv(tmp_path / "results.csv")
     assert [r["split"] for r in rows] == ["1", "2"]
     written = (tmp_path / "report.csv").read_bytes()
     assert run_cli("report", "--in", str(tmp_path)) == EXIT_OK
@@ -282,7 +329,7 @@ def test_run_strips_names_in_every_list(tmp_path):
     assert run_cli(*small_run_args(
         tmp_path, task="cola_like, stsb_like", optimizer=" adam", regime="defaults ",
         **{"--splits": "1", "--epochs": "1"})) == EXIT_OK
-    rows = list(csv.DictReader(open(tmp_path / "results.csv")))
+    rows = read_csv(tmp_path / "results.csv")
     assert [(r["task"], r["optimizer"]) for r in rows] == [
         ("cola_like", "adam"), ("stsb_like", "adam")]
 

@@ -40,6 +40,11 @@ COLA = make_task_spec("cola_like")
 STSB = make_task_spec("stsb_like")
 
 
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def small_data(spec=COLA, size=80, data_seed=3, split_seed=1):
     data = make_dataset(spec, size, seed=data_seed)
     return data, stratified_split(data, split_seed=split_seed)
@@ -409,7 +414,7 @@ def test_aggregate_curve_files_mean_and_std(tmp_path):
     write_raw_curves(tmp_path, [([0.4, 0.4], {2: 0.5}), ([0.6, 0.6], {2: 0.7})])
     (path,) = aggregate_curve_files(tmp_path)
     assert path.name == "curve_cola_like_adam_full.csv"
-    rows = list(csv.DictReader(open(path)))
+    rows = read_csv(path)
     assert [r["step"] for r in rows] == ["1", "2"]
     assert float(rows[0]["mean_loss"]) == pytest.approx(0.5)
     assert float(rows[0]["std_loss"]) == pytest.approx(0.1)
@@ -421,17 +426,21 @@ def test_aggregate_curve_files_mean_and_std(tmp_path):
 def test_aggregate_curve_files_identical_splits_zero_std(tmp_path):
     write_raw_curves(tmp_path, [([0.5, 0.3, 0.2], {3: 0.8})] * 5)
     (path,) = aggregate_curve_files(tmp_path)
-    rows = list(csv.DictReader(open(path)))
+    rows = read_csv(path)
     assert all(float(r["std_loss"]) == 0.0 for r in rows)
     assert float(rows[0]["mean_loss"]) == pytest.approx(0.5)
 
 
-def test_aggregate_curve_files_truncates_unequal_with_warning(tmp_path):
-    write_raw_curves(tmp_path, [([0.4, 0.4, 0.4], {3: 0.5}), ([0.6, 0.6], {2: 0.7})])
-    with pytest.warns(UserWarning, match="truncating"):
-        (path,) = aggregate_curve_files(tmp_path)
-    rows = list(csv.DictReader(open(path)))
-    assert len(rows) == 2
+@pytest.mark.parametrize("second", [([0.6, 0.6], {2: 0.7}), ([0.6, 0.6, 0.6], {2: 0.7})],
+                         ids=["fewer steps", "other dev step"])
+def test_aggregate_curve_files_rejects_splits_of_two_runs(tmp_path, second):
+    write_raw_curves(tmp_path, [([0.4, 0.4, 0.4], {3: 0.5}), second])
+    with pytest.raises(ValueError) as info:
+        aggregate_curve_files(tmp_path)
+    assert str(info.value) == (
+        f"{tmp_path / 'curve_raw_cola_like_adam_full_split*.csv'} differ in step count "
+        "or dev steps: a run directory holds each experiment once")
+    assert not (tmp_path / "curve_cola_like_adam_full.csv").exists()
 
 
 def test_aggregate_curve_files_rejects_gapped_steps(tmp_path):
@@ -456,14 +465,10 @@ def test_write_run_outputs_and_rebuild(tmp_path):
         "curve_raw_stsb_like_sgd_lr_only_split1.csv",
         "curve_raw_stsb_like_sgd_lr_only_split2.csv",
     }
-    rows = list(csv.DictReader(open(tmp_path / "results.csv")))
+    rows = read_csv(tmp_path / "results.csv")
     assert len(rows) == 2
     assert rows[0]["task"] == "stsb_like"
     assert float(rows[0]["test_score"]) == pytest.approx(splits[0].test)
-    # a second write appends its rows under the one header; the last row wins
-    write_run_outputs(run, splits, tmp_path)
-    lines = (tmp_path / "results.csv").read_text().splitlines()
-    assert len(lines) == 5 and lines[1:3] == lines[3:5]
     text = report_from_results_csv(tmp_path)
     assert text == (tmp_path / "report.txt").read_text()
     assert "SGD" in text and "stsb_like" in text
@@ -473,6 +478,15 @@ def test_write_run_outputs_and_rebuild(tmp_path):
         assert (tmp_path / "memory" / name).read_bytes() == (tmp_path / name).read_bytes()
     agg = aggregate_curve_files(tmp_path)
     assert [p.name for p in agg] == ["curve_stsb_like_sgd_lr_only.csv"]
+    # a second write appends its rows under the one header, and the results
+    # reader refuses the experiment it now holds twice
+    write_run_outputs(run, splits, tmp_path)
+    lines = (tmp_path / "results.csv").read_text().splitlines()
+    assert len(lines) == 5 and lines[1:3] == lines[3:5]
+    with pytest.raises(ValueError) as info:
+        report_from_results_csv(tmp_path)
+    assert str(info.value) == (
+        f"{tmp_path / 'results.csv'} line 4: repeats split 1 of stsb_like/sgd/lr_only")
 
 
 def expected_curve_rows(curves):
@@ -506,7 +520,8 @@ def test_aggregate_curve_files_matches_run_with_ten_plus_splits(tmp_path):
                                          "curve_stsb_like_sgd_defaults.csv"]
     for run, splits in zip(runs, results):
         path = tmp_path / f"curve_stsb_like_{run.optimizer.value}_defaults.csv"
-        rows = list(csv.reader(open(path, newline="")))
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["step", "mean_loss", "std_loss", "mean_dev", "std_dev"]
         assert rows[1:] == expected_curve_rows([s.curve for s in splits]), path.name
 
