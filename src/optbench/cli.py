@@ -11,11 +11,11 @@ experiment's RunSpec and split results to ``write_run_outputs``, which appends
 its rows to results.csv and writes its per-split study_<...>.json and
 curve_raw_<...>.csv files, so a run that stops early keeps what it finished. It
 then builds the aggregated curve_<...>.csv files and report.txt/report.csv with
-the functions ``curves`` and ``report`` call. Exit codes: 0 success, 2 invalid
-configuration (an ``--out`` or ``--in`` path that is not a directory, an
-``--out`` holding one of the run's experiments, or a run-directory file that
-cannot be read, is a directory or holds an experiment twice, which the message
-names), 3 no viable trial (every trial diverged).
+the functions ``curves`` and ``report`` call. Exit codes: 0 success, 1 internal
+failure (a traceback), 2 bad input or an unusable path, 3 no viable trial (every
+trial diverged). Bad input is a ``ConfigError``: a value the user chose (an option
+or name, a protocol parameter, a hyperparameter or a run-directory file) is wrong.
+An unusable path is an ``OSError``. Any other exception is the program's fault.
 """
 
 from __future__ import annotations
@@ -102,13 +102,13 @@ def _cmd_run(args) -> int:
         for repetition in range(1, run.n_splits + 1):
             try:
                 check_batch_size(experiment_data(run, repetition)[1], run.batch_size)
-            except ValueError as exc:
+            except ConfigError as exc:
                 raise ConfigError(f"{run.task.name} split {repetition}: {exc}") from None
     results = Path(args.out) / "results.csv"
     keys = {(run.task.name, run.optimizer, run.regime) for run in runs}
     for rec in read_results(results) if results.exists() else ():
-        if (rec.task, rec.optimizer, rec.regime) in keys:
-            raise ConfigError(f"{results} already holds {rec.task}/{rec.optimizer.value}/"
+        if (rec.task.name, rec.optimizer, rec.regime) in keys:
+            raise ConfigError(f"{results} already holds {rec.task.name}/{rec.optimizer.value}/"
                               f"{rec.regime.value}")
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)
@@ -133,19 +133,16 @@ def main(argv=None) -> int:
             return _cmd_run(args)
         if args.command == "report":
             print(report_from_results_csv(args.in_dir))
-            return EXIT_OK
-        if args.command == "curves":
+        else:  # curves; the parser accepts no other command
             for path in aggregate_curve_files(args.in_dir):
                 print(path)
-            return EXIT_OK
-    except (ConfigError, ValueError, FileNotFoundError, NotADirectoryError,
-            IsADirectoryError) as exc:
+        return EXIT_OK
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
     except NoViableTrialError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_VIABLE_TRIAL
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

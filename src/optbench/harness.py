@@ -31,6 +31,7 @@ import numpy as np
 
 from optbench.metrics import MetricKind, check_score, evaluate
 from optbench.optimizers import (
+    ConfigError,
     OptimizerConfig,
     OptimizerKind,
     apply_step,
@@ -140,11 +141,11 @@ class RunSpec:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ConfigError("epochs must be >= 1")
         if self.n_splits < 1:
-            raise ValueError("n_splits must be >= 1")
+            raise ConfigError("n_splits must be >= 1")
         if not 0 <= self.master_seed < 2**32:  # _entropy keeps 32 bits of it
-            raise ValueError(f"master_seed must be in [0, 2**32), got {self.master_seed}")
+            raise ConfigError(f"master_seed must be in [0, 2**32), got {self.master_seed}")
         check_trial_budget(self.trial_budget)
 
 
@@ -270,14 +271,17 @@ def run_study(run: RunSpec, dataset: Dataset, split: DataSplit, repetition: int
 
 @dataclass(frozen=True)
 class ScoreRecord:
-    """What a report needs of one experiment: its key, its metric and the
-    test score of each split, in split order."""
+    """What a report needs of one experiment: its key and the test score of
+    each split, in split order; its ``metric`` is its task's."""
 
-    task: str
+    task: TaskSpec
     optimizer: OptimizerKind
     regime: Regime
-    metric: MetricKind
     scores: tuple[float, ...]
+
+    @property
+    def metric(self) -> MetricKind:
+        return self.task.metric
 
     @property
     def mean(self) -> float:
@@ -332,7 +336,7 @@ def format_report(records) -> str:
     tables: dict = {}  # regime -> (task, optimizer) -> (metric, mean, std)
     for rec in records:
         cells = tables.setdefault(rec.regime, {})
-        cells[rec.task, rec.optimizer] = (rec.metric, rec.mean, rec.std)
+        cells[rec.task.name, rec.optimizer] = (rec.metric, rec.mean, rec.std)
     lines = []
     for regime in Regime:
         if regime not in tables:
@@ -370,10 +374,10 @@ def write_report(records, out_dir) -> str:
     out.mkdir(parents=True, exist_ok=True)
     text = format_report(records)
     (out / "report.txt").write_text(text)
-    order = sorted(records, key=lambda r: (r.regime.value, r.task,
+    order = sorted(records, key=lambda r: (r.regime.value, r.task.name,
                                            list(_REPORT_ROWS).index(r.optimizer)))
     _write_csv(out / "report.csv", _REPORT_COLUMNS, (
-        (rec.task, rec.optimizer.value, rec.regime.value, rec.metric.value, rec.mean,
+        (rec.task.name, rec.optimizer.value, rec.regime.value, rec.metric.value, rec.mean,
          rec.std, format_cell(rec.metric, rec.mean, rec.std)) for rec in order))
     return text
 
@@ -444,26 +448,29 @@ def write_run_outputs(run: RunSpec, splits, out_dir) -> None:
 
 
 def _csv_rows(path, columns, parsers):
-    """A CSV file's rows as (line number, dict) pairs, after checking that its
-    header has every name in ``columns`` and each row the header's number of
-    fields. A field named in ``parsers`` is replaced by its parser's value;
-    one it cannot parse raises ValueError naming the file and line."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{path} lacks column(s) {', '.join(missing)}")
-        for row in reader:
-            if None in row or None in row.values():
-                raise ValueError(f"{path} line {reader.line_num} does not have the "
-                                 f"header's {len(reader.fieldnames)} fields")
-            for column, parse in parsers.items():
-                try:
-                    row[column] = parse(row[column])
-                except ValueError:
-                    raise ValueError(f"{path} line {reader.line_num}: cannot read "
-                                     f"{column} {row[column]!r}") from None
-            yield reader.line_num, row
+    """A CSV file's rows as (line number, dict) pairs, after checking that it is
+    UTF-8 CSV text, its header has every name in ``columns`` and each row the
+    header's number of fields. A field named in ``parsers`` is replaced by its
+    parser's value; one it cannot parse raises ConfigError naming the file and line."""
+    with open(path, "rb") as fh:
+        reader = csv.DictReader(map(bytes.decode, fh))
+        try:
+            missing = [c for c in columns if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ConfigError(f"{path} lacks column(s) {', '.join(missing)}")
+            for row in reader:
+                if None in row or None in row.values():
+                    raise ConfigError(f"{path} line {reader.line_num} does not have the "
+                                      f"header's {len(reader.fieldnames)} fields")
+                for column, parse in parsers.items():
+                    try:
+                        row[column] = parse(row[column])
+                    except ValueError:
+                        raise ConfigError(f"{path} line {reader.line_num}: cannot read "
+                                          f"{column} {row[column]!r}") from None
+                yield reader.line_num, row
+        except (UnicodeDecodeError, csv.Error) as exc:  # raised past the last line read
+            raise ConfigError(f"{path} line {reader.line_num + 1}: {exc}") from None
 
 
 def _finite_float(text: str) -> float:
@@ -484,8 +491,8 @@ def _read_raw_curve(path) -> LearningCurve:
                      {"step": int, "loss": _finite_float, "dev": _finite_float_or_none})
     for step, (line, row) in enumerate(rows, start=1):
         if row["step"] != step:
-            raise ValueError(f"{path} line {line}: step {row['step']}, "
-                             f"expected {step} (steps run 1, 2, 3, ...)")
+            raise ConfigError(f"{path} line {line}: step {row['step']}, "
+                              f"expected {step} (steps run 1, 2, 3, ...)")
         losses.append(row["loss"])
         if row["dev"] is not None:
             dev_steps.append(step)
@@ -498,14 +505,14 @@ def _read_raw_curve(path) -> LearningCurve:
 def aggregate_curve_files(in_dir) -> list[Path]:
     """Build the curve_<...>.csv files from the raw per-split curves in a
     run directory; ``run`` and ``curves`` both call it. Raises
-    FileNotFoundError when the directory holds no raw curves, and ValueError
+    FileNotFoundError when the directory holds no raw curves, and ConfigError
     when an experiment's raw curves differ in step count or dev steps."""
     in_dir = Path(in_dir)
     groups: dict[str, list[tuple[int, Path]]] = {}
     for path in in_dir.glob("curve_raw_*_split*.csv"):
         stem, _, split = path.stem[len("curve_raw_"):].rpartition("_split")
         if not split.isdecimal():
-            raise ValueError(f"{path} does not end in _split<k>.csv with an integer k")
+            raise ConfigError(f"{path} does not end in _split<k>.csv with an integer k")
         groups.setdefault(stem, []).append((int(split), path))
     if not groups:
         raise FileNotFoundError(f"no curve_raw_*_split*.csv files in {in_dir}")
@@ -515,8 +522,8 @@ def aggregate_curve_files(in_dir) -> list[Path]:
         curves = [_read_raw_curve(p) for _, p in sorted(paths)]
         if any(c.losses.size != curves[0].losses.size
                or not np.array_equal(c.dev_steps, curves[0].dev_steps) for c in curves):
-            raise ValueError(f"{in_dir / f'curve_raw_{stem}_split*.csv'} differ in step "
-                             "count or dev steps: a run directory holds each experiment once")
+            raise ConfigError(f"{in_dir / f'curve_raw_{stem}_split*.csv'} differ in step "
+                              "count or dev steps: a run directory holds each experiment once")
         out_path = in_dir / f"curve_{stem}.csv"
         _write_csv(out_path, _CURVE_COLUMNS, _aggregate_curves(curves))
         written.append(out_path)
@@ -526,7 +533,7 @@ def aggregate_curve_files(in_dir) -> list[Path]:
 def read_results(path) -> list[ScoreRecord]:
     """The experiments a results.csv holds, in the order of their first rows,
     each with its scores in split order; an empty file holds none. Raises
-    ValueError naming the file (and line) when the header lacks a column or a
+    ConfigError naming the file (and line) when the header lacks a column or a
     row has the wrong number of fields, an unknown name, a split that is not
     an integer, a score outside its metric's range, or the (task, optimizer,
     regime, split) of an earlier row."""
@@ -539,15 +546,15 @@ def read_results(path) -> list[ScoreRecord]:
         try:
             check_score(row["task"].metric, row["test_score"])
         except ValueError as exc:
-            raise ValueError(f"{path} line {line}: {exc}") from None
+            raise ConfigError(f"{path} line {line}: {exc}") from None
         key = (row["task"], row["optimizer"], row["regime"])
         by_split = scores.setdefault(key, {})
         if row["split"] in by_split:
-            raise ValueError(f"{path} line {line}: repeats split {row['split']} of "
-                             f"{key[0].name}/{key[1].value}/{key[2].value}")
+            raise ConfigError(f"{path} line {line}: repeats split {row['split']} of "
+                              f"{key[0].name}/{key[1].value}/{key[2].value}")
         by_split[row["split"]] = row["test_score"]
     return [
-        ScoreRecord(task=task.name, optimizer=optimizer, regime=regime, metric=task.metric,
+        ScoreRecord(task=task, optimizer=optimizer, regime=regime,
                     scores=tuple(by_split[k] for k in sorted(by_split)))
         for (task, optimizer, regime), by_split in scores.items()
     ]
@@ -555,4 +562,8 @@ def read_results(path) -> list[ScoreRecord]:
 
 def report_from_results_csv(in_dir) -> str:
     """Write report.txt/report.csv from in_dir's results.csv; returns report.txt."""
-    return write_report(read_results(Path(in_dir) / "results.csv"), in_dir)
+    path = Path(in_dir) / "results.csv"
+    records = read_results(path)
+    if not records:
+        raise ConfigError(f"{path} holds no results to report")
+    return write_report(records, in_dir)

@@ -23,7 +23,7 @@ power term, so the first update uses t' = 1.
 
 ``apply_step`` is the one entry point and the one input check: it converts
 theta and g to float64 arrays unless they already are (the training loop's
-always are, so a step converts nothing), raises DimensionError unless theta,
+always are, so a step converts nothing), raises ValueError unless theta,
 g and the state's s, r and v are 1-d vectors of one length, and dispatches
 on ``config.kind`` to a private rule that only does arithmetic, with ufuncs
 rather than their Python wrappers. Steps are pure: they never mutate their
@@ -45,7 +45,6 @@ __all__ = [
     "OptimizerConfig",
     "OptimizerState",
     "ConfigError",
-    "DimensionError",
     "ADAPTIVE_KINDS",
     "default_config",
     "init_state",
@@ -55,11 +54,8 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """A hyperparameter value is out of range or a name or name list is invalid."""
-
-
-class DimensionError(ValueError):
-    """Parameter, gradient, or state vectors are not 1-d or their lengths disagree."""
+    """A value the user chose is wrong: a command-line option or name, a protocol parameter,
+    a hyperparameter, or a run-directory file. Any other exception means the program is wrong."""
 
 
 class OptimizerKind(str, Enum):
@@ -170,7 +166,7 @@ class OptimizerState:
 def init_state(config: OptimizerConfig, dim: int) -> OptimizerState:
     """Zero-initialized state for a ``dim``-dimensional parameter vector."""
     if dim < 1:
-        raise DimensionError(f"dim must be >= 1, got {dim}")
+        raise ValueError(f"dim must be >= 1, got {dim}")
     zeros = np.zeros(dim, dtype=np.float64)
     return OptimizerState(t=0, s=zeros.copy(), r=zeros.copy(), v=zeros.copy())
 
@@ -227,7 +223,7 @@ def adabound_bounds(t: int, config: OptimizerConfig) -> tuple[float, float]:
     and both converge to eps_star as t grows.
     """
     if t < 1:
-        raise ConfigError(f"bounds need t >= 1, got {t}")
+        raise ValueError(f"bounds need t >= 1, got {t}")
     lo = config.eps_star * (1.0 - 1.0 / (config.gamma * t + 1.0))
     hi = config.eps_star * (1.0 + 1.0 / (config.gamma * t))
     return lo, hi
@@ -260,7 +256,7 @@ _RULES = {
 def apply_step(config, state, theta, g):
     """One update step of ``config.kind``'s rule. Returns (theta', state').
 
-    Raises DimensionError unless theta, g and the state's s, r and v are 1-d
+    Raises ValueError unless theta, g and the state's s, r and v are 1-d
     vectors of one length; this is the only check on a step's inputs.
     """
     if type(theta) is not np.ndarray or theta.dtype != np.float64:
@@ -269,7 +265,7 @@ def apply_step(config, state, theta, g):
         g = np.asarray(g, dtype=np.float64)
     if theta.ndim != 1 or not (
             theta.shape == g.shape == state.s.shape == state.r.shape == state.v.shape):
-        raise DimensionError(f"theta, g, s, r and v must be 1-d vectors of one length, got "
-                             f"shapes {theta.shape}, {g.shape}, {state.s.shape}, "
-                             f"{state.r.shape} and {state.v.shape}")
+        raise ValueError(f"theta, g, s, r and v must be 1-d vectors of one length, got "
+                         f"shapes {theta.shape}, {g.shape}, {state.s.shape}, "
+                         f"{state.r.shape} and {state.v.shape}")
     return _RULES[config.kind](config, state, theta, g)

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from optbench.metrics import MetricKind
+from optbench.optimizers import ConfigError
 
 __all__ = [
     "TASK_NAMES",
@@ -119,7 +120,7 @@ def make_task_spec(name: str) -> TaskSpec:
     try:
         return _TASKS[name]
     except KeyError:
-        raise ValueError(f"unknown task name: {name!r} (expected one of {TASK_NAMES})") from None
+        raise ConfigError(f"unknown task name: {name!r} (expected one of {TASK_NAMES})") from None
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,7 @@ def make_dataset(spec: TaskSpec, size: int, seed: int) -> Dataset:
     map plus noise, min-max rescaled into TARGET_RANGE.
     """
     if size < 50:
-        raise ValueError(f"size must be >= 50, got {size}")
+        raise ConfigError(f"size must be >= 50, got {size}")
     rng = np.random.default_rng(seed)
     d = FEATURE_DIM
     if spec.task_type == "classification":
@@ -237,7 +238,7 @@ def stratified_split(data: Dataset, split_seed: int = 0) -> DataSplit:
     for stratum in np.unique(strata):
         idx = np.flatnonzero(strata == stratum)
         if idx.size < 3:
-            raise ValueError(
+            raise ConfigError(
                 f"{stratum_word} {stratum} has only {idx.size} members, need >= 3"
             )
         perm = rng.permutation(idx)
@@ -253,7 +254,7 @@ def stratified_split(data: Dataset, split_seed: int = 0) -> DataSplit:
 def check_batch_size(split: DataSplit, batch_size: int) -> None:
     """The one rule for a mini-batch size: 1 to the split's train size."""
     if not 1 <= batch_size <= split.train.size:
-        raise ValueError(f"batch_size must be in [1, {split.train.size}], got {batch_size}")
+        raise ConfigError(f"batch_size must be in [1, {split.train.size}], got {batch_size}")
 
 
 def epoch_batches(data: Dataset, split: DataSplit, batch_size: int, rng: np.random.Generator

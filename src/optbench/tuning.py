@@ -342,7 +342,7 @@ def save_study_json(study: StudyRecord, path) -> None:
 
 def load_study_json(path) -> StudyRecord:
     """The study ``save_study_json`` wrote to ``path``; text that is not a JSON
-    object, or a bad or missing value, names the file."""
+    object, or a bad or missing value, raises a ConfigError that names the file."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -355,7 +355,7 @@ def load_study_json(path) -> StudyRecord:
         for trial_doc in doc["trials"]:
             study.add(_trial_from_doc(trial_doc))
     except KeyError as exc:
-        raise ValueError(f"{path} lacks key {exc}") from None
+        raise ConfigError(f"{path} lacks key {exc}") from None
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ConfigError(f"{path}: {exc}") from None
     return study

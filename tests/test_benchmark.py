@@ -9,6 +9,7 @@ and ``run.py``'s own ``run_sequence`` and applies the same checks.
 """
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -53,6 +54,15 @@ def launch(tmp_path, mode, out):
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return spans
+
+
+def test_probe_stops_the_command_once_its_arguments_are_parsed(tmp_path):
+    # probe mode stops cli.main by raising from the parser, so a handler in
+    # main that caught that exception would fail every benchmark repetition
+    out = tmp_path / "out"
+    launch(tmp_path, "probe", out)
+    assert "parsed" in json.loads((tmp_path / "probe.marks.json").read_text())
+    assert not out.exists()
 
 
 def test_traced_run_passes_the_benchmark_output_checks(tmp_path, bench):

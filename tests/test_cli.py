@@ -3,12 +3,19 @@
 import csv
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from optbench.cli import EXIT_INVALID_CONFIG, EXIT_NO_VIABLE_TRIAL, EXIT_OK, main
 from optbench.harness import NoViableTrialError
+from optbench.metrics import check_score
 from optbench.optimizers import OptimizerKind
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*argv):
@@ -134,6 +141,8 @@ def test_run_checks_batch_size_before_any_experiment(tmp_path, capsys, monkeypat
     ("--batch-size", "51", "stsb_like split 1: batch_size must be in [1, 50], got 51"),
     ("--seed", "-1", "master_seed must be in [0, 2**32), got -1"),
     ("--seed", "4294967296", "master_seed must be in [0, 2**32), got 4294967296"),
+    ("--epochs", "0", "epochs must be >= 1"),
+    ("--splits", "0", "n_splits must be >= 1"),
 ])
 def test_run_checks_data_rules_before_any_experiment(tmp_path, capsys, option, value,
                                                      message):
@@ -150,6 +159,36 @@ def test_run_checks_trial_budget_before_any_experiment(tmp_path, capsys, trials)
     assert run_cli(*small_run_args(out, **{"--trials": trials})) == EXIT_INVALID_CONFIG
     assert not out.exists()
     assert capsys.readouterr().err == f"error: trial budget must be in [1, 30], got {trials}\n"
+
+
+def fake_evaluate(spec, preds, golds):
+    # an evaluate whose measure came out 1.5: a bug in the program, not bad input
+    return check_score(spec.metric, 1.5)
+
+
+def test_internal_failure_is_not_reported_as_bad_input(tmp_path, monkeypatch):
+    import optbench.harness as harness
+
+    monkeypatch.setattr(harness, "evaluate", fake_evaluate)
+    with pytest.raises(ValueError,
+                       match=r"^pearson score must be finite and in \[-1\.0, 1\], got 1\.5$"):
+        run_cli(*small_run_args(tmp_path))
+
+
+def test_internal_failure_exits_1_with_a_traceback(tmp_path):
+    code = ("import sys\n"
+            "import optbench.harness as harness\n"
+            "from optbench.metrics import check_score\n"
+            "harness.evaluate = lambda spec, preds, golds: check_score(spec.metric, 1.5)\n"
+            "from optbench.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", code, *small_run_args(tmp_path / "out")],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" in proc.stderr
+    assert proc.stderr.endswith(
+        "ValueError: pearson score must be finite and in [-1.0, 1], got 1.5\n")
 
 
 def test_run_rejects_unknown_optimizer_and_regime(tmp_path):
@@ -262,6 +301,15 @@ def test_run_into_directory_with_empty_results_csv(tmp_path):
     assert run_cli("report", "--in", str(tmp_path)) == EXIT_OK
 
 
+@pytest.mark.parametrize("text", ["task,optimizer,regime,split,test_score,best_dev,best_epoch\n",
+                                  ""], ids=["header only", "empty"])
+def test_report_names_results_csv_without_rows(tmp_path, capsys, text):
+    results = tmp_path / "results.csv"
+    results.write_text(text)
+    assert run_cli("report", "--in", str(tmp_path)) == EXIT_INVALID_CONFIG
+    assert capsys.readouterr().err == f"error: {results} holds no results to report\n"
+
+
 def test_report_names_missing_columns(tmp_path, capsys):
     results = tmp_path / "results.csv"
     results.write_text("task,optimizer\nstsb_like,sgd\n")
@@ -361,7 +409,15 @@ def test_report_rejects_short_results_row(tmp_path, capsys):
         f"error: {results} line {n_lines + 1} does not have the header's 7 fields\n")
 
 
-@pytest.mark.parametrize("fault", ["short row", "renamed column", "gapped steps"])
+# a line that is not UTF-8 text, and one with a field past the csv module's
+# 131,072-character limit, each with the problem its message names
+TEXT_FAULTS = {
+    "0xff": ("2,\xff,", "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
+    "long field": ("2," + "1" * 200_000 + ",", "field larger than field limit (131072)"),
+}
+
+
+@pytest.mark.parametrize("fault", ["short row", "renamed column", "gapped steps", *TEXT_FAULTS])
 def test_curves_rejects_malformed_raw_curve(tmp_path, capsys, fault):
     assert run_cli(*small_run_args(tmp_path)) == EXIT_OK
     raw = tmp_path / "curve_raw_stsb_like_sgd_lr_only_split1.csv"
@@ -372,13 +428,27 @@ def test_curves_rejects_malformed_raw_curve(tmp_path, capsys, fault):
     elif fault == "gapped steps":
         lines[2] = "3," + lines[2].split(",", 1)[1]
         expected = f"{raw} line 3: step 3, expected 2 (steps run 1, 2, 3, ...)"
+    elif fault in TEXT_FAULTS:
+        lines[2], problem = TEXT_FAULTS[fault]
+        expected = f"{raw} line 3: {problem}"
     else:
         lines[0] = "step,loss,devx"
         expected = f"{raw} lacks column(s) dev"
-    raw.write_text("\n".join(lines) + "\n")
+    # latin-1 writes "\xff" as the byte 0xff and every other character as ASCII
+    raw.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
     capsys.readouterr()
     assert run_cli("curves", "--in", str(tmp_path)) == EXIT_INVALID_CONFIG
     assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize("fault", list(TEXT_FAULTS))
+def test_report_rejects_results_csv_that_is_not_csv_text(tmp_path, capsys, fault):
+    path = tmp_path / "results.csv"
+    row, problem = TEXT_FAULTS[fault]
+    path.write_bytes(("task,optimizer,regime,split,test_score,best_dev,best_epoch\n"
+                      f"stsb_like,sgd,full,1,0.5,0.5,0\n{row}\n").encode("latin-1"))
+    assert run_cli("report", "--in", str(tmp_path)) == EXIT_INVALID_CONFIG
+    assert capsys.readouterr().err == f"error: {path} line 3: {problem}\n"
 
 
 @pytest.mark.parametrize("fault", ["test_score", "step", "loss", "task", "optimizer", "regime"])

@@ -315,8 +315,8 @@ def test_run_study_no_viable_trial():
 # ---------------------------------------------------------------------------
 
 def score_record(run, splits):
-    return ScoreRecord(task=run.task.name, optimizer=run.optimizer, regime=run.regime,
-                       metric=run.task.metric, scores=tuple(s.test for s in splits))
+    return ScoreRecord(task=run.task, optimizer=run.optimizer, regime=run.regime,
+                       scores=tuple(s.test for s in splits))
 
 
 def test_run_experiment_cardinality_and_aggregates():
@@ -363,10 +363,8 @@ def test_run_experiment_error_names_split():
 # Aggregation and report formatting
 # ---------------------------------------------------------------------------
 
-def fake_result(values, metric=MetricKind.ACCURACY, task=COLA,
-                optimizer=OptimizerKind.ADAM, regime=Regime.FULL):
-    return ScoreRecord(task=task.name, optimizer=optimizer, regime=regime,
-                       metric=metric, scores=tuple(values))
+def fake_result(values, task=COLA, optimizer=OptimizerKind.ADAM, regime=Regime.FULL):
+    return ScoreRecord(task=task, optimizer=optimizer, regime=regime, scores=tuple(values))
 
 
 def test_population_std_worked_example():
@@ -383,7 +381,7 @@ def test_format_cell_styles():
 
 
 def test_format_report_single_result():
-    res = fake_result([0.9, 0.9], metric=MetricKind.MATTHEWS)
+    res = fake_result([0.9, 0.9])  # cola_like: Matthews
     text = format_report([res])
     assert "== regime: full ==" in text
     assert "Adam" in text and "cola_like" in text
@@ -393,8 +391,9 @@ def test_format_report_single_result():
 
 
 def test_format_report_flags_best_per_column():
-    good = fake_result([0.9, 0.9], optimizer=OptimizerKind.ADAM)
-    worse = fake_result([0.7, 0.7], optimizer=OptimizerKind.SGD)
+    sst2 = make_task_spec("sst2_like")  # accuracy, a percent-scale metric
+    good = fake_result([0.9, 0.9], task=sst2, optimizer=OptimizerKind.ADAM)
+    worse = fake_result([0.7, 0.7], task=sst2, optimizer=OptimizerKind.SGD)
     text = format_report([good, worse])
     assert "90.00 (0.00)*" in text
     assert "70.00 (0.00)*" not in text and "70.00 (0.00)" in text
