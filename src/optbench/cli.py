@@ -7,11 +7,11 @@
 
 ``run`` executes the five-split protocol into an ``--out`` whose results.csv
 holds none of its experiments. As each experiment finishes it passes that
-experiment's RunSpec and split results to ``write_run_outputs``, which appends
-its rows to results.csv and writes its per-split study_<...>.json and
-curve_raw_<...>.csv files, so a run that stops early keeps what it finished. It
-then builds the aggregated curve_<...>.csv files and report.txt/report.csv with
-the functions ``curves`` and ``report`` call. Exit codes: 0 success, 1 internal
+experiment's RunSpec and split results to ``write_run_outputs``, which writes
+its per-split study_<...>.json and curve_raw_<...>.csv files, its aggregated
+curve_<...>.csv and, last, its results.csv rows, so a run that stops early keeps
+what it finished. Of ``--out`` it reads only results.csv, from which it then
+builds report.txt/report.csv as ``report`` does. Exit codes: 0 success, 1 internal
 failure (a traceback), 2 bad input or an unusable path, 3 no viable trial (every
 trial diverged). Bad input is a ``ConfigError``: a value the user chose (an option
 or name, a protocol parameter, a hyperparameter or a run-directory file) is wrong.
@@ -119,7 +119,6 @@ def _cmd_run(args) -> int:
             print(f"running {run.task.name} / {run.optimizer.value} / {run.regime.value} ...",
                   file=sys.stderr)
         write_run_outputs(run, run_experiment(run), args.out)
-    aggregate_curve_files(args.out)
     report_from_results_csv(args.out)
     if not args.quiet:
         print(f"wrote {len(runs)} experiment(s) to {args.out}", file=sys.stderr)

@@ -8,11 +8,11 @@ best dev epoch, and may be stopped early by median pruning. The chosen
 trial's snapshot is scored once on the test partition, and the per-split
 test scores are aggregated as mean and population standard deviation.
 ``run_experiment`` returns one experiment's ``SplitResult``s, which
-``write_run_outputs`` writes under names taken from its RunSpec; reports and
-aggregated curves are built from the run directory alone. Every CSV file of
-a run directory is written by ``_write_csv``, with one cell format: a float
-is Python's shortest repr that reads back exactly, a missing value an empty
-field, and a file gets its header once.
+``write_run_outputs`` writes in full under names taken from its RunSpec, its
+results.csv rows last; reports are built from results.csv alone. Every CSV
+file of a run directory is written by ``_write_csv``, with one cell format: a
+float is Python's shortest repr that reads back exactly, a missing value an
+empty field, and a file gets its header once.
 
 Every random choice is drawn from a stream derived from the master seed and
 a fixed label path, so a whole experiment is a pure function of its RunSpec
@@ -385,7 +385,8 @@ def write_report(records, out_dir) -> str:
 # ---------------------------------------------------------------------------
 # Run-directory persistence (consumed by the CLI). A run directory holds each
 # (task, optimizer, regime) experiment once: ``run`` checks results.csv before
-# it trains, and a reader refuses a directory that holds one twice.
+# it trains, and a reader refuses a directory that holds one twice. An
+# experiment is complete iff results.csv holds its rows.
 # ---------------------------------------------------------------------------
 
 def _write_csv(path, columns, rows, mode="w") -> None:
@@ -409,35 +410,33 @@ def _epoch_column(n_steps: int, dev_steps: np.ndarray, values: np.ndarray) -> li
     return column
 
 
-def _aggregate_curves(curves: list[LearningCurve]
-                      ) -> list[tuple[int, float, float, float | None, float | None]]:
-    """Pointwise mean/std across the splits of curves that share their step
-    count and dev steps. Rows: (step, mean_loss, std_loss, mean_dev,
-    std_dev); dev columns are None except at epoch-end steps."""
+def _write_curve(out_dir: Path, stem: str, curves: list[LearningCurve]) -> Path:
+    """Write curve_<stem>.csv: per step, the mean/std across one experiment's curves
+    (in split order, with one step count and dev steps) of the loss, and of the dev
+    score at epoch-end steps, None elsewhere."""
     # step-major, so each step reduces one contiguous vector of its splits;
     # a reduction along axis 0 of a split-major stack groups the float sums
     # differently and can change the last bits
     losses = np.stack([c.losses for c in curves], axis=1)
     devs = np.stack([c.dev_scores for c in curves], axis=1)
     n_steps, dev_steps = losses.shape[0], curves[0].dev_steps
-    return list(zip(range(1, n_steps + 1), losses.mean(axis=1).tolist(),
-                    losses.std(axis=1).tolist(),
-                    _epoch_column(n_steps, dev_steps, devs.mean(axis=1)),
-                    _epoch_column(n_steps, dev_steps, devs.std(axis=1))))
+    path = out_dir / f"curve_{stem}.csv"
+    _write_csv(path, _CURVE_COLUMNS, zip(
+        range(1, n_steps + 1), losses.mean(axis=1).tolist(), losses.std(axis=1).tolist(),
+        _epoch_column(n_steps, dev_steps, devs.mean(axis=1)),
+        _epoch_column(n_steps, dev_steps, devs.std(axis=1))))
+    return path
 
 
 def write_run_outputs(run: RunSpec, splits, out_dir) -> None:
-    """One finished experiment's files, named from its RunSpec: the rows of
-    ``splits`` appended to results.csv (after the header if the file is
-    empty), and a study JSON and a raw curve file per split. The ``run``
-    command calls it as each experiment finishes, so a run that stops early
-    keeps what it finished; ``report`` and ``curves`` build the rest from them."""
+    """One finished experiment's files, named from its RunSpec: a study JSON and a
+    raw curve per split, the aggregated curve, and last the rows of ``splits``
+    appended to results.csv, so a row there means every file of its experiment
+    exists. ``run`` calls it as each experiment finishes, so a run that stops
+    early keeps what it finished."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     key = (run.task.name, run.optimizer.value, run.regime.value)
-    _write_csv(out / "results.csv", _RESULTS_COLUMNS,
-               ((*key, s.repetition, s.test, s.trial.best_dev, s.trial.best_epoch)
-                for s in splits), mode="a")
     stem = "_".join(key)
     for s in splits:
         save_study_json(s.study, out / f"study_{stem}_split{s.repetition}.json")
@@ -445,6 +444,10 @@ def write_run_outputs(run: RunSpec, splits, out_dir) -> None:
         dev = _epoch_column(len(losses), s.curve.dev_steps, s.curve.dev_scores)
         _write_csv(out / f"curve_raw_{stem}_split{s.repetition}.csv", _RAW_CURVE_COLUMNS,
                    zip(range(1, len(losses) + 1), losses, dev))
+    _write_curve(out, stem, [s.curve for s in splits])
+    _write_csv(out / "results.csv", _RESULTS_COLUMNS,
+               ((*key, s.repetition, s.test, s.trial.best_dev, s.trial.best_epoch)
+                for s in splits), mode="a")
 
 
 def _csv_rows(path, columns, parsers):
@@ -503,8 +506,8 @@ def _read_raw_curve(path) -> LearningCurve:
 
 
 def aggregate_curve_files(in_dir) -> list[Path]:
-    """Build the curve_<...>.csv files from the raw per-split curves in a
-    run directory; ``run`` and ``curves`` both call it. Raises
+    """Rebuild, for ``curves``, the curve_<...>.csv files ``write_run_outputs`` wrote,
+    byte for byte, from the raw per-split curves in a run directory. Raises
     FileNotFoundError when the directory holds no raw curves, and ConfigError
     when an experiment's raw curves differ in step count or dev steps."""
     in_dir = Path(in_dir)
@@ -524,9 +527,7 @@ def aggregate_curve_files(in_dir) -> list[Path]:
                or not np.array_equal(c.dev_steps, curves[0].dev_steps) for c in curves):
             raise ConfigError(f"{in_dir / f'curve_raw_{stem}_split*.csv'} differ in step "
                               "count or dev steps: a run directory holds each experiment once")
-        out_path = in_dir / f"curve_{stem}.csv"
-        _write_csv(out_path, _CURVE_COLUMNS, _aggregate_curves(curves))
-        written.append(out_path)
+        written.append(_write_curve(in_dir, stem, curves))
     return written
 
 

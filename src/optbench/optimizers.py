@@ -45,7 +45,6 @@ __all__ = [
     "OptimizerConfig",
     "OptimizerState",
     "ConfigError",
-    "ADAPTIVE_KINDS",
     "default_config",
     "init_state",
     "adabound_bounds",
@@ -74,15 +73,6 @@ class OptimizerKind(str, Enum):
         except ValueError:
             raise ConfigError(f"unknown optimizer kind: {text!r}") from None
 
-
-# The five optimizers that rescale their learning rate per coordinate.
-ADAPTIVE_KINDS = (
-    OptimizerKind.ADAM,
-    OptimizerKind.NADAM,
-    OptimizerKind.ADAMW,
-    OptimizerKind.ADAMAX,
-    OptimizerKind.ADABOUND,
-)
 
 @dataclass(frozen=True)
 class OptimizerConfig:

@@ -116,9 +116,10 @@ TASK_NAMES = tuple(_TASKS)
 
 
 def make_task_spec(name: str) -> TaskSpec:
-    """Canonical spec for one of the five benchmark tasks."""
+    """Canonical spec for one of the five benchmark tasks; names ignore case and
+    surrounding whitespace, as optimizer and regime names do."""
     try:
-        return _TASKS[name]
+        return _TASKS[name.strip().lower()]
     except KeyError:
         raise ConfigError(f"unknown task name: {name!r} (expected one of {TASK_NAMES})") from None
 

@@ -24,7 +24,6 @@ from optbench.harness import (
 )
 from optbench.metrics import accuracy, evaluate, macro_f1, matthews_corr, pearson_corr
 from optbench.optimizers import (
-    ADAPTIVE_KINDS,
     OptimizerKind,
     OptimizerState,
     apply_step,
@@ -40,6 +39,11 @@ from optbench.tasks import (
 )
 from optbench.tuning import Regime, load_study_json
 from reference_optimizers import ref_step
+
+# the paper's five adaptive optimizers, stated here rather than imported, so the
+# check does not read the table it tests
+ADAPTIVE_KINDS = (OptimizerKind.ADAM, OptimizerKind.NADAM, OptimizerKind.ADAMW,
+                  OptimizerKind.ADAMAX, OptimizerKind.ADABOUND)
 
 ALL_KINDS = list(OptimizerKind)
 

@@ -231,10 +231,61 @@ def test_run_keeps_finished_experiments_when_one_fails(tmp_path, capsys, monkeyp
         "study_stsb_like_sgd_lr_only_split2.json",
         "curve_raw_stsb_like_sgd_lr_only_split1.csv",
         "curve_raw_stsb_like_sgd_lr_only_split2.csv",
+        "curve_stsb_like_sgd_lr_only.csv",
     }
     capsys.readouterr()
     assert run_cli("report", "--in", str(tmp_path)) == EXIT_OK
     assert "SGD" in capsys.readouterr().out
+
+
+def test_run_writes_results_rows_after_the_other_files(tmp_path, capsys, monkeypatch):
+    # a write that fails leaves no results.csv row naming files that do not exist,
+    # so the experiment is not held and may run again
+    import optbench.harness as harness
+
+    real_save_study_json = harness.save_study_json
+
+    def save_study_json(study, path):
+        if study.optimizer is OptimizerKind.ADAM:
+            raise OSError(f"cannot write {path}")
+        real_save_study_json(study, path)
+
+    monkeypatch.setattr(harness, "save_study_json", save_study_json)
+    args = small_run_args(tmp_path, optimizer="sgd,adam", regime="defaults")
+    assert run_cli(*args) == EXIT_INVALID_CONFIG
+    assert "cannot write" in capsys.readouterr().err
+    rows = read_csv(tmp_path / "results.csv")
+    assert [(r["optimizer"], r["split"]) for r in rows] == [("sgd", "1"), ("sgd", "2")]
+    assert (tmp_path / "curve_stsb_like_sgd_defaults.csv").exists()
+    monkeypatch.undo()
+    assert run_cli(*small_run_args(tmp_path, optimizer="adam", regime="defaults")) == EXIT_OK
+    assert [r["optimizer"] for r in read_csv(tmp_path / "report.csv")] == ["adam", "sgd"]
+
+
+def test_run_reads_no_raw_curve(tmp_path, monkeypatch):
+    import optbench.harness as harness
+
+    def read_raw_curve(path):
+        raise AssertionError(f"run read {path}")
+
+    monkeypatch.setattr(harness, "_read_raw_curve", read_raw_curve)
+    assert run_cli(*small_run_args(tmp_path)) == EXIT_OK
+
+
+def test_run_is_not_stopped_by_a_raw_curve_an_earlier_run_wrote(tmp_path, capsys):
+    # run reads only results.csv of --out; a malformed raw curve is for curves to report
+    assert run_cli(*small_run_args(tmp_path, regime="defaults")) == EXIT_OK
+    raw = tmp_path / "curve_raw_stsb_like_sgd_defaults_split1.csv"
+    lines = raw.read_text().splitlines()
+    lines[2] = "2,notanumber,"
+    raw.write_text("\n".join(lines) + "\n")
+    assert run_cli(*small_run_args(tmp_path, optimizer="adam", regime="defaults")) == EXIT_OK
+    report = (tmp_path / "report.txt").read_text()
+    rows = {line.split(" ")[0] for line in report.splitlines()}
+    assert "SGD" in rows and "Adam" in rows
+    capsys.readouterr()
+    assert run_cli("curves", "--in", str(tmp_path)) == EXIT_INVALID_CONFIG
+    assert capsys.readouterr().err == f"error: {raw} line 3: cannot read loss 'notanumber'\n"
 
 
 def directory_bytes(path):
@@ -364,7 +415,7 @@ def test_determinism_across_directories(tmp_path):
 
 def test_run_drops_repeated_names(tmp_path):
     assert run_cli(*small_run_args(
-        tmp_path, task="stsb_like,stsb_like", optimizer="sgd,SGD",
+        tmp_path, task="stsb_like,STSB_LIKE", optimizer="sgd,SGD",
         regime="defaults,defaults", **{"--epochs": "1"})) == EXIT_OK
     rows = read_csv(tmp_path / "results.csv")
     assert [r["split"] for r in rows] == ["1", "2"]

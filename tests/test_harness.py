@@ -463,6 +463,7 @@ def test_write_run_outputs_and_rebuild(tmp_path):
         "study_stsb_like_sgd_lr_only_split2.json",
         "curve_raw_stsb_like_sgd_lr_only_split1.csv",
         "curve_raw_stsb_like_sgd_lr_only_split2.csv",
+        "curve_stsb_like_sgd_lr_only.csv",
     }
     rows = read_csv(tmp_path / "results.csv")
     assert len(rows) == 2
@@ -475,8 +476,10 @@ def test_write_run_outputs_and_rebuild(tmp_path):
     assert write_report([score_record(run, splits)], tmp_path / "memory") == text
     for name in ("report.txt", "report.csv"):
         assert (tmp_path / "memory" / name).read_bytes() == (tmp_path / name).read_bytes()
+    written = (tmp_path / "curve_stsb_like_sgd_lr_only.csv").read_bytes()
     agg = aggregate_curve_files(tmp_path)
     assert [p.name for p in agg] == ["curve_stsb_like_sgd_lr_only.csv"]
+    assert agg[0].read_bytes() == written
     # a second write appends its rows under the one header, and the results
     # reader refuses the experiment it now holds twice
     write_run_outputs(run, splits, tmp_path)
@@ -514,9 +517,12 @@ def test_aggregate_curve_files_matches_run_with_ten_plus_splits(tmp_path):
     results = [run_experiment(run) for run in runs]
     for run, splits in zip(runs, results):
         write_run_outputs(run, splits, tmp_path)
+    names = ["curve_stsb_like_adam_defaults.csv", "curve_stsb_like_sgd_defaults.csv"]
+    written = [(tmp_path / name).read_bytes() for name in names]
     rebuilt = aggregate_curve_files(tmp_path)
-    assert [p.name for p in rebuilt] == ["curve_stsb_like_adam_defaults.csv",
-                                         "curve_stsb_like_sgd_defaults.csv"]
+    assert [p.name for p in rebuilt] == names
+    # the rebuild from raw curve files writes the bytes the run wrote from memory
+    assert [p.read_bytes() for p in rebuilt] == written
     for run, splits in zip(runs, results):
         path = tmp_path / f"curve_stsb_like_{run.optimizer.value}_defaults.csv"
         with open(path, newline="") as fh:

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from optbench.optimizers import (
-    ADAPTIVE_KINDS,
     ConfigError,
     OptimizerKind,
     OptimizerState,
@@ -22,10 +21,16 @@ from optbench.tuning import (
     StudyRecord,
     TrialRecord,
     TrialStatus,
+    _SEARCHED,
     load_study_json,
     save_study_json,
 )
 from reference_optimizers import ref_step
+
+# the paper's five adaptive optimizers, stated here rather than imported, so the
+# check does not read the table it tests
+ADAPTIVE_KINDS = (OptimizerKind.ADAM, OptimizerKind.NADAM, OptimizerKind.ADAMW,
+                  OptimizerKind.ADAMAX, OptimizerKind.ADABOUND)
 
 ALL_KINDS = list(OptimizerKind)
 
@@ -431,3 +436,33 @@ def test_default_epsilon_values():
     for kind in ADAPTIVE_KINDS:
         c = default_config(kind)
         assert (c.rho1, c.rho2, c.delta) == (0.9, 0.999, 1e-8)
+
+
+# Searched hyperparameters that no update rule reads: Nadam's momentum strength
+# and AdaMax's delta (ROADMAP item 14).
+UNREAD_SEARCHED = {(OptimizerKind.NADAM, "alpha"), (OptimizerKind.ADAMAX, "delta")}
+
+
+def test_every_searched_hyperparameter_but_the_unread_ones_changes_a_step():
+    # nonzero moments and velocity, with AdaMax's r above |g| in coordinate 0. At
+    # t' = 1 the tiny coordinate 2 keeps AdaBound's epsilon / sqrt(r') above its
+    # lower bound, so epsilon acts; at t' = 10**4 the bounds have closed in on
+    # eps_star and clip every coordinate, so eps_star and gamma act.
+    theta, g = np.array([0.5, -1.0, 2.0]), np.array([0.3, -0.2, 1e-4])
+    states = [OptimizerState(t=t, s=np.array([0.1, -0.05, 1e-5]),
+                             r=np.array([0.5, 0.01, 1e-8]), v=np.array([0.01, -0.02, 0.03]))
+              for t in (0, 9_999)]
+
+    def step(kind, name, value, state):
+        theta2, state2 = apply_step(cfg(kind, **{name: value}), state, theta, g)
+        return theta2, state2.s, state2.r, state2.v
+
+    read = set()
+    for kind, params in _SEARCHED.items():
+        for p in params:
+            for state in states:
+                low, high = step(kind, p.name, p.low, state), step(kind, p.name, p.high, state)
+                if not all(np.array_equal(a, b) for a, b in zip(low, high)):
+                    read.add((kind, p.name))
+    searched = {(kind, p.name) for kind, params in _SEARCHED.items() for p in params}
+    assert searched - read == UNREAD_SEARCHED

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from optbench.optimizers import (
-    ADAPTIVE_KINDS,
     ConfigError,
     OptimizerConfig,
     OptimizerKind,
@@ -28,6 +27,11 @@ from optbench.tuning import (
     should_prune,
     suggest,
 )
+
+# the paper's five adaptive optimizers, stated here rather than imported, so the
+# check does not read the table it tests
+ADAPTIVE_KINDS = (OptimizerKind.ADAM, OptimizerKind.NADAM, OptimizerKind.ADAMW,
+                  OptimizerKind.ADAMAX, OptimizerKind.ADABOUND)
 
 ALL_KINDS = list(OptimizerKind)
 
