@@ -6,7 +6,9 @@
     optbench curves --in runs/demo
 
 ``run`` executes the five-split protocol into an ``--out`` whose results.csv
-holds none of its experiments. As each experiment finishes it passes that
+holds none of its experiments. First it makes each task's data once, for all
+of the task's experiments (``experiment_data`` checks ``--size`` and
+``--batch-size`` there). As each experiment finishes it passes that
 experiment's RunSpec and split results to ``write_run_outputs``, which writes
 its per-split study_<...>.json and curve_raw_<...>.csv files, its aggregated
 curve_<...>.csv and, last, its results.csv rows, so a run that stops early keeps
@@ -36,7 +38,7 @@ from optbench.harness import (
     write_run_outputs,
 )
 from optbench.optimizers import ConfigError, OptimizerKind
-from optbench.tasks import TASK_NAMES, check_batch_size, make_task_spec
+from optbench.tasks import TASK_NAMES, make_task_spec
 from optbench.tuning import Regime
 
 EXIT_OK = 0
@@ -97,13 +99,8 @@ def _cmd_run(args) -> int:
                     n_splits=args.splits, master_seed=args.seed,
                     trial_budget=args.trials, dataset_size=args.size)
             for task in tasks for optimizer in optimizers for regime in regimes]
-    # a run's data depend only on its task, so one run per task covers them all
-    for run in {run.task.name: run for run in runs}.values():
-        for repetition in range(1, run.n_splits + 1):
-            try:
-                check_batch_size(experiment_data(run, repetition)[1], run.batch_size)
-            except ConfigError as exc:
-                raise ConfigError(f"{run.task.name} split {repetition}: {exc}") from None
+    # a run's data depend only on its task, so one run per task makes them for all
+    data = {task: experiment_data(run) for task, run in {r.task: r for r in runs}.items()}
     results = Path(args.out) / "results.csv"
     keys = {(run.task.name, run.optimizer, run.regime) for run in runs}
     for rec in read_results(results) if results.exists() else ():
@@ -118,7 +115,7 @@ def _cmd_run(args) -> int:
         if not args.quiet:
             print(f"running {run.task.name} / {run.optimizer.value} / {run.regime.value} ...",
                   file=sys.stderr)
-        write_run_outputs(run, run_experiment(run), args.out)
+        write_run_outputs(run, run_experiment(run, data[run.task]), args.out)
     report_from_results_csv(args.out)
     if not args.quiet:
         print(f"wrote {len(runs)} experiment(s) to {args.out}", file=sys.stderr)

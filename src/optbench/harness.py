@@ -7,6 +7,7 @@ mini-batches (default batch size 4), keeps the parameter snapshot from its
 best dev epoch, and may be stopped early by median pruning. The chosen
 trial's snapshot is scored once on the test partition, and the per-split
 test scores are aggregated as mean and population standard deviation.
+``experiment_data`` makes a task's data once, for all of its experiments;
 ``run_experiment`` returns one experiment's ``SplitResult``s, which
 ``write_run_outputs`` writes in full under names taken from its RunSpec, its
 results.csv rows last; reports are built from results.csv alone. Every CSV
@@ -41,6 +42,7 @@ from optbench.tasks import (
     DataSplit,
     Dataset,
     TaskSpec,
+    check_batch_size,
     epoch_batches,
     init_params,
     loss_and_grad,
@@ -126,8 +128,8 @@ def _entropy(master_seed: int, labels) -> list[int]:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Protocol parameters for one (task, optimizer, regime) experiment. Where the
-    data are made, ``make_dataset`` checks dataset_size and ``check_batch_size`` batch_size."""
+    """Protocol parameters for one (task, optimizer, regime) experiment.
+    ``experiment_data`` checks dataset_size and batch_size as it makes the data."""
 
     task: TaskSpec
     optimizer: OptimizerKind
@@ -293,26 +295,32 @@ class ScoreRecord:
         return float(np.std(self.scores))
 
 
-def experiment_data(run: RunSpec, repetition: int) -> tuple[Dataset, DataSplit]:
-    """Dataset and stratified split for one repetition (1-based).
+def experiment_data(run: RunSpec) -> tuple[tuple[Dataset, DataSplit], ...]:
+    """Every split's dataset and stratified split for ``run``'s task, in split
+    order, made and checked once for all of the task's experiments. Tasks flagged
+    ``resample_per_split`` build a dataset per split; the others build one and
+    re-split it. A bad dataset or batch size raises ConfigError naming the split."""
+    task, data = run.task, []
+    for repetition in range(1, run.n_splits + 1):
+        try:
+            if task.resample_per_split or repetition == 1:
+                dataset = make_dataset(task, run.dataset_size, labeled_seed(
+                    run.master_seed, task.name, "data",
+                    repetition if task.resample_per_split else 0))
+            split = stratified_split(dataset, labeled_seed(
+                run.master_seed, task.name, "split", repetition))
+            check_batch_size(split, run.batch_size)
+        except ConfigError as exc:
+            raise ConfigError(f"{task.name} split {repetition}: {exc}") from None
+        data.append((dataset, split))
+    return tuple(data)
 
-    Tasks flagged ``resample_per_split`` regenerate their dataset in every
-    repetition; the others keep one dataset and only re-split it.
-    """
-    task = run.task
-    data_label = repetition if task.resample_per_split else 0
-    dataset = make_dataset(task, run.dataset_size,
-                           labeled_seed(run.master_seed, task.name, "data", data_label))
-    split = stratified_split(dataset,
-                             labeled_seed(run.master_seed, task.name, "split", repetition))
-    return dataset, split
 
-
-def run_experiment(run: RunSpec) -> tuple[SplitResult, ...]:
-    """The ``SplitResult``s of one (task, optimizer, regime), in split order:
-    one ``run_study`` per repetition, on that repetition's data."""
-    return tuple(run_study(run, *experiment_data(run, repetition), repetition)
-                 for repetition in range(1, run.n_splits + 1))
+def run_experiment(run: RunSpec, data) -> tuple[SplitResult, ...]:
+    """The ``SplitResult``s of one (task, optimizer, regime), in split order: one
+    ``run_study`` per split of ``data``, its task's ``experiment_data``."""
+    return tuple(run_study(run, dataset, split, repetition)
+                 for repetition, (dataset, split) in enumerate(data, start=1))
 
 
 # ---------------------------------------------------------------------------

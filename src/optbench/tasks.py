@@ -83,16 +83,6 @@ class TaskSpec:
     nuisance_scale: float = 1.0
     resample_per_split: bool = False
 
-    def __post_init__(self):
-        if self.model not in ("logistic", "mlp", "linear"):
-            raise ValueError(f"bad model: {self.model!r}")
-        if (self.model == "linear") != (self.class_probs is None):
-            raise ValueError("the linear model is regression-only and takes no class_probs; "
-                             "the logistic and mlp models classify and need them")
-        probs = self.class_probs
-        if probs is not None and (len(probs) < 2 or abs(sum(probs) - 1.0) > 1e-9):
-            raise ValueError("class_probs must have at least 2 entries and sum to 1")
-
     @property
     def task_type(self) -> str:  # "classification" | "regression"
         return "regression" if self.model == "linear" else "classification"
@@ -226,7 +216,7 @@ def _strata(data: Dataset) -> tuple[np.ndarray, str]:
     return np.digitize(data.targets, edges), "target-quintile bin"
 
 
-def stratified_split(data: Dataset, split_seed: int = 0) -> DataSplit:
+def stratified_split(data: Dataset, split_seed: int) -> DataSplit:
     """Stratified train/dev/test partition in ``SPLIT_RATIOS``, deterministic
     in ``split_seed``.
 

@@ -365,7 +365,7 @@ def test_criterion_7_tuning_helps_on_cola():
         run = RunSpec(task=task, optimizer=OptimizerKind.ADAM, regime=regime,
                       epochs=4, n_splits=5, master_seed=20,
                       trial_budget=30, dataset_size=3000)
-        results[regime] = run_experiment(run)
+        results[regime] = run_experiment(run, experiment_data(run))
     tuned = results[Regime.LR_ONLY]
     defaults = results[Regime.DEFAULTS]
     tuned_mean = float(np.mean([s.test for s in tuned]))

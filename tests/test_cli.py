@@ -211,15 +211,33 @@ def test_run_no_viable_trial_exit_code(tmp_path, capsys, monkeypatch):
     assert "diverged" in capsys.readouterr().err
 
 
+def test_run_makes_each_task_data_once(tmp_path, monkeypatch):
+    # every experiment of a task runs on the same data: one dataset per task
+    # (one per split for sst2_like and mnli_like) and one split per task and split
+    import optbench.harness as harness
+
+    calls = {"make_dataset": 0, "stratified_split": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(harness, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counted)
+    assert run_cli(*small_run_args(tmp_path, task="all", optimizer="sgd,adam",
+                                   regime="defaults,lr_only")) == EXIT_OK
+    assert len(read_csv(tmp_path / "results.csv")) == 5 * 2 * 2 * 2
+    assert calls == {"make_dataset": 3 * 1 + 2 * 2, "stratified_split": 5 * 2}
+
+
 def test_run_keeps_finished_experiments_when_one_fails(tmp_path, capsys, monkeypatch):
     import optbench.cli as cli
 
     real_run_experiment = cli.run_experiment
 
-    def run_experiment(run):
+    def run_experiment(run, data):
         if run.optimizer is OptimizerKind.ADAM:
             raise NoViableTrialError("every trial diverged: adam")
-        return real_run_experiment(run)
+        return real_run_experiment(run, data)
 
     monkeypatch.setattr(cli, "run_experiment", run_experiment)
     assert run_cli(*small_run_args(tmp_path, optimizer="sgd,adam")) == EXIT_NO_VIABLE_TRIAL

@@ -207,7 +207,7 @@ def run_spec(task=COLA, optimizer=OptimizerKind.ADAM, regime=Regime.LR_ONLY, **k
 
 def test_run_study_defaults_regime_single_table_trial():
     run = run_spec(regime=Regime.DEFAULTS)
-    data, split = experiment_data(run, 1)
+    data, split = experiment_data(run)[0]
     outcome = run_study(run, data, split, repetition=1)
     assert len(outcome.study.trials) == 1
     assert outcome.study.trials[0].config == default_config(OptimizerKind.ADAM)
@@ -220,7 +220,7 @@ def test_run_study_defaults_regime_single_table_trial():
 def test_run_study_budget_accounting():
     for regime, expected in ((Regime.LR_ONLY, 6), (Regime.FULL, 6), (Regime.DEFAULTS, 1)):
         run = run_spec(regime=regime)
-        data, split = experiment_data(run, 1)
+        data, split = experiment_data(run)[0]
         outcome = run_study(run, data, split, repetition=1)
         assert len(outcome.study.trials) == expected
 
@@ -229,7 +229,7 @@ def test_run_study_seeds_defaults_for_sgd_family_only():
     for kind, seeded in ((OptimizerKind.SGD, True), (OptimizerKind.SGDM, True),
                          (OptimizerKind.ADAM, False)):
         run = run_spec(optimizer=kind)
-        data, split = experiment_data(run, 1)
+        data, split = experiment_data(run)[0]
         outcome = run_study(run, data, split, repetition=1)
         first = outcome.study.trials[0].config
         assert (first == default_config(kind)) == seeded
@@ -239,7 +239,7 @@ def test_run_study_sampler_seed_replays_its_configs():
     # the stored sampler_seed is the seed of the stream that drew every config
     for kind in (OptimizerKind.SGDM, OptimizerKind.ADAM):
         run = run_spec(optimizer=kind, regime=Regime.FULL)
-        study = run_study(run, *experiment_data(run, 1), repetition=1).study
+        study = run_study(run, *experiment_data(run)[0], repetition=1).study
         replay = StudyRecord(optimizer=kind, regime=Regime.FULL,
                              sampler_seed=study.sampler_seed, max_trials=run.trial_budget)
         for trial in study.trials:
@@ -257,7 +257,7 @@ def test_regime_ordering_lr_only_beats_defaults(kind):
                     trial_budget=5, dataset_size=80)
         run_lr = run_spec(regime=Regime.LR_ONLY, **base)
         run_def = run_spec(regime=Regime.DEFAULTS, **base)
-        data, split = experiment_data(run_lr, 1)
+        data, split = experiment_data(run_lr)[0]
         best_lr = run_study(run_lr, data, split, repetition=1).trial.best_dev
         best_def = run_study(run_def, data, split, repetition=1).trial.best_dev
         assert best_lr >= best_def
@@ -265,14 +265,14 @@ def test_regime_ordering_lr_only_beats_defaults(kind):
 
 def test_run_study_full_beats_own_first_trial():
     run = run_spec(regime=Regime.FULL, trial_budget=8)
-    data, split = experiment_data(run, 1)
+    data, split = experiment_data(run)[0]
     outcome = run_study(run, data, split, repetition=1)
     assert outcome.trial.best_dev >= outcome.study.trials[0].best_dev
 
 
 def test_run_study_suggested_configs_within_ranges():
     run = run_spec(optimizer=OptimizerKind.ADABOUND, regime=Regime.FULL, trial_budget=12)
-    data, split = experiment_data(run, 1)
+    data, split = experiment_data(run)[0]
     outcome = run_study(run, data, split, repetition=1)
     for trial in outcome.study.trials:
         c = trial.config
@@ -287,7 +287,7 @@ def test_run_study_suggested_configs_within_ranges():
 def test_run_study_pruned_trials_were_below_contemporaneous_median():
     run = run_spec(task=COLA, optimizer=OptimizerKind.ADAM, regime=Regime.LR_ONLY,
                    epochs=6, trial_budget=25, dataset_size=120, master_seed=3)
-    data, split = experiment_data(run, 1)
+    data, split = experiment_data(run)[0]
     outcome = run_study(run, data, split, repetition=1)
     trials = outcome.study.trials
     pruned = [i for i, t in enumerate(trials) if t.status is TrialStatus.PRUNED]
@@ -305,7 +305,7 @@ def test_run_study_no_viable_trial():
     spec = dataclasses.replace(STSB, feature_scale=300.0)
     run = run_spec(task=spec, optimizer=OptimizerKind.SGD, regime=Regime.DEFAULTS,
                    epochs=8)
-    data, split = experiment_data(run, 1)
+    data, split = experiment_data(run)[0]
     with pytest.raises(NoViableTrialError):
         run_study(run, data, split, repetition=1)
 
@@ -321,7 +321,7 @@ def score_record(run, splits):
 
 def test_run_experiment_cardinality_and_aggregates():
     run = run_spec(optimizer=OptimizerKind.SGD, task=STSB, n_splits=3, trial_budget=3)
-    splits = run_experiment(run)
+    splits = run_experiment(run, experiment_data(run))
     assert [s.repetition for s in splits] == [1, 2, 3]
     rec = score_record(run, splits)
     scores = np.array([s.test for s in splits])
@@ -332,23 +332,40 @@ def test_run_experiment_cardinality_and_aggregates():
 
 def test_run_experiment_deterministic():
     run = run_spec(task=STSB, optimizer=OptimizerKind.ADAM, n_splits=2, trial_budget=4)
-    a, b = run_experiment(run), run_experiment(run)
+    a, b = (run_experiment(run, experiment_data(run)) for _ in range(2))
     for sa, sb in zip(a, b):
         assert sa.test == sb.test
         assert sa.trial.config == sb.trial.config
         np.testing.assert_array_equal(sa.curve.losses, sb.curve.losses)
 
 
+def per_split_data(run, repetition):
+    """One split's data as a separate build for each split makes them."""
+    task = run.task
+    data_label = repetition if task.resample_per_split else 0
+    dataset = make_dataset(task, run.dataset_size,
+                           labeled_seed(run.master_seed, task.name, "data", data_label))
+    return dataset, stratified_split(
+        dataset, labeled_seed(run.master_seed, task.name, "split", repetition))
+
+
 def test_experiment_data_resampling_policy():
-    static = run_spec(task=COLA)
-    d1, s1 = experiment_data(static, 1)
-    d2, s2 = experiment_data(static, 2)
-    np.testing.assert_array_equal(d1.features, d2.features)  # one dataset, re-split
+    static = run_spec(task=COLA, n_splits=3)
+    (d1, s1), (d2, s2), (d3, _) = experiment_data(static)
+    assert d1 is d2 is d3  # one dataset, re-split
     assert not np.array_equal(s1.train, s2.train)
-    resampled = run_spec(task=make_task_spec("sst2_like"))
-    r1, _ = experiment_data(resampled, 1)
-    r2, _ = experiment_data(resampled, 2)
-    assert not np.array_equal(r1.features, r2.features)
+    resampled = run_spec(task=make_task_spec("sst2_like"), n_splits=3)
+    datasets = [dataset for dataset, _ in experiment_data(resampled)]
+    assert len({id(dataset) for dataset in datasets}) == 3
+    assert not np.array_equal(datasets[0].features, datasets[1].features)
+    # each split's arrays are the ones a build of that split alone gives
+    for run in (static, resampled):
+        for repetition, (dataset, split) in enumerate(experiment_data(run), start=1):
+            alone, alone_split = per_split_data(run, repetition)
+            np.testing.assert_array_equal(dataset.features, alone.features)
+            np.testing.assert_array_equal(dataset.targets, alone.targets)
+            for part in ("train", "dev", "test"):
+                np.testing.assert_array_equal(getattr(split, part), getattr(alone_split, part))
 
 
 def test_run_experiment_error_names_split():
@@ -356,7 +373,7 @@ def test_run_experiment_error_names_split():
     run = run_spec(task=spec, optimizer=OptimizerKind.SGD, regime=Regime.DEFAULTS,
                    epochs=8)
     with pytest.raises(NoViableTrialError, match="split 1"):
-        run_experiment(run)
+        run_experiment(run, experiment_data(run))
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +472,7 @@ def test_aggregate_curve_files_rejects_gapped_steps(tmp_path):
 
 def test_write_run_outputs_and_rebuild(tmp_path):
     run = run_spec(task=STSB, optimizer=OptimizerKind.SGD, n_splits=2, trial_budget=3)
-    splits = run_experiment(run)
+    splits = run_experiment(run, experiment_data(run))
     write_run_outputs(run, splits, tmp_path)
     assert {p.name for p in tmp_path.iterdir()} == {
         "results.csv",
@@ -514,7 +531,7 @@ def test_aggregate_curve_files_matches_run_with_ten_plus_splits(tmp_path):
     runs = [run_spec(task=STSB, optimizer=kind, regime=Regime.DEFAULTS, n_splits=12,
                      epochs=2, dataset_size=60)
             for kind in (OptimizerKind.SGD, OptimizerKind.ADAM)]
-    results = [run_experiment(run) for run in runs]
+    results = [run_experiment(run, experiment_data(run)) for run in runs]
     for run, splits in zip(runs, results):
         write_run_outputs(run, splits, tmp_path)
     names = ["curve_stsb_like_adam_defaults.csv", "curve_stsb_like_sgd_defaults.csv"]
@@ -555,7 +572,7 @@ def test_tuned_sgd_matches_line_searched_gd_on_convex_task():
     run = RunSpec(task=STSB, optimizer=OptimizerKind.SGD, regime=Regime.LR_ONLY,
                   epochs=100, batch_size=4, n_splits=1, master_seed=5,
                   trial_budget=30, dataset_size=150)
-    data, split = experiment_data(run, 1)
+    data, split = experiment_data(run)[0]
     x, y = data.features[split.train], data.targets[split.train]
     gd_loss = gd_line_search_loss(STSB, x, y)
     outcome = run_study(run, data, split, repetition=1)

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from optbench.metrics import MetricKind
 from optbench.tasks import (
     FEATURE_DIM,
     TASK_NAMES,
@@ -341,13 +340,18 @@ def test_theta_of_wrong_length_is_rejected(name, extra):
 
 def test_taskspec_validation():
     with pytest.raises(ValueError):
-        TaskSpec(name="x", metric=MetricKind.ACCURACY, class_probs=(0.6, 0.3))
-    with pytest.raises(ValueError):
-        TaskSpec(name="x", metric=MetricKind.PEARSON, model="logistic")
-    with pytest.raises(ValueError):
-        TaskSpec(name="x", metric=MetricKind.ACCURACY, class_probs=(0.6, 0.4), model="linear")
-    with pytest.raises(ValueError):
         make_task_spec("qqp_like")
+
+
+def test_task_table_follows_the_taskspec_rules():
+    # TaskSpec checks nothing itself: every spec comes from the task table
+    for spec in (make_task_spec(name) for name in TASK_NAMES):
+        assert spec.model in ("logistic", "mlp", "linear"), spec.name
+        # the linear model is regression-only; the classifiers need a class skew
+        assert (spec.model == "linear") == (spec.class_probs is None), spec.name
+        if spec.class_probs is not None:
+            assert len(spec.class_probs) >= 2, spec.name
+            assert math.isclose(sum(spec.class_probs), 1.0, abs_tol=1e-9), spec.name
 
 
 def test_every_taskspec_field_varies_across_tasks():
