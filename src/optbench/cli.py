@@ -13,10 +13,12 @@ experiment's RunSpec and split results to ``write_run_outputs``, which writes
 its per-split study_<...>.json and curve_raw_<...>.csv files, its aggregated
 curve_<...>.csv and, last, its results.csv rows, so a run that stops early keeps
 what it finished. Of ``--out`` it reads only results.csv, from which it then
-builds report.txt/report.csv as ``report`` does. Exit codes: 0 success, 1 internal
-failure (a traceback), 2 bad input or an unusable path, 3 no viable trial (every
-trial diverged). Bad input is a ``ConfigError``: a value the user chose (an option
-or name, a protocol parameter, a hyperparameter or a run-directory file) is wrong.
+builds report.txt/report.csv as ``report`` does. ``report`` and ``curves`` take
+``--in``'s experiments from its results.csv alone; ``curves`` reads only the raw
+curves of the splits listed there. Exit codes: 0 success, 1 internal failure (a
+traceback), 2 bad input or an unusable path, 3 no viable trial (every trial
+diverged). Bad input is a ``ConfigError``: a value the user chose (an option or
+name, a protocol parameter, a hyperparameter or a run-directory file) is wrong.
 An unusable path is an ``OSError``. Any other exception is the program's fault.
 """
 

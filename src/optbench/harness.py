@@ -10,10 +10,11 @@ test scores are aggregated as mean and population standard deviation.
 ``experiment_data`` makes a task's data once, for all of its experiments;
 ``run_experiment`` returns one experiment's ``SplitResult``s, which
 ``write_run_outputs`` writes in full under names taken from its RunSpec, its
-results.csv rows last; reports are built from results.csv alone. Every CSV
-file of a run directory is written by ``_write_csv``, with one cell format: a
-float is Python's shortest repr that reads back exactly, a missing value an
-empty field, and a file gets its header once.
+results.csv rows last; ``report`` and ``curves`` rebuild from the experiments
+results.csv lists and read no other file of the directory. Every CSV file of a
+run directory is written by ``_write_csv``, with one cell format: a float is
+Python's shortest repr that reads back exactly, a missing value an empty field,
+and a file gets its header once.
 
 Every random choice is drawn from a stream derived from the master seed and
 a fixed label path, so a whole experiment is a pure function of its RunSpec
@@ -166,8 +167,8 @@ def train(config: OptimizerConfig, dataset: Dataset, split: DataSplit, *,
           ) -> tuple[np.ndarray, TrialRecord, LearningCurve]:
     """Train one configuration on one split.
 
-    Runs ``epochs`` passes of shuffled mini-batches (``epoch_batches``
-    gathers each epoch's rows once and checks the batch size), logging the
+    Checks ``batch_size`` once, then runs ``epochs`` passes of shuffled
+    mini-batches (``epoch_batches`` gathers each epoch's rows once), logging the
     training loss at every step and the dev score after every epoch. Each
     step is one ``loss_and_grad`` and one ``apply_step`` call, looked up in
     this module, so a test or tracer may wrap either. Returns the
@@ -179,6 +180,7 @@ def train(config: OptimizerConfig, dataset: Dataset, split: DataSplit, *,
     is treated as -inf downstream; these two checks are the only place a
     trial is judged diverged.
     """
+    check_batch_size(split, batch_size)
     spec = dataset.spec
     theta0 = theta = init_params(spec, labeled_rng(seed, "init"))
     batch_rng = labeled_rng(seed, "batches")
@@ -514,23 +516,16 @@ def _read_raw_curve(path) -> LearningCurve:
 
 
 def aggregate_curve_files(in_dir) -> list[Path]:
-    """Rebuild, for ``curves``, the curve_<...>.csv files ``write_run_outputs`` wrote,
-    byte for byte, from the raw per-split curves in a run directory. Raises
-    FileNotFoundError when the directory holds no raw curves, and ConfigError
-    when an experiment's raw curves differ in step count or dev steps."""
+    """Rebuild, for ``curves``, each curve_<...>.csv ``write_run_outputs`` wrote, byte
+    for byte, from the raw curves of the splits results.csv lists and no other file.
+    Raises ConfigError when an experiment's raw curves differ in step count or dev
+    steps, and OSError when one is missing."""
     in_dir = Path(in_dir)
-    groups: dict[str, list[tuple[int, Path]]] = {}
-    for path in in_dir.glob("curve_raw_*_split*.csv"):
-        stem, _, split = path.stem[len("curve_raw_"):].rpartition("_split")
-        if not split.isdecimal():
-            raise ConfigError(f"{path} does not end in _split<k>.csv with an integer k")
-        groups.setdefault(stem, []).append((int(split), path))
-    if not groups:
-        raise FileNotFoundError(f"no curve_raw_*_split*.csv files in {in_dir}")
     written = []
-    for stem, paths in sorted(groups.items()):
-        # split order, not name order (split10 < split2): the float sums depend on it
-        curves = [_read_raw_curve(p) for _, p in sorted(paths)]
+    for rec in _listed_experiments(in_dir):
+        stem = f"{rec.task.name}_{rec.optimizer.value}_{rec.regime.value}"
+        curves = [_read_raw_curve(in_dir / f"curve_raw_{stem}_split{k}.csv")
+                  for k in range(1, len(rec.scores) + 1)]
         if any(c.losses.size != curves[0].losses.size
                or not np.array_equal(c.dev_steps, curves[0].dev_steps) for c in curves):
             raise ConfigError(f"{in_dir / f'curve_raw_{stem}_split*.csv'} differ in step "
@@ -540,39 +535,42 @@ def aggregate_curve_files(in_dir) -> list[Path]:
 
 
 def read_results(path) -> list[ScoreRecord]:
-    """The experiments a results.csv holds, in the order of their first rows,
-    each with its scores in split order; an empty file holds none. Raises
-    ConfigError naming the file (and line) when the header lacks a column or a
-    row has the wrong number of fields, an unknown name, a split that is not
-    an integer, a score outside its metric's range, or the (task, optimizer,
-    regime, split) of an earlier row."""
+    """The experiments a results.csv holds, in the order of their first rows; an
+    empty file holds none. An experiment's rows run split 1, 2, 3, ... in order, so
+    its ``scores[i]`` is split i + 1's. Raises ConfigError naming the file (and
+    line) when the header lacks a column or a row has the wrong number of fields,
+    an unknown name, a split that is not an integer or out of that order (an
+    experiment held twice repeats split 1), or a score outside its metric's range."""
     if Path(path).stat().st_size == 0:  # a run killed before it wrote the header
         return []
     parsers = {"task": make_task_spec, "optimizer": OptimizerKind.parse,
                "regime": Regime.parse, "split": int, "test_score": _finite_float}
-    scores: dict[tuple[TaskSpec, OptimizerKind, Regime], dict[int, float]] = {}
+    scores: dict[tuple[TaskSpec, OptimizerKind, Regime], list[float]] = {}
     for line, row in _csv_rows(path, _RESULTS_COLUMNS, parsers):
         try:
             check_score(row["task"].metric, row["test_score"])
         except ValueError as exc:
             raise ConfigError(f"{path} line {line}: {exc}") from None
         key = (row["task"], row["optimizer"], row["regime"])
-        by_split = scores.setdefault(key, {})
-        if row["split"] in by_split:
-            raise ConfigError(f"{path} line {line}: repeats split {row['split']} of "
-                              f"{key[0].name}/{key[1].value}/{key[2].value}")
-        by_split[row["split"]] = row["test_score"]
-    return [
-        ScoreRecord(task=task, optimizer=optimizer, regime=regime,
-                    scores=tuple(by_split[k] for k in sorted(by_split)))
-        for (task, optimizer, regime), by_split in scores.items()
-    ]
+        held = scores.setdefault(key, [])
+        if row["split"] != len(held) + 1:
+            raise ConfigError(f"{path} line {line}: split {row['split']} of "
+                              f"{key[0].name}/{key[1].value}/{key[2].value}, expected "
+                              f"{len(held) + 1} (an experiment's splits run 1, 2, 3, ...)")
+        held.append(row["test_score"])
+    return [ScoreRecord(task=task, optimizer=optimizer, regime=regime, scores=tuple(held))
+            for (task, optimizer, regime), held in scores.items()]
+
+
+def _listed_experiments(in_dir) -> list[ScoreRecord]:
+    """The experiments in_dir's results.csv lists, for ``report`` and ``curves``; a
+    file without rows raises ConfigError naming it."""
+    path = Path(in_dir) / "results.csv"
+    if not (records := read_results(path)):
+        raise ConfigError(f"{path} holds no results")
+    return records
 
 
 def report_from_results_csv(in_dir) -> str:
     """Write report.txt/report.csv from in_dir's results.csv; returns report.txt."""
-    path = Path(in_dir) / "results.csv"
-    records = read_results(path)
-    if not records:
-        raise ConfigError(f"{path} holds no results to report")
-    return write_report(records, in_dir)
+    return write_report(_listed_experiments(in_dir), in_dir)

@@ -253,9 +253,8 @@ def epoch_batches(data: Dataset, split: DataSplit, batch_size: int, rng: np.rand
     """One epoch's mini-batches as (features, targets) pairs: a fresh shuffle
     of the train set, gathered once and cut into consecutive batches (the
     last one may be short), so one epoch's batches hold each train example
-    exactly once. A batch_size equal to the train size gives exact GD;
-    ``check_batch_size`` rejects one outside [1, train size]."""
-    check_batch_size(split, batch_size)
+    exactly once. A batch_size equal to the train size gives exact GD; the
+    caller checks it with ``check_batch_size``."""
     order = rng.permutation(split.train)
     x, y = data.features[order], data.targets[order]
     return [(x[i:i + batch_size], y[i:i + batch_size]) for i in range(0, order.size, batch_size)]

@@ -66,16 +66,23 @@ def test_small_run_bytes_are_pinned(tmp_path):
         listing = "".join(f"{path.name} {sha256(path)}\n" for path in paths)
         return hashlib.sha256(listing.encode()).hexdigest()
 
-    raw = sorted(tmp_path.glob("curve_raw_*.csv"))
-    curves = sorted(set(tmp_path.glob("curve_*.csv")) - set(raw))
-    studies = sorted(tmp_path.glob("study_*.json"))
-    assert len(raw) == len(curves) == len(studies) == 5 * 7 * 2
-    assert sha256(tmp_path / "results.csv") == GOLDEN_RESULTS_SHA256
-    assert sha256(tmp_path / "report.txt") == GOLDEN_REPORT_TXT_SHA256
-    assert sha256(tmp_path / "report.csv") == GOLDEN_REPORT_CSV_SHA256
-    assert listing_sha256(raw) == GOLDEN_RAW_CURVES_SHA256
-    assert listing_sha256(curves) == GOLDEN_CURVES_SHA256
-    assert listing_sha256(studies) == GOLDEN_STUDIES_SHA256
+    def assert_pins():
+        raw = sorted(tmp_path.glob("curve_raw_*.csv"))
+        curves = sorted(set(tmp_path.glob("curve_*.csv")) - set(raw))
+        studies = sorted(tmp_path.glob("study_*.json"))
+        assert len(raw) == len(curves) == len(studies) == 5 * 7 * 2
+        assert sha256(tmp_path / "results.csv") == GOLDEN_RESULTS_SHA256
+        assert sha256(tmp_path / "report.txt") == GOLDEN_REPORT_TXT_SHA256
+        assert sha256(tmp_path / "report.csv") == GOLDEN_REPORT_CSV_SHA256
+        assert listing_sha256(raw) == GOLDEN_RAW_CURVES_SHA256
+        assert listing_sha256(curves) == GOLDEN_CURVES_SHA256
+        assert listing_sha256(studies) == GOLDEN_STUDIES_SHA256
+
+    assert_pins()
+    # report and curves rebuild, for every task and optimizer, the bytes run wrote
+    assert run_cli("report", "--in", str(tmp_path)) == EXIT_OK
+    assert run_cli("curves", "--in", str(tmp_path)) == EXIT_OK
+    assert_pins()
 
 
 def test_run_writes_expected_files(tmp_path):
@@ -376,7 +383,60 @@ def test_report_names_results_csv_without_rows(tmp_path, capsys, text):
     results = tmp_path / "results.csv"
     results.write_text(text)
     assert run_cli("report", "--in", str(tmp_path)) == EXIT_INVALID_CONFIG
-    assert capsys.readouterr().err == f"error: {results} holds no results to report\n"
+    assert capsys.readouterr().err == f"error: {results} holds no results\n"
+
+
+@pytest.mark.parametrize("text", ["task,optimizer,regime,split,test_score,best_dev,best_epoch\n",
+                                  "", None], ids=["header only", "empty", "missing"])
+def test_curves_takes_experiments_from_results_csv_alone(tmp_path, capsys, text):
+    # raw curves that results.csv does not list are no experiment of the directory
+    assert run_cli(*small_run_args(tmp_path)) == EXIT_OK
+    results = tmp_path / "results.csv"
+    if text is None:
+        results.unlink()
+    else:
+        results.write_text(text)
+    capsys.readouterr()
+    assert run_cli("curves", "--in", str(tmp_path)) == EXIT_INVALID_CONFIG
+    err = capsys.readouterr().err
+    if text is None:
+        assert err.startswith("error: [Errno 2] No such file or directory")
+        assert str(results) in err
+    else:
+        assert err == f"error: {results} holds no results\n"
+
+
+def test_curves_ignores_raw_curves_of_a_failed_write(tmp_path, monkeypatch):
+    # a run whose write fails leaves raw curves without results.csv rows; a
+    # later run of the experiment at other parameters overwrites only some
+    import optbench.harness as harness
+
+    def write_curve(out_dir, stem, curves):
+        raise OSError("no space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_write_curve", write_curve)
+        assert run_cli(*small_run_args(tmp_path, optimizer="adam")) == EXIT_INVALID_CONFIG
+    assert run_cli(*small_run_args(tmp_path, optimizer="adam",
+                                   **{"--splits": "1", "--seed": "4"})) == EXIT_OK
+    assert (tmp_path / "curve_raw_stsb_like_adam_lr_only_split2.csv").is_file()
+    curve = tmp_path / "curve_stsb_like_adam_lr_only.csv"
+    written = curve.read_bytes()
+    assert run_cli("curves", "--in", str(tmp_path)) == EXIT_OK
+    assert curve.read_bytes() == written
+
+
+@pytest.mark.parametrize("splits, problem", [
+    ((1, 3), "line 3: split 3 of stsb_like/sgd/full, expected 2"),
+    ((2, 1), "line 2: split 2 of stsb_like/sgd/full, expected 1"),
+], ids=["gapped", "out of order"])
+def test_report_rejects_splits_out_of_order(tmp_path, capsys, splits, problem):
+    path = tmp_path / "results.csv"
+    path.write_text("task,optimizer,regime,split,test_score,best_dev,best_epoch\n" + "".join(
+        f"stsb_like,sgd,full,{k},0.5,0.5,0\n" for k in splits))
+    assert run_cli("report", "--in", str(tmp_path)) == EXIT_INVALID_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {path} {problem} (an experiment's splits run 1, 2, 3, ...)\n")
 
 
 def test_report_names_missing_columns(tmp_path, capsys):
@@ -398,6 +458,10 @@ def test_report_missing_directory(tmp_path, command, where):
         (tmp_path / "results.csv").mkdir()
     if where == "curve-dir":
         (tmp_path / "curve_raw_stsb_like_sgd_defaults_split1.csv").mkdir()
+        if command == "curves":  # so that curves reads it
+            (tmp_path / "results.csv").write_text(
+                "task,optimizer,regime,split,test_score,best_dev,best_epoch\n"
+                "stsb_like,sgd,defaults,1,0.5,0.5,0\n")
     assert run_cli(command, "--in", str(in_dir)) == EXIT_INVALID_CONFIG
 
 
@@ -573,14 +637,3 @@ def test_curves_rejects_non_finite_loss(tmp_path, capsys, loss):
     capsys.readouterr()
     assert run_cli("curves", "--in", str(tmp_path)) == EXIT_INVALID_CONFIG
     assert capsys.readouterr().err == f"error: {path} line 4: cannot read loss {loss!r}\n"
-
-
-def test_curves_names_raw_curve_without_integer_split(tmp_path, capsys):
-    assert run_cli(*small_run_args(tmp_path, regime="defaults")) == EXIT_OK
-    raw = tmp_path / "curve_raw_stsb_like_sgd_defaults_split1.csv"
-    bad = tmp_path / "curve_raw_stsb_like_sgd_defaults_splitx.csv"
-    bad.write_bytes(raw.read_bytes())
-    capsys.readouterr()
-    assert run_cli("curves", "--in", str(tmp_path)) == EXIT_INVALID_CONFIG
-    assert capsys.readouterr().err == (
-        f"error: {bad} does not end in _split<k>.csv with an integer k\n")

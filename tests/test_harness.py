@@ -68,6 +68,7 @@ def test_labeled_streams_deterministic_and_distinct():
 def test_learning_curve_validation(tmp_path):
     # a curve enters from outside only as a raw curve file, so its reader
     # checks what train builds right by construction
+    write_raw_curves(tmp_path, [([0.5], {})])
     path = tmp_path / "curve_raw_cola_like_adam_full_split1.csv"
     for rows, match in (
         ("1,0.5,\n2,0.5,0.1\n2,0.5,0.1", "line 4: step 2, expected 3"),  # a repeated dev step
@@ -183,6 +184,13 @@ def test_train_stops_at_first_nonfinite_step(monkeypatch, fault):
     n_losses = bad_call if fault == "theta" else bad_call - 1
     np.testing.assert_array_equal(curve.losses, full_curve.losses[:n_losses])
     np.testing.assert_array_equal(params, first_params)
+
+
+def test_train_rejects_oversized_batch():
+    data, split = small_data()
+    with pytest.raises(ValueError):
+        train(default_config(OptimizerKind.SGD), data, split, epochs=1,
+              batch_size=split.train.size + 1, seed=0)
 
 
 def test_train_prune_hook_stops_early():
@@ -416,14 +424,19 @@ def test_format_report_flags_best_per_column():
     assert "70.00 (0.00)*" not in text and "70.00 (0.00)" in text
 
 
-def write_raw_curves(out_dir, splits, stem="cola_like_adam_full"):
-    """Hand-written ``curve_raw_<stem>_split<k>.csv`` files, one per
-    (losses, {step: dev score}) pair, with steps numbered from 1."""
+def write_raw_curves(out_dir, splits):
+    """Hand-written ``curve_raw_cola_like_adam_full_split<k>.csv`` files, one per
+    (losses, {step: dev score}) pair, with steps numbered from 1, and the
+    results.csv that lists those splits."""
+    results = ["task,optimizer,regime,split,test_score,best_dev,best_epoch"]
     for k, (losses, devs) in enumerate(splits, start=1):
         lines = ["step,loss,dev"]
         for step, loss in enumerate(losses, start=1):
             lines.append(f"{step},{loss!r}," + (repr(devs[step]) if step in devs else ""))
-        (out_dir / f"curve_raw_{stem}_split{k}.csv").write_text("\n".join(lines) + "\n")
+        (out_dir / f"curve_raw_cola_like_adam_full_split{k}.csv").write_text(
+            "\n".join(lines) + "\n")
+        results.append(f"cola_like,adam,full,{k},0.5,0.5,0")
+    (out_dir / "results.csv").write_text("\n".join(results) + "\n")
 
 
 def test_aggregate_curve_files_mean_and_std(tmp_path):
@@ -460,6 +473,7 @@ def test_aggregate_curve_files_rejects_splits_of_two_runs(tmp_path, second):
 
 
 def test_aggregate_curve_files_rejects_gapped_steps(tmp_path):
+    write_raw_curves(tmp_path, [([0.4], {})])
     (tmp_path / "curve_raw_cola_like_adam_full_split1.csv").write_text(
         "step,loss,dev\n1,0.4,\n3,0.4,\n5,0.4,0.5\n")
     with pytest.raises(ValueError, match="line 3: step 3, expected 2"):
@@ -505,7 +519,8 @@ def test_write_run_outputs_and_rebuild(tmp_path):
     with pytest.raises(ValueError) as info:
         report_from_results_csv(tmp_path)
     assert str(info.value) == (
-        f"{tmp_path / 'results.csv'} line 4: repeats split 1 of stsb_like/sgd/lr_only")
+        f"{tmp_path / 'results.csv'} line 4: split 1 of stsb_like/sgd/lr_only, expected 3 "
+        "(an experiment's splits run 1, 2, 3, ...)")
 
 
 def expected_curve_rows(curves):
@@ -527,14 +542,15 @@ def expected_curve_rows(curves):
 
 
 def test_aggregate_curve_files_matches_run_with_ten_plus_splits(tmp_path):
-    # split10 sorts before split2 by name; the float sums depend on the order
+    # split10 sorts before split2 by name; the float sums depend on the order,
+    # and curves come in the order of the experiments' first results.csv rows
     runs = [run_spec(task=STSB, optimizer=kind, regime=Regime.DEFAULTS, n_splits=12,
                      epochs=2, dataset_size=60)
             for kind in (OptimizerKind.SGD, OptimizerKind.ADAM)]
     results = [run_experiment(run, experiment_data(run)) for run in runs]
     for run, splits in zip(runs, results):
         write_run_outputs(run, splits, tmp_path)
-    names = ["curve_stsb_like_adam_defaults.csv", "curve_stsb_like_sgd_defaults.csv"]
+    names = ["curve_stsb_like_sgd_defaults.csv", "curve_stsb_like_adam_defaults.csv"]
     written = [(tmp_path / name).read_bytes() for name in names]
     rebuilt = aggregate_curve_files(tmp_path)
     assert [p.name for p in rebuilt] == names

@@ -192,13 +192,6 @@ def test_epoch_batches_full_batch_is_exact_gd():
     assert sorted(rows[0]) == sorted(split.train.tolist())
 
 
-def test_epoch_batches_rejects_oversized_batch():
-    data = make_dataset(make_task_spec("cola_like"), 60, seed=1)
-    split = stratified_split(data, split_seed=1)
-    with pytest.raises(ValueError):
-        epoch_batches(data, split, split.train.size + 1, np.random.default_rng(0))
-
-
 # ---------------------------------------------------------------------------
 # Models: loss, gradient, prediction
 # ---------------------------------------------------------------------------
