@@ -43,6 +43,8 @@ from optbench.optimizers import ConfigError, OptimizerKind
 from optbench.tasks import TASK_NAMES, make_task_spec
 from optbench.tuning import Regime
 
+__all__ = ["EXIT_OK", "EXIT_INVALID_CONFIG", "EXIT_NO_VIABLE_TRIAL", "build_parser", "main"]
+
 EXIT_OK = 0
 EXIT_INVALID_CONFIG = 2
 EXIT_NO_VIABLE_TRIAL = 3

@@ -76,6 +76,7 @@ __all__ = [
     "run_study",
     "experiment_data",
     "run_experiment",
+    "format_cell",
     "format_report",
     "write_report",
     "write_run_outputs",
@@ -184,7 +185,7 @@ def train(config: OptimizerConfig, dataset: Dataset, split: DataSplit, *,
     spec = dataset.spec
     theta0 = theta = init_params(spec, labeled_rng(seed, "init"))
     batch_rng = labeled_rng(seed, "batches")
-    state = init_state(config, theta.shape[0])
+    state = init_state(theta.shape[0])
     dev_x, dev_y = dataset.features[split.dev], dataset.targets[split.dev]
 
     losses, dev_steps, dev_scores = [], [], []
@@ -443,18 +444,28 @@ def write_run_outputs(run: RunSpec, splits, out_dir) -> None:
     raw curve per split, the aggregated curve, and last the rows of ``splits``
     appended to results.csv, so a row there means every file of its experiment
     exists. ``run`` calls it as each experiment finishes, so a run that stops
-    early keeps what it finished."""
+    early keeps what it finished; a call that fails (Ctrl-C too) before the
+    append removes the files it wrote, leaving none of its experiment."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     key = (run.task.name, run.optimizer.value, run.regime.value)
     stem = "_".join(key)
-    for s in splits:
-        save_study_json(s.study, out / f"study_{stem}_split{s.repetition}.json")
-        losses = s.curve.losses.tolist()
-        dev = _epoch_column(len(losses), s.curve.dev_steps, s.curve.dev_scores)
-        _write_csv(out / f"curve_raw_{stem}_split{s.repetition}.csv", _RAW_CURVE_COLUMNS,
-                   zip(range(1, len(losses) + 1), losses, dev))
-    _write_curve(out, stem, [s.curve for s in splits])
+    written = []  # each path before its write starts
+    try:
+        for s in splits:
+            written.append(out / f"study_{stem}_split{s.repetition}.json")
+            save_study_json(s.study, written[-1])
+            losses = s.curve.losses.tolist()
+            dev = _epoch_column(len(losses), s.curve.dev_steps, s.curve.dev_scores)
+            written.append(out / f"curve_raw_{stem}_split{s.repetition}.csv")
+            _write_csv(written[-1], _RAW_CURVE_COLUMNS,
+                       zip(range(1, len(losses) + 1), losses, dev))
+        written.append(out / f"curve_{stem}.csv")
+        _write_curve(out, stem, [s.curve for s in splits])
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     _write_csv(out / "results.csv", _RESULTS_COLUMNS,
                ((*key, s.repetition, s.test, s.trial.best_dev, s.trial.best_epoch)
                 for s in splits), mode="a")

@@ -3,8 +3,8 @@
 Implemented update rules (all vector operations elementwise, float64):
 
     SGD       theta' = theta - epsilon * g
-    SGDM      theta' = theta - epsilon * g + alpha * v
-              v'     = alpha * v - epsilon * g
+    SGDM      theta' = theta - epsilon * g + alpha * s
+              s'     = alpha * s - epsilon * g   (s is the velocity)
     Adam      s' = rho1*s + (1-rho1)*g;  r' = rho2*r + (1-rho2)*g^2
               s_hat = s'/(1-rho1^t');    r_hat = r'/(1-rho2^t')
               theta' = theta - epsilon * s_hat / (delta + sqrt(r_hat))
@@ -24,7 +24,7 @@ power term, so the first update uses t' = 1.
 ``apply_step`` is the one entry point and the one input check: it converts
 theta and g to float64 arrays unless they already are (the training loop's
 always are, so a step converts nothing), raises ValueError unless theta,
-g and the state's s, r and v are 1-d vectors of one length, and dispatches
+g and the state's s and r are 1-d vectors of one length, and dispatches
 on ``config.kind`` to a private rule that only does arithmetic, with ufuncs
 rather than their Python wrappers. Steps are pure: they never mutate their
 inputs and identical inputs produce identical outputs, so concurrent
@@ -137,39 +137,36 @@ def default_config(kind: OptimizerKind) -> OptimizerConfig:
 
 @dataclass(frozen=True)
 class OptimizerState:
-    """Mutable-per-run optimizer memory, passed and returned by value.
+    """Optimizer memory after t steps, frozen: a step returns a new state.
 
     t  step counter, incremented by exactly 1 per step
-    s  first moment (Adam family, AdaBound)
+    s  first moment (Adam family, AdaBound), or velocity (SGDM); SGD reads neither
     r  second moment (sum of squares, or running max of |g| for AdaMax)
-    v  velocity (SGDM)
 
-    ``apply_step`` requires s, r and v to be 1-d vectors of one length.
+    ``apply_step`` requires s and r to be 1-d vectors of θ's length.
     """
 
     t: int
     s: np.ndarray
     r: np.ndarray
-    v: np.ndarray
 
 
-def init_state(config: OptimizerConfig, dim: int) -> OptimizerState:
+def init_state(dim: int) -> OptimizerState:
     """Zero-initialized state for a ``dim``-dimensional parameter vector."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    zeros = np.zeros(dim, dtype=np.float64)
-    return OptimizerState(t=0, s=zeros.copy(), r=zeros.copy(), v=zeros.copy())
+    return OptimizerState(t=0, s=np.zeros(dim), r=np.zeros(dim))
 
 
 def _sgd(config, state, theta, g):
     theta2 = theta - config.epsilon * g
-    return theta2, OptimizerState(t=state.t + 1, s=state.s, r=state.r, v=state.v)
+    return theta2, OptimizerState(t=state.t + 1, s=state.s, r=state.r)
 
 
 def _sgdm(config, state, theta, g):
-    theta2 = theta - config.epsilon * g + config.alpha * state.v
-    v2 = config.alpha * state.v - config.epsilon * g
-    return theta2, OptimizerState(t=state.t + 1, s=state.s, r=state.r, v=v2)
+    theta2 = theta - config.epsilon * g + config.alpha * state.s
+    s2 = config.alpha * state.s - config.epsilon * g
+    return theta2, OptimizerState(t=state.t + 1, s=s2, r=state.r)
 
 
 def _adam(config, state, theta, g):
@@ -189,7 +186,7 @@ def _adam(config, state, theta, g):
     if config.kind is OptimizerKind.ADAMW:
         # decoupled decay of the pre-step theta, not scaled by epsilon
         theta2 = theta2 - config.lambda_ * theta
-    return theta2, OptimizerState(t=t2, s=s2, r=r2, v=state.v)
+    return theta2, OptimizerState(t=t2, s=s2, r=r2)
 
 
 def _adamax(config, state, theta, g):
@@ -202,7 +199,7 @@ def _adamax(config, state, theta, g):
     # != rather than >: a NaN in r' must reach theta' instead of reading as 0
     ratio = np.divide(s2, r2, out=np.zeros(s2.shape), where=r2 != 0.0)
     theta2 = theta - (config.epsilon / (1.0 - rho1**t2)) * ratio
-    return theta2, OptimizerState(t=t2, s=s2, r=r2, v=state.v)
+    return theta2, OptimizerState(t=t2, s=s2, r=r2)
 
 
 def adabound_bounds(t: int, config: OptimizerConfig) -> tuple[float, float]:
@@ -229,7 +226,7 @@ def _adabound(config, state, theta, g):
     lo, hi = adabound_bounds(t2, config)
     eta = np.minimum(np.maximum(config.epsilon / (np.sqrt(r2) + config.delta), lo), hi)
     theta2 = theta - eta * s2
-    return theta2, OptimizerState(t=t2, s=s2, r=r2, v=state.v)
+    return theta2, OptimizerState(t=t2, s=s2, r=r2)
 
 
 _RULES = {
@@ -244,18 +241,13 @@ _RULES = {
 
 
 def apply_step(config, state, theta, g):
-    """One update step of ``config.kind``'s rule. Returns (theta', state').
-
-    Raises ValueError unless theta, g and the state's s, r and v are 1-d
-    vectors of one length; this is the only check on a step's inputs.
-    """
+    """One update step of ``config.kind``'s rule, after the one check on a step's
+    inputs (see the module docstring). Returns (theta', state')."""
     if type(theta) is not np.ndarray or theta.dtype != np.float64:
         theta = np.asarray(theta, dtype=np.float64)
     if type(g) is not np.ndarray or g.dtype != np.float64:
         g = np.asarray(g, dtype=np.float64)
-    if theta.ndim != 1 or not (
-            theta.shape == g.shape == state.s.shape == state.r.shape == state.v.shape):
-        raise ValueError(f"theta, g, s, r and v must be 1-d vectors of one length, got "
-                         f"shapes {theta.shape}, {g.shape}, {state.s.shape}, "
-                         f"{state.r.shape} and {state.v.shape}")
+    if theta.ndim != 1 or not theta.shape == g.shape == state.s.shape == state.r.shape:
+        raise ValueError(f"theta, g, s and r must be 1-d vectors of one length, got shapes "
+                         f"{theta.shape}, {g.shape}, {state.s.shape} and {state.r.shape}")
     return _RULES[config.kind](config, state, theta, g)

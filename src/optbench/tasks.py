@@ -26,6 +26,7 @@ weight initialization are deterministic functions of their inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +37,7 @@ from optbench.optimizers import ConfigError
 
 __all__ = [
     "TASK_NAMES",
+    "SPLIT_RATIOS",
     "FEATURE_DIM",
     "HIDDEN",
     "INIT_SCALE",
@@ -90,6 +92,17 @@ class TaskSpec:
     @property
     def n_classes(self) -> int:  # 0 for regression
         return 0 if self.class_probs is None else len(self.class_probs)
+
+    @functools.cached_property
+    def _theta_slices(self) -> tuple[int, tuple[tuple[slice, tuple[int, ...]], ...]]:
+        """θ's length and each ``param_layout`` segment's (slice, shape), in layout
+        order, worked out on first use."""
+        n, table = 0, []
+        for _, shape in param_layout(self):
+            size = math.prod(shape)
+            table.append((slice(n, n + size), shape))
+            n += size
+        return n, tuple(table)
 
 
 _TASKS = {spec.name: spec for spec in (
@@ -276,31 +289,16 @@ def param_layout(spec: TaskSpec) -> tuple[tuple[str, tuple[int, ...]], ...]:
 
 def init_params(spec: TaskSpec, rng: np.random.Generator) -> np.ndarray:
     """Flat θ covering ``param_layout(spec)``, uniform in [-INIT_SCALE, INIT_SCALE]."""
-    n = sum(math.prod(shape) for _, shape in param_layout(spec))
-    return rng.uniform(-INIT_SCALE, INIT_SCALE, size=n)
-
-
-# (model, class_probs), the fields param_layout reads -> (θ's length, each
-# segment's (slice, shape) in layout order)
-_SLICES: dict = {}
+    return rng.uniform(-INIT_SCALE, INIT_SCALE, size=spec._theta_slices[0])
 
 
 def segments(theta: np.ndarray, spec: TaskSpec) -> list[np.ndarray]:
-    """Views of the flat vector θ reshaped per ``param_layout(spec)`` segment,
-    in layout order. The slices are worked out once per model and class skew.
+    """Views of the flat vector θ reshaped per ``param_layout(spec)`` segment, in
+    layout order, from the slice table the spec works out once.
 
     Raises ValueError unless θ is 1-d with exactly the layout's length.
     """
-    key = spec.model, spec.class_probs
-    try:
-        n, table = _SLICES[key]
-    except KeyError:
-        n, table = 0, []
-        for _, shape in param_layout(spec):
-            size = math.prod(shape)
-            table.append((slice(n, n + size), shape))
-            n += size
-        _SLICES[key] = n, table
+    n, table = spec._theta_slices
     if theta.shape != (n,):
         raise ValueError(f"{spec.model} layout covers {n} values, theta has shape {theta.shape}")
     return [theta[part].reshape(shape) for part, shape in table]

@@ -48,6 +48,10 @@ from optbench.optimizers import (
 
 __all__ = [
     "MAX_TRIALS",
+    "N_STARTUP_TRIALS",
+    "N_CANDIDATES",
+    "PRUNE_MIN_COMPLETED",
+    "PRUNE_WARMUP_EPOCHS",
     "Regime",
     "ParamSpec",
     "TrialStatus",

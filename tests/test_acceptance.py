@@ -72,51 +72,51 @@ def test_criterion_1_optimizer_oracle_suite():
             dim = int(rng.integers(1, 8))
             state = OptimizerState(t=int(rng.integers(0, 40)),
                                    s=rng.normal(0, 1, dim),
-                                   r=np.abs(rng.normal(0, 1, dim)),
-                                   v=rng.normal(0, 1, dim))
+                                   r=np.abs(rng.normal(0, 1, dim)))
             theta = rng.normal(0, 2, dim)
             g = rng.normal(0, 3, dim)
             theta2, state2 = apply_step(c, state, theta, g)
+            # SGDM keeps its velocity, the reference's v, in s
             ref_theta, ref_s, ref_r, ref_v, ref_t = ref_step(
                 kind.value, dataclasses.asdict(c), state.t, theta.tolist(),
-                g.tolist(), state.s.tolist(), state.r.tolist(), state.v.tolist())
+                g.tolist(), state.s.tolist(), state.r.tolist(), state.s.tolist())
             np.testing.assert_allclose(theta2, ref_theta, rtol=1e-9, atol=0)
-            np.testing.assert_allclose(state2.s, ref_s, rtol=1e-9)
+            np.testing.assert_allclose(
+                state2.s, ref_v if kind is OptimizerKind.SGDM else ref_s, rtol=1e-9)
             np.testing.assert_allclose(state2.r, ref_r, rtol=1e-9)
-            np.testing.assert_allclose(state2.v, ref_v, rtol=1e-9)
             assert state2.t == ref_t
 
     # the six derived step examples; stated values carry 6 significant
     # figures (some truncated, not rounded), so allow one ulp at figure six
     sigfig6 = dict(rtol=5e-6, atol=0)
     c = dataclasses.replace(default_config(OptimizerKind.SGD), epsilon=0.1)
-    theta, _ = apply_step(c, init_state(c, 1), [1.0], [0.5])
+    theta, _ = apply_step(c, init_state(1), [1.0], [0.5])
     np.testing.assert_allclose(theta, [0.95], **sigfig6)
 
     c = dataclasses.replace(default_config(OptimizerKind.SGDM), epsilon=0.1, alpha=0.9)
-    theta, st = apply_step(c, init_state(c, 1), [1.0], [0.5])
+    theta, st = apply_step(c, init_state(1), [1.0], [0.5])
     theta, st = apply_step(c, st, theta, [0.5])
     np.testing.assert_allclose(theta, [0.855], **sigfig6)
-    np.testing.assert_allclose(st.v, [-0.095], **sigfig6)
+    np.testing.assert_allclose(st.s, [-0.095], **sigfig6)
 
     c = default_config(OptimizerKind.ADAM)
-    theta, _ = apply_step(c, init_state(c, 1), [0.0], [1.0])
+    theta, _ = apply_step(c, init_state(1), [0.0], [1.0])
     np.testing.assert_allclose(theta, [-9.99999990e-4], **sigfig6)
 
     c = dataclasses.replace(default_config(OptimizerKind.NADAM), epsilon=1e-3)
-    theta, _ = apply_step(c, init_state(c, 1), [0.0], [1.0])
+    theta, _ = apply_step(c, init_state(1), [0.0], [1.0])
     np.testing.assert_allclose(theta, [-1.47442e-3], **sigfig6)
 
     c = dataclasses.replace(default_config(OptimizerKind.ADAMW), lambda_=0.01)
-    theta, _ = apply_step(c, init_state(c, 1), [0.5], [1.0])
+    theta, _ = apply_step(c, init_state(1), [0.5], [1.0])
     np.testing.assert_allclose(theta, [0.494000], **sigfig6)
 
     c = default_config(OptimizerKind.ADAMAX)
-    theta, _ = apply_step(c, init_state(c, 1), [0.0], [1.0])
+    theta, _ = apply_step(c, init_state(1), [0.0], [1.0])
     np.testing.assert_allclose(theta, [-0.002], **sigfig6)
 
     c = default_config(OptimizerKind.ADABOUND)
-    theta, _ = apply_step(c, init_state(c, 1), [0.0], [1.0])
+    theta, _ = apply_step(c, init_state(1), [0.0], [1.0])
     np.testing.assert_allclose(theta, [-3.16227e-3], **sigfig6)
 
     elapsed = time.time() - start
@@ -134,7 +134,7 @@ def test_criterion_2_identity_suite():
     c_sgd = dataclasses.replace(default_config(OptimizerKind.SGD), epsilon=0.02)
     c_sgdm = dataclasses.replace(default_config(OptimizerKind.SGDM), epsilon=0.02, alpha=0.0)
     theta_a = theta_b = rng.normal(0, 1, 6)
-    st_a, st_b = init_state(c_sgd, 6), init_state(c_sgdm, 6)
+    st_a, st_b = init_state(6), init_state(6)
     for _ in range(1000):
         g = rng.normal(0, 1, 6)
         theta_a, st_a = apply_step(c_sgd, st_a, theta_a, g)
@@ -143,7 +143,7 @@ def test_criterion_2_identity_suite():
 
     c = default_config(OptimizerKind.ADAM)
     g_star = np.array([0.31, -2.2, 0.007])
-    theta, state = np.zeros(3), init_state(c, 3)
+    theta, state = np.zeros(3), init_state(3)
     for _ in range(100):
         theta, state = apply_step(c, state, theta, g_star)
         np.testing.assert_allclose(state.s / (1 - c.rho1**state.t), g_star, rtol=1e-12)
@@ -156,13 +156,13 @@ def test_criterion_2_identity_suite():
         if kind is OptimizerKind.ADAMW:
             continue
         c = default_config(kind)
-        theta, state = theta0.copy(), init_state(c, 4)
+        theta, state = theta0.copy(), init_state(4)
         for _ in range(50):
             theta, state = apply_step(c, state, theta, zero)
         assert np.array_equal(theta, theta0)
 
     c = default_config(OptimizerKind.ADAMW)
-    theta, state = theta0.copy(), init_state(c, 4)
+    theta, state = theta0.copy(), init_state(4)
     for t in range(1, 101):
         theta, state = apply_step(c, state, theta, zero)
         np.testing.assert_allclose(theta, theta0 * (1 - c.lambda_) ** t, rtol=1e-12)
@@ -195,11 +195,11 @@ def test_criterion_3_adabound_bounds():
     c = dataclasses.replace(default_config(OptimizerKind.ADABOUND),
         epsilon=1.0, eps_star=0.01, gamma=10.0)
     lo1, hi1 = adabound_bounds(1, c)
-    theta, state = apply_step(c, init_state(c, 1), np.zeros(1), np.array([1e-9]))
+    theta, state = apply_step(c, init_state(1), np.zeros(1), np.array([1e-9]))
     assert theta[0] == -hi1 * state.s[0]  # raw rate far above hi -> clipped to hi
     c2 = dataclasses.replace(c, epsilon=1e-9, eps_star=0.9)
     lo2, hi2 = adabound_bounds(1, c2)
-    theta2, state2 = apply_step(c2, init_state(c2, 1), np.zeros(1), np.array([5.0]))
+    theta2, state2 = apply_step(c2, init_state(1), np.zeros(1), np.array([5.0]))
     assert theta2[0] == -lo2 * state2.s[0]  # raw rate far below lo -> clipped to lo
 
     report("3 adabound bounds", "monotone, bracket eps_star, converge at 1e6/gamma")

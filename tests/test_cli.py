@@ -419,11 +419,35 @@ def test_curves_ignores_raw_curves_of_a_failed_write(tmp_path, monkeypatch):
         assert run_cli(*small_run_args(tmp_path, optimizer="adam")) == EXIT_INVALID_CONFIG
     assert run_cli(*small_run_args(tmp_path, optimizer="adam",
                                    **{"--splits": "1", "--seed": "4"})) == EXIT_OK
-    assert (tmp_path / "curve_raw_stsb_like_adam_lr_only_split2.csv").is_file()
+    assert not (tmp_path / "curve_raw_stsb_like_adam_lr_only_split2.csv").exists()
     curve = tmp_path / "curve_stsb_like_adam_lr_only.csv"
     written = curve.read_bytes()
     assert run_cli("curves", "--in", str(tmp_path)) == EXIT_OK
     assert curve.read_bytes() == written
+
+
+@pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+def test_failed_write_leaves_no_file_of_its_experiment(tmp_path, monkeypatch, error):
+    # sgd's experiment is written in full; adam's aggregated curve fails after
+    # its study files and raw curves were written
+    import optbench.harness as harness
+    write_curve = harness._write_curve
+
+    def fail_for_adam(out_dir, stem, curves):
+        if "_adam_" in stem:
+            raise error("no space left on device")
+        return write_curve(out_dir, stem, curves)
+
+    monkeypatch.setattr(harness, "_write_curve", fail_for_adam)
+    args = small_run_args(tmp_path, optimizer="sgd,adam")
+    if error is OSError:
+        assert run_cli(*args) == EXIT_INVALID_CONFIG
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(*args)
+    assert sorted(p.name for p in tmp_path.glob("*adam*")) == []
+    assert {r["optimizer"] for r in read_csv(tmp_path / "results.csv")} == {"sgd"}
+    assert len(list(tmp_path.glob("*_sgd_*"))) == 5  # 2 study files, 2 raw curves, 1 curve
 
 
 @pytest.mark.parametrize("splits, problem", [

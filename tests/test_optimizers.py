@@ -44,22 +44,27 @@ def cfg(kind, **kw):
 # ---------------------------------------------------------------------------
 
 def test_init_state_zero():
-    state = init_state(default_config(OptimizerKind.ADAM), 3)
+    state = init_state(3)
     assert state.t == 0
     np.testing.assert_array_equal(state.s, [0, 0, 0])
     np.testing.assert_array_equal(state.r, [0, 0, 0])
-    np.testing.assert_array_equal(state.v, [0, 0, 0])
 
 
 def test_init_state_sgdm_and_adabound():
-    assert init_state(default_config(OptimizerKind.SGDM), 1).v.tolist() == [0.0]
-    st = init_state(default_config(OptimizerKind.ADABOUND), 2)
-    assert st.t == 0 and st.s.tolist() == [0.0, 0.0]
+    # one zero state starts every kind: SGDM's velocity and AdaBound's moments
+    g = np.array([1.0, -2.0])
+    c = default_config(OptimizerKind.SGDM)
+    _, st = apply_step(c, init_state(2), np.zeros(2), g)
+    assert st.t == 1 and st.s.tolist() == (-c.epsilon * g).tolist()
+    c = default_config(OptimizerKind.ADABOUND)
+    _, st = apply_step(c, init_state(2), np.zeros(2), g)
+    assert st.s.tolist() == ((1.0 - c.rho1) * g).tolist()
+    assert st.r.tolist() == ((1.0 - c.rho2) * g * g).tolist()
 
 
 def test_init_state_rejects_dim_zero():
     with pytest.raises(ValueError, match="dim must be >= 1, got 0"):
-        init_state(default_config(OptimizerKind.SGD), 0)
+        init_state(0)
 
 
 # ---------------------------------------------------------------------------
@@ -68,38 +73,38 @@ def test_init_state_rejects_dim_zero():
 
 def test_sgd_scalar_step():
     c = cfg(OptimizerKind.SGD, epsilon=0.1)
-    theta, state = apply_step(c, init_state(c, 1), [1.0], [0.5])
+    theta, state = apply_step(c, init_state(1), [1.0], [0.5])
     np.testing.assert_allclose(theta, [0.95], rtol=1e-12)
     assert state.t == 1
 
 
 def test_sgd_zero_gradient():
     c = cfg(OptimizerKind.SGD, epsilon=0.37)
-    theta, _ = apply_step(c, init_state(c, 2), [2.0, -1.0], [0.0, 0.0])
+    theta, _ = apply_step(c, init_state(2), [2.0, -1.0], [0.0, 0.0])
     np.testing.assert_array_equal(theta, [2.0, -1.0])
 
 
 def test_sgd_default_rate():
     c = default_config(OptimizerKind.SGD)
     assert c.epsilon == 1e-3
-    theta, _ = apply_step(c, init_state(c, 1), [0.0], [1.0])
+    theta, _ = apply_step(c, init_state(1), [0.0], [1.0])
     np.testing.assert_allclose(theta, [-0.001], rtol=1e-12)
 
 
 def test_sgdm_two_steps():
     c = cfg(OptimizerKind.SGDM, epsilon=0.1, alpha=0.9)
-    state = init_state(c, 1)
+    state = init_state(1)
     theta, state = apply_step(c, state, [1.0], [0.5])
     np.testing.assert_allclose(theta, [0.95], rtol=1e-12)
-    np.testing.assert_allclose(state.v, [-0.05], rtol=1e-12)
+    np.testing.assert_allclose(state.s, [-0.05], rtol=1e-12)
     theta, state = apply_step(c, state, theta, [0.5])
     np.testing.assert_allclose(theta, [0.855], rtol=1e-12)
-    np.testing.assert_allclose(state.v, [-0.095], rtol=1e-12)
+    np.testing.assert_allclose(state.s, [-0.095], rtol=1e-12)
 
 
 def test_adam_first_step():
     c = default_config(OptimizerKind.ADAM)
-    theta, state = apply_step(c, init_state(c, 1), [0.0], [1.0])
+    theta, state = apply_step(c, init_state(1), [0.0], [1.0])
     np.testing.assert_allclose(state.s, [0.1], rtol=1e-12)
     np.testing.assert_allclose(state.r, [0.001], rtol=1e-12)
     np.testing.assert_allclose(theta, [-9.99999990e-4], rtol=1e-6)
@@ -107,20 +112,20 @@ def test_adam_first_step():
 
 def test_nadam_first_step():
     c = cfg(OptimizerKind.NADAM, epsilon=1e-3)
-    theta, _ = apply_step(c, init_state(c, 1), [0.0], [1.0])
+    theta, _ = apply_step(c, init_state(1), [0.0], [1.0])
     np.testing.assert_allclose(theta, [-1.47442e-3], rtol=1e-5)
     np.testing.assert_allclose(theta, [-0.0014744215909724947], rtol=1e-12)
 
 
 def test_adamw_first_step():
     c = cfg(OptimizerKind.ADAMW, lambda_=0.01)
-    theta, _ = apply_step(c, init_state(c, 1), [0.5], [1.0])
+    theta, _ = apply_step(c, init_state(1), [0.5], [1.0])
     np.testing.assert_allclose(theta, [0.49400], rtol=1e-5)
 
 
 def test_adamax_first_step():
     c = cfg(OptimizerKind.ADAMAX, epsilon=2e-3)
-    theta, state = apply_step(c, init_state(c, 1), [0.0], [1.0])
+    theta, state = apply_step(c, init_state(1), [0.0], [1.0])
     np.testing.assert_allclose(state.s, [0.1], rtol=1e-12)
     np.testing.assert_allclose(state.r, [1.0], rtol=1e-12)
     np.testing.assert_allclose(theta, [-0.002], rtol=1e-9)
@@ -128,13 +133,13 @@ def test_adamax_first_step():
 
 def test_adamax_zero_gradient_from_fresh_state():
     c = default_config(OptimizerKind.ADAMAX)
-    theta, _ = apply_step(c, init_state(c, 1), [0.7], [0.0])
+    theta, _ = apply_step(c, init_state(1), [0.7], [0.0])
     np.testing.assert_array_equal(theta, [0.7])  # 0/0 convention
 
 
 def test_adamax_second_moment_is_decaying_max():
     c = cfg(OptimizerKind.ADAMAX, rho2=0.999)
-    state = init_state(c, 1)
+    state = init_state(1)
     theta, state = apply_step(c, state, [0.0], [1.0])
     theta, state = apply_step(c, state, theta, [0.5])
     np.testing.assert_allclose(state.r, [0.999], rtol=1e-12)
@@ -153,7 +158,7 @@ def test_adabound_bounds_examples():
 
 def test_adabound_first_step():
     c = default_config(OptimizerKind.ADABOUND)
-    theta, state = apply_step(c, init_state(c, 1), [0.0], [1.0])
+    theta, state = apply_step(c, init_state(1), [0.0], [1.0])
     np.testing.assert_allclose(state.r, [0.001], rtol=1e-12)
     np.testing.assert_allclose(theta, [-3.16227e-3], rtol=1e-5)
 
@@ -163,7 +168,7 @@ def test_adabound_clip_saturates_at_upper_bound():
     # saturation by making the raw rate enormous via a tiny gradient
     c = cfg(OptimizerKind.ADABOUND, epsilon=1.0, eps_star=0.01, gamma=10.0)
     _, hi = adabound_bounds(1, c)
-    theta, state = apply_step(c, init_state(c, 1), [0.0], [1e-8])
+    theta, state = apply_step(c, init_state(1), [0.0], [1e-8])
     # raw eta = 1.0 / (1e-8*sqrt(1-rho2) + delta) >> hi, so eta == hi exactly
     expected = -hi * state.s[0]
     np.testing.assert_allclose(theta, [expected], rtol=0, atol=0)
@@ -172,7 +177,7 @@ def test_adabound_clip_saturates_at_upper_bound():
 def test_adabound_point_clip_reduces_to_momentum_update():
     c = cfg(OptimizerKind.ADABOUND, epsilon=1e-3, eps_star=0.05, gamma=1e6)
     # with huge gamma both bounds are eps_star to ~1e-6 relative: update ~ -c*s'
-    theta, state = apply_step(c, init_state(c, 1), [0.0], [1.0])
+    theta, state = apply_step(c, init_state(1), [0.0], [1.0])
     np.testing.assert_allclose(theta, [-0.05 * state.s[0]], rtol=1e-5)
 
 
@@ -205,18 +210,17 @@ def test_randomized_steps_match_scalar_reference(kind):
         g = rng.normal(0, 3, dim)
         s = rng.normal(0, 1, dim)
         r = np.abs(rng.normal(0, 1, dim))
-        v = rng.normal(0, 1, dim)
-        state = init_state(c, dim)
-        state = type(state)(t=t0, s=s.copy(), r=r.copy(), v=v.copy())
+        state = OptimizerState(t=t0, s=s.copy(), r=r.copy())
         theta2, state2 = apply_step(c, state, theta, g)
+        # SGDM keeps its velocity, the reference's v, in s
         ref_theta, ref_s, ref_r, ref_v, ref_t = ref_step(
             kind.value, asdict(c), t0, theta.tolist(), g.tolist(),
-            s.tolist(), r.tolist(), v.tolist())
+            s.tolist(), r.tolist(), s.tolist())
         assert state2.t == ref_t
         np.testing.assert_allclose(theta2, ref_theta, rtol=1e-9, atol=0)
-        np.testing.assert_allclose(state2.s, ref_s, rtol=1e-9)
+        np.testing.assert_allclose(state2.s, ref_v if kind is OptimizerKind.SGDM else ref_s,
+                                   rtol=1e-9)
         np.testing.assert_allclose(state2.r, ref_r, rtol=1e-9)
-        np.testing.assert_allclose(state2.v, ref_v, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +232,7 @@ def test_sgdm_alpha_zero_is_bitwise_sgd():
     c_sgd = cfg(OptimizerKind.SGD, epsilon=0.01)
     c_sgdm = cfg(OptimizerKind.SGDM, epsilon=0.01, alpha=0.0)
     theta_a = theta_b = rng.normal(0, 1, 5)
-    st_a, st_b = init_state(c_sgd, 5), init_state(c_sgdm, 5)
+    st_a, st_b = init_state(5), init_state(5)
     for _ in range(1000):
         g = rng.normal(0, 1, 5)
         theta_a, st_a = apply_step(c_sgd, st_a, theta_a, g)
@@ -241,7 +245,7 @@ def test_bias_correction_identity_constant_gradient(variant):
     c = default_config(variant)
     g_star = np.array([0.7, -1.3, 0.02])
     theta = np.zeros(3)
-    state = init_state(c, 3)
+    state = init_state(3)
     for _ in range(100):
         theta, state = apply_step(c, state, theta, g_star)
         s_hat = state.s / (1 - c.rho1 ** state.t)
@@ -257,7 +261,7 @@ def test_zero_gradient_fixpoints():
         if kind is OptimizerKind.ADAMW:
             continue
         c = default_config(kind)
-        theta, state = theta0.copy(), init_state(c, 3)
+        theta, state = theta0.copy(), init_state(3)
         for _ in range(20):
             theta, state = apply_step(c, state, theta, zero)
         np.testing.assert_array_equal(theta, theta0)
@@ -266,7 +270,7 @@ def test_zero_gradient_fixpoints():
 def test_adamw_zero_gradient_decay():
     c = cfg(OptimizerKind.ADAMW, lambda_=0.03)
     theta0 = np.array([0.4, -2.0, 1.5])
-    theta, state = theta0.copy(), init_state(c, 3)
+    theta, state = theta0.copy(), init_state(3)
     for t in range(1, 51):
         theta, state = apply_step(c, state, theta, np.zeros(3))
         np.testing.assert_allclose(theta, theta0 * (1 - c.lambda_) ** t, rtol=1e-12)
@@ -276,7 +280,7 @@ def test_adamax_brute_force_max_history():
     c = default_config(OptimizerKind.ADAMAX)
     rng = np.random.default_rng(11)
     grads = rng.normal(0, 2, size=(50, 4))
-    theta, state = np.zeros(4), init_state(c, 4)
+    theta, state = np.zeros(4), init_state(4)
     for t in range(50):
         theta, state = apply_step(c, state, theta, grads[t])
         expected = np.max(
@@ -303,7 +307,7 @@ def test_first_adam_step_magnitude():
         c = default_config(OptimizerKind.ADAM)
         g = rng.normal(0, 10, 4)
         g[np.abs(g) < 1e-6] = 1.0
-        theta, _ = apply_step(c, init_state(c, 4), np.zeros(4), g)
+        theta, _ = apply_step(c, init_state(4), np.zeros(4), g)
         expected = c.epsilon * np.abs(g) / (c.delta + np.abs(g))
         np.testing.assert_allclose(np.abs(theta), expected, rtol=1e-9)
         assert np.all(np.abs(theta) < c.epsilon)
@@ -315,8 +319,8 @@ def test_steps_are_pure_and_do_not_mutate_inputs():
         c = default_config(kind)
         theta = rng.normal(0, 1, 4)
         g = rng.normal(0, 1, 4)
-        state = init_state(c, 4)
-        snap = (theta.copy(), g.copy(), state.s.copy(), state.r.copy(), state.v.copy())
+        state = init_state(4)
+        snap = (theta.copy(), g.copy(), state.s.copy(), state.r.copy())
         out1 = apply_step(c, state, theta, g)
         out2 = apply_step(c, state, theta, g)
         np.testing.assert_array_equal(out1[0], out2[0])
@@ -324,7 +328,6 @@ def test_steps_are_pure_and_do_not_mutate_inputs():
         np.testing.assert_array_equal(g, snap[1])
         np.testing.assert_array_equal(state.s, snap[2])
         np.testing.assert_array_equal(state.r, snap[3])
-        np.testing.assert_array_equal(state.v, snap[4])
         assert state.t == 0
 
 
@@ -333,11 +336,11 @@ def test_updates_finite_for_finite_inputs():
     for kind in ALL_KINDS:
         for _ in range(25):
             c = random_config(kind, rng)
-            state = init_state(c, 3)
+            state = init_state(3)
             theta, g = rng.normal(0, 1e6, 3), rng.normal(0, 1e6, 3)
             theta2, state2 = apply_step(c, state, theta, g)
             assert np.isfinite(theta2).all()
-            for arr in (state2.s, state2.r, state2.v):
+            for arr in (state2.s, state2.r):
                 assert np.isfinite(arr).all()
 
 
@@ -345,38 +348,38 @@ def test_updates_finite_for_finite_inputs():
 # Errors and validation
 # ---------------------------------------------------------------------------
 
-SHAPES = "theta, g, s, r and v must be 1-d vectors of one length, got shapes "
+SHAPES = "theta, g, s and r must be 1-d vectors of one length, got shapes "
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_dimension_mismatch_raises(kind):
     c = default_config(kind)
     with pytest.raises(ValueError, match=SHAPES):
-        apply_step(c, init_state(c, 2), [1.0, 2.0], [1.0])
+        apply_step(c, init_state(2), [1.0, 2.0], [1.0])
     with pytest.raises(ValueError, match=SHAPES):
-        apply_step(c, init_state(c, 3), [1.0, 2.0], [1.0, 2.0])
+        apply_step(c, init_state(3), [1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ValueError, match=SHAPES):
-        apply_step(c, init_state(c, 2), [[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0])
+        apply_step(c, init_state(2), [[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0])
     with pytest.raises(ValueError, match=SHAPES):
-        apply_step(c, init_state(c, 2), [1.0, 2.0], [[1.0], [2.0]])
-    short = OptimizerState(t=0, s=np.zeros(1), r=np.zeros(1), v=np.zeros(1))
+        apply_step(c, init_state(2), [1.0, 2.0], [[1.0], [2.0]])
+    short = OptimizerState(t=0, s=np.zeros(1), r=np.zeros(1))
     with pytest.raises(ValueError, match=SHAPES):
         apply_step(c, short, [1.0, 2.0], [1.0, 2.0])
 
 
-@pytest.mark.parametrize("s, r, v", [
+@pytest.mark.parametrize("s, r, theta", [
     ((3,), (1,), (3,)),     # an Adam r of length 1 used to broadcast silently
-    ((3,), (3,), (2,)),
-    ((2,), (3,), (3,)),
+    ((3,), (3,), (2,)),     # SGD and SGDM, which never read r, check it too
+    ((2,), (3,), (2,)),
     ((3, 1), (3, 1), (3, 1)),
     ((), (), ()),
 ])
-def test_state_rejects_mismatched_moments(s, r, v):
-    # theta and g take s's shape, so only the moments (or their rank) are wrong
-    state = OptimizerState(t=0, s=np.zeros(s), r=np.zeros(r), v=np.zeros(v))
+def test_state_rejects_mismatched_moments(s, r, theta):
+    # theta and g share a shape, so only the moments (or the rank) are wrong
+    state = OptimizerState(t=0, s=np.zeros(s), r=np.zeros(r))
     for kind in ALL_KINDS:
         with pytest.raises(ValueError, match=SHAPES):
-            apply_step(default_config(kind), state, np.zeros(s), np.zeros(s))
+            apply_step(default_config(kind), state, np.zeros(theta), np.zeros(theta))
 
 
 def test_nonfinite_gradient_reaches_theta():
@@ -390,7 +393,7 @@ def test_nonfinite_gradient_reaches_theta():
                 g = np.array([0.5, -0.25, 0.125])
                 g[coord] = bad
                 with np.errstate(invalid="ignore"):
-                    theta2, _ = apply_step(c, init_state(c, theta.size), theta, g)
+                    theta2, _ = apply_step(c, init_state(theta.size), theta, g)
                 assert not np.isfinite(theta2).all(), (kind, bad, coord)
 
 
@@ -449,13 +452,12 @@ def test_every_searched_hyperparameter_but_the_unread_ones_changes_a_step():
     # lower bound, so epsilon acts; at t' = 10**4 the bounds have closed in on
     # eps_star and clip every coordinate, so eps_star and gamma act.
     theta, g = np.array([0.5, -1.0, 2.0]), np.array([0.3, -0.2, 1e-4])
-    states = [OptimizerState(t=t, s=np.array([0.1, -0.05, 1e-5]),
-                             r=np.array([0.5, 0.01, 1e-8]), v=np.array([0.01, -0.02, 0.03]))
+    states = [OptimizerState(t=t, s=np.array([0.1, -0.05, 1e-5]), r=np.array([0.5, 0.01, 1e-8]))
               for t in (0, 9_999)]
 
     def step(kind, name, value, state):
         theta2, state2 = apply_step(cfg(kind, **{name: value}), state, theta, g)
-        return theta2, state2.s, state2.r, state2.v
+        return theta2, state2.s, state2.r
 
     read = set()
     for kind, params in _SEARCHED.items():

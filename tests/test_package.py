@@ -54,6 +54,15 @@ def public_definitions(tree):
                         if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
 
 
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_all_is_the_whole_public_surface(module):
+    # every public module-level function, class and constant is exported, and
+    # nothing else is
+    tree = ast.parse(Path(module.__file__).read_text())
+    public = [name for qualified, name, _ in public_definitions(tree) if qualified == name]
+    assert sorted(getattr(module, "__all__", ())) == sorted(public)
+
+
 def test_every_public_name_has_a_caller_in_src():
     # ROADMAP aim 2: no library function exists without a caller. A reference is
     # a name or attribute read anywhere in src/ outside the definition itself;

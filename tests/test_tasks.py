@@ -299,11 +299,14 @@ def test_segments_cover_theta():
 
 
 def test_segments_slice_table_follows_each_layout():
-    # the slice table is cached per layout: a spec that changes only the class
-    # count after its task's table is cached must still get its own layout
+    # the slice table is cached per spec: a spec that changes only the class
+    # count or the model after its task's table is cached must still get its
+    # own layout
     specs = [make_task_spec(name) for name in TASK_NAMES]
     specs += [dataclasses.replace(make_task_spec(name), class_probs=(0.5, 0.3, 0.2))
               for name in ("cola_like", "mrpc_like")]
+    specs += [dataclasses.replace(make_task_spec("cola_like"), model="mlp"),
+              dataclasses.replace(make_task_spec("mrpc_like"), model="logistic")]
     for spec in specs + specs[::-1]:
         theta = init_params(spec, np.random.default_rng(5))
         layout = param_layout(spec)
