@@ -7,7 +7,10 @@ mini-batches (default batch size 4), keeps the parameter snapshot from its
 best dev epoch, and may be stopped early by median pruning. The chosen
 trial's snapshot is scored once on the test partition, and the per-split
 test scores are aggregated as mean and population standard deviation.
-``experiment_data`` makes a task's data once, for all of its experiments;
+``experiment_data`` makes a task's data once, for all of its experiments, and is
+the one place a split becomes rows: it gathers each split's train, dev and test
+partitions. ``train`` gets the train and dev rows and never a test row;
+``run_study`` scores the test rows once.
 ``run_experiment`` returns one experiment's ``SplitResult``s, which
 ``write_run_outputs`` writes in full under names taken from its RunSpec, its
 results.csv rows last; ``report`` and ``curves`` rebuild from the experiments
@@ -40,7 +43,6 @@ from optbench.optimizers import (
     init_state,
 )
 from optbench.tasks import (
-    DataSplit,
     Dataset,
     TaskSpec,
     check_batch_size,
@@ -163,17 +165,18 @@ class LearningCurve:
     dev_scores: np.ndarray
 
 
-def train(config: OptimizerConfig, dataset: Dataset, split: DataSplit, *,
+def train(config: OptimizerConfig, train_set: Dataset, dev_set: Dataset, *,
           epochs: int, batch_size: int, seed: int, prune_hook=None
           ) -> tuple[np.ndarray, TrialRecord, LearningCurve]:
-    """Train one configuration on one split.
+    """Train one configuration on a split's train partition, scoring it on the
+    dev partition; no test row reaches it.
 
     Checks ``batch_size`` once, then runs ``epochs`` passes of shuffled
     mini-batches (``epoch_batches`` gathers each epoch's rows once), logging the
     training loss at every step and the dev score after every epoch. Each
     step is one ``loss_and_grad`` and one ``apply_step`` call, looked up in
     this module, so a test or tracer may wrap either. Returns the
-    flat parameter vector θ (segments: ``param_layout(dataset.spec)``) of
+    flat parameter vector θ (segments: ``param_layout(train_set.spec)``) of
     the record's ``best_epoch``, or the initial θ if no epoch finished.
     ``prune_hook(epoch, dev_score) -> bool`` may stop the trial early
     (status ``pruned``). A non-finite loss or
@@ -181,12 +184,11 @@ def train(config: OptimizerConfig, dataset: Dataset, split: DataSplit, *,
     is treated as -inf downstream; these two checks are the only place a
     trial is judged diverged.
     """
-    check_batch_size(split, batch_size)
-    spec = dataset.spec
+    check_batch_size(train_set, batch_size)
+    spec = train_set.spec
     theta0 = theta = init_params(spec, labeled_rng(seed, "init"))
     batch_rng = labeled_rng(seed, "batches")
     state = init_state(theta.shape[0])
-    dev_x, dev_y = dataset.features[split.dev], dataset.targets[split.dev]
 
     losses, dev_steps, dev_scores = [], [], []
     snapshots = []  # theta after each evaluated epoch
@@ -194,7 +196,7 @@ def train(config: OptimizerConfig, dataset: Dataset, split: DataSplit, *,
     # divergence (overflow to inf/NaN) is normal control flow here
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         for epoch in range(epochs):
-            for x, y in epoch_batches(dataset, split, batch_size, batch_rng):
+            for x, y in epoch_batches(train_set, batch_size, batch_rng):
                 loss, grad = loss_and_grad(theta, x, y, spec)
                 if not math.isfinite(loss):
                     status = TrialStatus.DIVERGED
@@ -206,7 +208,7 @@ def train(config: OptimizerConfig, dataset: Dataset, split: DataSplit, *,
                     break
             if status is TrialStatus.DIVERGED:
                 break
-            score = evaluate(spec, predict(theta, dev_x, spec), dev_y)
+            score = evaluate(spec, predict(theta, dev_set.features, spec), dev_set.targets)
             dev_steps.append(len(losses))
             dev_scores.append(score)
             snapshots.append(theta)
@@ -241,11 +243,12 @@ class SplitResult:
         return best_trial(self.study)
 
 
-def run_study(run: RunSpec, dataset: Dataset, split: DataSplit, repetition: int
-              ) -> SplitResult:
-    """Ask/train/tell loop until the study is full, then the best trial's
-    best-epoch θ scored once on the test partition. The study picks every
-    configuration; this loop only labels each trial's training seed."""
+def run_study(run: RunSpec, train_set: Dataset, dev_set: Dataset, test_set: Dataset,
+              repetition: int) -> SplitResult:
+    """Ask/train/tell loop on one split's train and dev partitions until the
+    study is full, then the best trial's best-epoch θ scored once on the test
+    partition. The study picks every configuration; this loop only labels each
+    trial's training seed."""
     sampler_seed = labeled_seed(run.master_seed, run.task.name, run.optimizer.value,
                                 run.regime.value, repetition, "sampler")
     study = StudyRecord(optimizer=run.optimizer, regime=run.regime,
@@ -253,7 +256,7 @@ def run_study(run: RunSpec, dataset: Dataset, split: DataSplit, repetition: int
     artifacts = []  # (theta, curve) of each trial, in study.trials order
     while not study.full:
         theta, record, curve = train(
-            study.ask(), dataset, split, epochs=run.epochs, batch_size=run.batch_size,
+            study.ask(), train_set, dev_set, epochs=run.epochs, batch_size=run.batch_size,
             seed=labeled_seed(run.master_seed, run.task.name, run.optimizer.value,
                               repetition, "trial", len(study.trials)),
             prune_hook=lambda epoch, score: should_prune(study, epoch, score),
@@ -268,8 +271,7 @@ def run_study(run: RunSpec, dataset: Dataset, split: DataSplit, repetition: int
             f"/{run.regime.value} split {repetition}"
         ) from None
     theta, curve = artifacts[next(i for i, t in enumerate(study.trials) if t is best)]
-    task, test = run.task, split.test
-    score = evaluate(task, predict(theta, dataset.features[test], task), dataset.targets[test])
+    score = evaluate(run.task, predict(theta, test_set.features, run.task), test_set.targets)
     return SplitResult(repetition=repetition, test=score, theta=theta, curve=curve,
                        study=study)
 
@@ -298,9 +300,10 @@ class ScoreRecord:
         return float(np.std(self.scores))
 
 
-def experiment_data(run: RunSpec) -> tuple[tuple[Dataset, DataSplit], ...]:
-    """Every split's dataset and stratified split for ``run``'s task, in split
-    order, made and checked once for all of the task's experiments. Tasks flagged
+def experiment_data(run: RunSpec) -> tuple[tuple[Dataset, Dataset, Dataset], ...]:
+    """Every split's (train, dev, test) partitions for ``run``'s task, in split
+    order, made and checked once for all of the task's experiments; the one
+    reader of a ``stratified_split``'s index sets. Tasks flagged
     ``resample_per_split`` build a dataset per split; the others build one and
     re-split it. A bad dataset or batch size raises ConfigError naming the split."""
     task, data = run.task, []
@@ -312,18 +315,20 @@ def experiment_data(run: RunSpec) -> tuple[tuple[Dataset, DataSplit], ...]:
                     repetition if task.resample_per_split else 0))
             split = stratified_split(dataset, labeled_seed(
                 run.master_seed, task.name, "split", repetition))
-            check_batch_size(split, run.batch_size)
+            parts = tuple(Dataset(dataset.features[rows], dataset.targets[rows], task)
+                          for rows in (split.train, split.dev, split.test))
+            check_batch_size(parts[0], run.batch_size)
         except ConfigError as exc:
             raise ConfigError(f"{task.name} split {repetition}: {exc}") from None
-        data.append((dataset, split))
+        data.append(parts)
     return tuple(data)
 
 
 def run_experiment(run: RunSpec, data) -> tuple[SplitResult, ...]:
     """The ``SplitResult``s of one (task, optimizer, regime), in split order: one
     ``run_study`` per split of ``data``, its task's ``experiment_data``."""
-    return tuple(run_study(run, dataset, split, repetition)
-                 for repetition, (dataset, split) in enumerate(data, start=1))
+    return tuple(run_study(run, *parts, repetition)
+                 for repetition, parts in enumerate(data, start=1))
 
 
 # ---------------------------------------------------------------------------

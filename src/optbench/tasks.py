@@ -129,6 +129,8 @@ def make_task_spec(name: str) -> TaskSpec:
 
 @dataclass(frozen=True)
 class Dataset:
+    """Labelled rows of one task: a generated sample or one partition of it."""
+
     features: np.ndarray  # (n, FEATURE_DIM)
     targets: np.ndarray  # (n,) int labels or float scores
     spec: TaskSpec
@@ -255,21 +257,21 @@ def stratified_split(data: Dataset, split_seed: int) -> DataSplit:
     return DataSplit(train=train, dev=dev, test=test)
 
 
-def check_batch_size(split: DataSplit, batch_size: int) -> None:
-    """The one rule for a mini-batch size: 1 to the split's train size."""
-    if not 1 <= batch_size <= split.train.size:
-        raise ConfigError(f"batch_size must be in [1, {split.train.size}], got {batch_size}")
+def check_batch_size(train: Dataset, batch_size: int) -> None:
+    """The one rule for a mini-batch size: 1 to the train partition's size."""
+    if not 1 <= batch_size <= train.targets.size:
+        raise ConfigError(f"batch_size must be in [1, {train.targets.size}], got {batch_size}")
 
 
-def epoch_batches(data: Dataset, split: DataSplit, batch_size: int, rng: np.random.Generator
+def epoch_batches(train: Dataset, batch_size: int, rng: np.random.Generator
                   ) -> list[tuple[np.ndarray, np.ndarray]]:
     """One epoch's mini-batches as (features, targets) pairs: a fresh shuffle
-    of the train set, gathered once and cut into consecutive batches (the
-    last one may be short), so one epoch's batches hold each train example
-    exactly once. A batch_size equal to the train size gives exact GD; the
-    caller checks it with ``check_batch_size``."""
-    order = rng.permutation(split.train)
-    x, y = data.features[order], data.targets[order]
+    of the train partition's rows, gathered once and cut into consecutive
+    batches (the last one may be short), so one epoch's batches hold each
+    train example exactly once. A batch_size equal to the train size gives
+    exact GD; the caller checks it with ``check_batch_size``."""
+    order = rng.permutation(train.targets.size)
+    x, y = train.features[order], train.targets[order]
     return [(x[i:i + batch_size], y[i:i + batch_size]) for i in range(0, order.size, batch_size)]
 
 

@@ -9,6 +9,9 @@ import csv
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 import zlib
 from pathlib import Path
@@ -305,10 +308,22 @@ PROTOCOL_ARGS = [
 
 @pytest.fixture(scope="module")
 def protocol_dir(tmp_path_factory):
+    # the two runs overlap: "b" in a child process, "a" in this one, where
+    # pytest turns warnings into errors ("b" gets -W error for the same)
     out = tmp_path_factory.mktemp("protocol")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     start = time.time()
-    assert cli_main(PROTOCOL_ARGS + ["--out", str(out / "a")]) == 0
-    assert cli_main(PROTOCOL_ARGS + ["--out", str(out / "b")]) == 0
+    with subprocess.Popen(
+            [sys.executable, "-W", "error", "-m", "optbench.cli", *PROTOCOL_ARGS,
+             "--out", str(out / "b")],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True) as run_b:
+        try:
+            assert cli_main(PROTOCOL_ARGS + ["--out", str(out / "a")]) == 0
+            _, stderr = run_b.communicate(timeout=600)
+        finally:
+            run_b.kill()  # a no-op once "b" has exited; leaving the block reaps it
+    assert run_b.returncode == 0, f"run b exited {run_b.returncode}:\n{stderr}"
     (out / "elapsed.txt").write_text(repr(time.time() - start))
     return out
 

@@ -27,6 +27,7 @@ from optbench.harness import (
 from optbench.metrics import MetricKind, evaluate
 from optbench.optimizers import OptimizerKind, default_config
 from optbench.tasks import (
+    Dataset,
     init_params,
     loss_and_grad,
     make_dataset,
@@ -45,9 +46,15 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def partition(data, rows):
+    return Dataset(data.features[rows], data.targets[rows], data.spec)
+
+
 def small_data(spec=COLA, size=80, data_seed=3, split_seed=1):
+    """One split's train and dev partitions."""
     data = make_dataset(spec, size, seed=data_seed)
-    return data, stratified_split(data, split_seed=split_seed)
+    split = stratified_split(data, split_seed=split_seed)
+    return partition(data, split.train), partition(data, split.dev)
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +93,9 @@ def test_learning_curve_validation(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_train_deterministic_bitwise():
-    data, split = small_data()
+    train_set, dev_set = small_data()
     config = default_config(OptimizerKind.ADAM)
-    runs = [train(config, data, split, epochs=4, batch_size=4, seed=11)
+    runs = [train(config, train_set, dev_set, epochs=4, batch_size=4, seed=11)
             for _ in range(2)]
     (p1, r1, c1), (p2, r2, c2) = runs
     np.testing.assert_array_equal(p1, p2)
@@ -99,42 +106,42 @@ def test_train_deterministic_bitwise():
 
 
 def test_train_returns_best_epoch_snapshot():
-    data, split = small_data(size=120)
+    train_set, dev_set = small_data(size=120)
     config = default_config(OptimizerKind.ADAM)  # untuned rate oscillates
     found_mid_peak = False
     for seed in range(8):
-        params, record, _ = train(config, data, split, epochs=8, batch_size=4, seed=seed)
+        params, record, _ = train(config, train_set, dev_set, epochs=8, batch_size=4,
+                                  seed=seed)
         k = record.best_epoch
         assert record.best_dev == max(record.epoch_scores)
         # retained snapshot scores exactly the recorded best dev value
-        dev_score = evaluate(COLA, predict(params, data.features[split.dev], COLA),
-                             data.targets[split.dev])
+        dev_score = evaluate(COLA, predict(params, dev_set.features, COLA), dev_set.targets)
         assert dev_score == record.best_dev
         # a truncated run with the same seed retains the same snapshot
         if k < len(record.epoch_scores) - 1:
             found_mid_peak = True
-            params_trunc, record_trunc, _ = train(config, data, split, epochs=k + 1,
-                                                  batch_size=4, seed=seed)
+            params_trunc, record_trunc, _ = train(config, train_set, dev_set,
+                                                  epochs=k + 1, batch_size=4, seed=seed)
             assert record_trunc.best_epoch == k
             np.testing.assert_array_equal(params_trunc, params)
     assert found_mid_peak  # at least one run must peak before the final epoch
 
 
 def test_train_frozen_model_keeps_first_epoch():
-    data, split = small_data()
+    train_set, dev_set = small_data()
     config = dataclasses.replace(default_config(OptimizerKind.SGD), epsilon=1e-300)
-    _, record, curve = train(config, data, split, epochs=5, batch_size=4, seed=2)
+    _, record, curve = train(config, train_set, dev_set, epochs=5, batch_size=4, seed=2)
     assert len(set(record.epoch_scores)) == 1
     assert record.best_epoch == 0
-    assert curve.dev_steps.tolist() == [(k + 1) * (split.train.size // 4) * 1
+    assert curve.dev_steps.tolist() == [(k + 1) * (train_set.targets.size // 4) * 1
                                         for k in range(5)]
 
 
 def test_train_step_and_dev_indices_align():
-    data, split = small_data()
+    train_set, dev_set = small_data()
     config = default_config(OptimizerKind.SGDM)
-    _, record, curve = train(config, data, split, epochs=3, batch_size=4, seed=4)
-    steps_per_epoch = math.ceil(split.train.size / 4)
+    _, record, curve = train(config, train_set, dev_set, epochs=3, batch_size=4, seed=4)
+    steps_per_epoch = math.ceil(train_set.targets.size / 4)
     assert curve.losses.size == 3 * steps_per_epoch
     assert curve.dev_steps.tolist() == [steps_per_epoch * (k + 1) for k in range(3)]
     assert len(record.epoch_scores) == 3
@@ -142,10 +149,9 @@ def test_train_step_and_dev_indices_align():
 
 def test_train_marks_divergence():
     spec = dataclasses.replace(STSB, feature_scale=300.0)
-    data = make_dataset(spec, 80, seed=5)
-    split = stratified_split(data, split_seed=1)
+    train_set, dev_set = small_data(spec, data_seed=5)
     config = default_config(OptimizerKind.SGD)  # 1e-3 is unstable at this scale
-    params, record, curve = train(config, data, split, epochs=6, batch_size=4, seed=1)
+    params, record, curve = train(config, train_set, dev_set, epochs=6, batch_size=4, seed=1)
     assert record.status is TrialStatus.DIVERGED
     assert record.best_dev == -math.inf
     assert np.isfinite(curve.losses).all()
@@ -155,10 +161,11 @@ def test_train_marks_divergence():
 def test_train_stops_at_first_nonfinite_step(monkeypatch, fault):
     import optbench.harness as harness
 
-    data, split = small_data()
+    train_set, dev_set = small_data()
     config = default_config(OptimizerKind.ADAM)
-    first_params, _, first_curve = train(config, data, split, epochs=1, batch_size=4, seed=6)
-    _, _, full_curve = train(config, data, split, epochs=3, batch_size=4, seed=6)
+    first_params, _, first_curve = train(config, train_set, dev_set, epochs=1,
+                                         batch_size=4, seed=6)
+    _, _, full_curve = train(config, train_set, dev_set, epochs=3, batch_size=4, seed=6)
     bad_call = first_curve.losses.size + 3  # a step in the middle of epoch 2
 
     def fault_at(real, spoil):
@@ -176,7 +183,7 @@ def test_train_stops_at_first_nonfinite_step(monkeypatch, fault):
     else:
         monkeypatch.setattr(harness, "loss_and_grad", fault_at(
             harness.loss_and_grad, lambda loss, grad: (math.inf, grad)))
-    params, record, curve = train(config, data, split, epochs=3, batch_size=4, seed=6)
+    params, record, curve = train(config, train_set, dev_set, epochs=3, batch_size=4, seed=6)
     assert record.status is TrialStatus.DIVERGED
     assert record.best_dev == -math.inf
     assert len(record.epoch_scores) == 1
@@ -187,16 +194,16 @@ def test_train_stops_at_first_nonfinite_step(monkeypatch, fault):
 
 
 def test_train_rejects_oversized_batch():
-    data, split = small_data()
+    train_set, dev_set = small_data()
     with pytest.raises(ValueError):
-        train(default_config(OptimizerKind.SGD), data, split, epochs=1,
-              batch_size=split.train.size + 1, seed=0)
+        train(default_config(OptimizerKind.SGD), train_set, dev_set, epochs=1,
+              batch_size=train_set.targets.size + 1, seed=0)
 
 
 def test_train_prune_hook_stops_early():
-    data, split = small_data()
+    train_set, dev_set = small_data()
     config = default_config(OptimizerKind.ADAM)
-    _, record, _ = train(config, data, split, epochs=6, batch_size=4, seed=3,
+    _, record, _ = train(config, train_set, dev_set, epochs=6, batch_size=4, seed=3,
                          prune_hook=lambda epoch, score: epoch >= 1)
     assert record.status is TrialStatus.PRUNED
     assert len(record.epoch_scores) == 2
@@ -215,21 +222,21 @@ def run_spec(task=COLA, optimizer=OptimizerKind.ADAM, regime=Regime.LR_ONLY, **k
 
 def test_run_study_defaults_regime_single_table_trial():
     run = run_spec(regime=Regime.DEFAULTS)
-    data, split = experiment_data(run)[0]
-    outcome = run_study(run, data, split, repetition=1)
+    parts = experiment_data(run)[0]
+    outcome = run_study(run, *parts, repetition=1)
     assert len(outcome.study.trials) == 1
     assert outcome.study.trials[0].config == default_config(OptimizerKind.ADAM)
     assert outcome.trial is outcome.study.trials[0]
     # the chosen trial's best-epoch θ, scored once on the test partition
-    test_x, test_y = data.features[split.test], data.targets[split.test]
-    assert outcome.test == evaluate(COLA, predict(outcome.theta, test_x, COLA), test_y)
+    test_set = parts[2]
+    assert outcome.test == evaluate(COLA, predict(outcome.theta, test_set.features, COLA),
+                                    test_set.targets)
 
 
 def test_run_study_budget_accounting():
     for regime, expected in ((Regime.LR_ONLY, 6), (Regime.FULL, 6), (Regime.DEFAULTS, 1)):
         run = run_spec(regime=regime)
-        data, split = experiment_data(run)[0]
-        outcome = run_study(run, data, split, repetition=1)
+        outcome = run_study(run, *experiment_data(run)[0], repetition=1)
         assert len(outcome.study.trials) == expected
 
 
@@ -237,8 +244,7 @@ def test_run_study_seeds_defaults_for_sgd_family_only():
     for kind, seeded in ((OptimizerKind.SGD, True), (OptimizerKind.SGDM, True),
                          (OptimizerKind.ADAM, False)):
         run = run_spec(optimizer=kind)
-        data, split = experiment_data(run)[0]
-        outcome = run_study(run, data, split, repetition=1)
+        outcome = run_study(run, *experiment_data(run)[0], repetition=1)
         first = outcome.study.trials[0].config
         assert (first == default_config(kind)) == seeded
 
@@ -265,23 +271,21 @@ def test_regime_ordering_lr_only_beats_defaults(kind):
                     trial_budget=5, dataset_size=80)
         run_lr = run_spec(regime=Regime.LR_ONLY, **base)
         run_def = run_spec(regime=Regime.DEFAULTS, **base)
-        data, split = experiment_data(run_lr)[0]
-        best_lr = run_study(run_lr, data, split, repetition=1).trial.best_dev
-        best_def = run_study(run_def, data, split, repetition=1).trial.best_dev
+        parts = experiment_data(run_lr)[0]
+        best_lr = run_study(run_lr, *parts, repetition=1).trial.best_dev
+        best_def = run_study(run_def, *parts, repetition=1).trial.best_dev
         assert best_lr >= best_def
 
 
 def test_run_study_full_beats_own_first_trial():
     run = run_spec(regime=Regime.FULL, trial_budget=8)
-    data, split = experiment_data(run)[0]
-    outcome = run_study(run, data, split, repetition=1)
+    outcome = run_study(run, *experiment_data(run)[0], repetition=1)
     assert outcome.trial.best_dev >= outcome.study.trials[0].best_dev
 
 
 def test_run_study_suggested_configs_within_ranges():
     run = run_spec(optimizer=OptimizerKind.ADABOUND, regime=Regime.FULL, trial_budget=12)
-    data, split = experiment_data(run)[0]
-    outcome = run_study(run, data, split, repetition=1)
+    outcome = run_study(run, *experiment_data(run)[0], repetition=1)
     for trial in outcome.study.trials:
         c = trial.config
         assert 1e-7 <= c.epsilon <= 1e-5
@@ -295,8 +299,7 @@ def test_run_study_suggested_configs_within_ranges():
 def test_run_study_pruned_trials_were_below_contemporaneous_median():
     run = run_spec(task=COLA, optimizer=OptimizerKind.ADAM, regime=Regime.LR_ONLY,
                    epochs=6, trial_budget=25, dataset_size=120, master_seed=3)
-    data, split = experiment_data(run)[0]
-    outcome = run_study(run, data, split, repetition=1)
+    outcome = run_study(run, *experiment_data(run)[0], repetition=1)
     trials = outcome.study.trials
     pruned = [i for i, t in enumerate(trials) if t.status is TrialStatus.PRUNED]
     assert pruned, "expected at least one pruned trial in this study"
@@ -313,9 +316,9 @@ def test_run_study_no_viable_trial():
     spec = dataclasses.replace(STSB, feature_scale=300.0)
     run = run_spec(task=spec, optimizer=OptimizerKind.SGD, regime=Regime.DEFAULTS,
                    epochs=8)
-    data, split = experiment_data(run)[0]
+    parts = experiment_data(run)[0]
     with pytest.raises(NoViableTrialError):
-        run_study(run, data, split, repetition=1)
+        run_study(run, *parts, repetition=1)
 
 
 # ---------------------------------------------------------------------------
@@ -348,32 +351,57 @@ def test_run_experiment_deterministic():
 
 
 def per_split_data(run, repetition):
-    """One split's data as a separate build for each split makes them."""
+    """One split's partitions as a separate build for each split makes them."""
     task = run.task
     data_label = repetition if task.resample_per_split else 0
     dataset = make_dataset(task, run.dataset_size,
                            labeled_seed(run.master_seed, task.name, "data", data_label))
-    return dataset, stratified_split(
+    split = stratified_split(
         dataset, labeled_seed(run.master_seed, task.name, "split", repetition))
+    return tuple(partition(dataset, rows) for rows in (split.train, split.dev, split.test))
+
+
+def sample_values(parts):
+    """Every feature value of a split's partitions, sorted: the sample it cut."""
+    return np.sort(np.concatenate([part.features for part in parts]), axis=None)
 
 
 def test_experiment_data_resampling_policy():
     static = run_spec(task=COLA, n_splits=3)
-    (d1, s1), (d2, s2), (d3, _) = experiment_data(static)
-    assert d1 is d2 is d3  # one dataset, re-split
-    assert not np.array_equal(s1.train, s2.train)
+    s1, s2, s3 = experiment_data(static)
+    # one dataset, re-split
+    np.testing.assert_array_equal(sample_values(s1), sample_values(s2))
+    np.testing.assert_array_equal(sample_values(s1), sample_values(s3))
+    assert not np.array_equal(s1[0].features, s2[0].features)
     resampled = run_spec(task=make_task_spec("sst2_like"), n_splits=3)
-    datasets = [dataset for dataset, _ in experiment_data(resampled)]
-    assert len({id(dataset) for dataset in datasets}) == 3
-    assert not np.array_equal(datasets[0].features, datasets[1].features)
-    # each split's arrays are the ones a build of that split alone gives
+    samples = [sample_values(parts) for parts in experiment_data(resampled)]
+    assert not np.array_equal(samples[0], samples[1])
+    assert not np.array_equal(samples[1], samples[2])
+    # each split's partitions are the ones a build of that split alone gives
     for run in (static, resampled):
-        for repetition, (dataset, split) in enumerate(experiment_data(run), start=1):
-            alone, alone_split = per_split_data(run, repetition)
-            np.testing.assert_array_equal(dataset.features, alone.features)
-            np.testing.assert_array_equal(dataset.targets, alone.targets)
-            for part in ("train", "dev", "test"):
-                np.testing.assert_array_equal(getattr(split, part), getattr(alone_split, part))
+        for repetition, parts in enumerate(experiment_data(run), start=1):
+            for part, alone in zip(parts, per_split_data(run, repetition), strict=True):
+                np.testing.assert_array_equal(part.features, alone.features)
+                np.testing.assert_array_equal(part.targets, alone.targets)
+
+
+@pytest.mark.parametrize("task, optimizer", [(COLA, OptimizerKind.ADAM),
+                                             (STSB, OptimizerKind.SGDM)], ids=["cola", "stsb"])
+def test_run_study_reads_no_test_rows(task, optimizer):
+    # tuning sees the train and dev partitions only: other test rows change
+    # the test score and nothing else
+    run = run_spec(task=task, optimizer=optimizer, regime=Regime.FULL, n_splits=1,
+                   trial_budget=4)
+    train_set, dev_set, test_set = experiment_data(run)[0]
+    negated = dataclasses.replace(test_set, features=-test_set.features)
+    a = run_study(run, train_set, dev_set, test_set, repetition=1)
+    b = run_study(run, train_set, dev_set, negated, repetition=1)
+    assert a.study == b.study  # every trial's config, epoch scores and status
+    np.testing.assert_array_equal(a.theta, b.theta)
+    for field in ("losses", "dev_steps", "dev_scores"):
+        np.testing.assert_array_equal(getattr(a.curve, field), getattr(b.curve, field))
+    assert b.test == evaluate(task, predict(b.theta, negated.features, task), negated.targets)
+    assert a.test != b.test
 
 
 def test_run_experiment_error_names_split():
@@ -588,9 +616,9 @@ def test_tuned_sgd_matches_line_searched_gd_on_convex_task():
     run = RunSpec(task=STSB, optimizer=OptimizerKind.SGD, regime=Regime.LR_ONLY,
                   epochs=100, batch_size=4, n_splits=1, master_seed=5,
                   trial_budget=30, dataset_size=150)
-    data, split = experiment_data(run)[0]
-    x, y = data.features[split.train], data.targets[split.train]
+    parts = experiment_data(run)[0]
+    x, y = parts[0].features, parts[0].targets
     gd_loss = gd_line_search_loss(STSB, x, y)
-    outcome = run_study(run, data, split, repetition=1)
+    outcome = run_study(run, *parts, repetition=1)
     tuned_loss, _ = loss_and_grad(outcome.theta, x, y, STSB)
     assert tuned_loss <= gd_loss + 1e-2

@@ -165,11 +165,15 @@ def batch_rows(data, batches):
     return rows
 
 
+def train_partition(data, split):
+    return Dataset(data.features[split.train], data.targets[split.train], data.spec)
+
+
 def test_epoch_batches_partition_property():
     data = make_dataset(make_task_spec("cola_like"), 60, seed=1)
     split = stratified_split(data, split_seed=1)
     rng = np.random.default_rng(0)
-    rows = batch_rows(data, epoch_batches(data, split, 4, rng))
+    rows = batch_rows(data, epoch_batches(train_partition(data, split), 4, rng))
     assert len(rows) == 12  # 48 train items / 4
     assert all(len(ids) == 4 for ids in rows)
     assert sorted(sum(rows, [])) == sorted(split.train.tolist())
@@ -177,19 +181,40 @@ def test_epoch_batches_partition_property():
 
 def test_epoch_batches_deterministic_given_stream():
     data = make_dataset(make_task_spec("cola_like"), 60, seed=1)
-    split = stratified_split(data, split_seed=1)
-    a = batch_rows(data, epoch_batches(data, split, 4, np.random.default_rng(42)))
-    b = batch_rows(data, epoch_batches(data, split, 4, np.random.default_rng(42)))
+    train = train_partition(data, stratified_split(data, split_seed=1))
+    a = batch_rows(data, epoch_batches(train, 4, np.random.default_rng(42)))
+    b = batch_rows(data, epoch_batches(train, 4, np.random.default_rng(42)))
     assert a == b
 
 
 def test_epoch_batches_full_batch_is_exact_gd():
     data = make_dataset(make_task_spec("cola_like"), 60, seed=1)
     split = stratified_split(data, split_seed=1)
-    rows = batch_rows(data, epoch_batches(data, split, split.train.size,
+    rows = batch_rows(data, epoch_batches(train_partition(data, split), split.train.size,
                                           np.random.default_rng(0)))
     assert len(rows) == 1
     assert sorted(rows[0]) == sorted(split.train.tolist())
+
+
+@pytest.mark.parametrize("name", ["cola_like", "stsb_like"])
+def test_epoch_batches_reproduce_the_index_shuffle(name):
+    # shuffling positions in the train partition draws what shuffling the
+    # split's train indices drew, so batch order, and every result, keep their bits
+    data = make_dataset(make_task_spec(name), 97, seed=4)
+    split = stratified_split(data, split_seed=2)
+    train = train_partition(data, split)
+    for seed in (0, 1, 7, 2024):
+        for batch_size in (1, 4, split.train.size):
+            rng, index_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):  # epochs drawn from one stream
+                batches = epoch_batches(train, batch_size, rng)
+                order = index_rng.permutation(split.train)
+                assert [y.size for _, y in batches[:-1]] == [batch_size] * (len(batches) - 1)
+                np.testing.assert_array_equal(np.concatenate([x for x, _ in batches]),
+                                              data.features[order])
+                np.testing.assert_array_equal(np.concatenate([y for _, y in batches]),
+                                              data.targets[order])
+            assert rng.bit_generator.state == index_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
