@@ -7,10 +7,10 @@ mini-batches (default batch size 4), keeps the parameter snapshot from its
 best dev epoch, and may be stopped early by median pruning. The chosen
 trial's snapshot is scored once on the test partition, and the per-split
 test scores are aggregated as mean and population standard deviation.
-``experiment_data`` makes a task's data once, for all of its experiments, and is
-the one place a split becomes rows: it gathers each split's train, dev and test
-partitions. ``train`` gets the train and dev rows and never a test row;
-``run_study`` scores the test rows once.
+``experiment_data`` makes a task's data once, for all of its experiments: each
+split's train, dev and test partitions, as ``tasks.stratified_split`` cuts them.
+``train`` gets the train and dev partitions and never a test row; ``run_study``
+scores the test partition once.
 ``run_experiment`` returns one experiment's ``SplitResult``s, which
 ``write_run_outputs`` writes in full under names taken from its RunSpec, its
 results.csv rows last; ``report`` and ``curves`` rebuild from the experiments
@@ -302,8 +302,7 @@ class ScoreRecord:
 
 def experiment_data(run: RunSpec) -> tuple[tuple[Dataset, Dataset, Dataset], ...]:
     """Every split's (train, dev, test) partitions for ``run``'s task, in split
-    order, made and checked once for all of the task's experiments; the one
-    reader of a ``stratified_split``'s index sets. Tasks flagged
+    order, made and checked once for all of the task's experiments. Tasks flagged
     ``resample_per_split`` build a dataset per split; the others build one and
     re-split it. A bad dataset or batch size raises ConfigError naming the split."""
     task, data = run.task, []
@@ -313,10 +312,8 @@ def experiment_data(run: RunSpec) -> tuple[tuple[Dataset, Dataset, Dataset], ...
                 dataset = make_dataset(task, run.dataset_size, labeled_seed(
                     run.master_seed, task.name, "data",
                     repetition if task.resample_per_split else 0))
-            split = stratified_split(dataset, labeled_seed(
+            parts = stratified_split(dataset, labeled_seed(
                 run.master_seed, task.name, "split", repetition))
-            parts = tuple(Dataset(dataset.features[rows], dataset.targets[rows], task)
-                          for rows in (split.train, split.dev, split.test))
             check_batch_size(parts[0], run.batch_size)
         except ConfigError as exc:
             raise ConfigError(f"{task.name} split {repetition}: {exc}") from None
@@ -426,22 +423,31 @@ def _epoch_column(n_steps: int, dev_steps: np.ndarray, values: np.ndarray) -> li
     return column
 
 
-def _write_curve(out_dir: Path, stem: str, curves: list[LearningCurve]) -> Path:
-    """Write curve_<stem>.csv: per step, the mean/std across one experiment's curves
-    (in split order, with one step count and dev steps) of the loss, and of the dev
-    score at epoch-end steps, None elsewhere."""
+def _experiment_file(out_dir: Path, experiment, kind: str, split=None) -> Path:
+    """The run-directory file of one experiment (a RunSpec or a ScoreRecord) named by
+    ``kind``, "study", "curve_raw" or "curve": <kind>_<task>_<optimizer>_<regime>,
+    then _split<split> for a study or raw curve, then .json for a study and .csv
+    for a curve."""
+    name = f"{kind}_{experiment.task.name}_{experiment.optimizer.value}_{experiment.regime.value}"
+    if split is not None:
+        name += f"_split{split}"
+    return out_dir / (name + (".json" if kind == "study" else ".csv"))
+
+
+def _write_curve(path: Path, curves: list[LearningCurve]) -> None:
+    """Write an aggregated curve to ``path``: per step, the mean/std across one
+    experiment's curves (in split order, with one step count and dev steps) of the
+    loss, and of the dev score at epoch-end steps, None elsewhere."""
     # step-major, so each step reduces one contiguous vector of its splits;
     # a reduction along axis 0 of a split-major stack groups the float sums
     # differently and can change the last bits
     losses = np.stack([c.losses for c in curves], axis=1)
     devs = np.stack([c.dev_scores for c in curves], axis=1)
     n_steps, dev_steps = losses.shape[0], curves[0].dev_steps
-    path = out_dir / f"curve_{stem}.csv"
     _write_csv(path, _CURVE_COLUMNS, zip(
         range(1, n_steps + 1), losses.mean(axis=1).tolist(), losses.std(axis=1).tolist(),
         _epoch_column(n_steps, dev_steps, devs.mean(axis=1)),
         _epoch_column(n_steps, dev_steps, devs.std(axis=1))))
-    return path
 
 
 def write_run_outputs(run: RunSpec, splits, out_dir) -> None:
@@ -453,27 +459,25 @@ def write_run_outputs(run: RunSpec, splits, out_dir) -> None:
     append removes the files it wrote, leaving none of its experiment."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    key = (run.task.name, run.optimizer.value, run.regime.value)
-    stem = "_".join(key)
     written = []  # each path before its write starts
     try:
         for s in splits:
-            written.append(out / f"study_{stem}_split{s.repetition}.json")
+            written.append(_experiment_file(out, run, "study", s.repetition))
             save_study_json(s.study, written[-1])
             losses = s.curve.losses.tolist()
             dev = _epoch_column(len(losses), s.curve.dev_steps, s.curve.dev_scores)
-            written.append(out / f"curve_raw_{stem}_split{s.repetition}.csv")
+            written.append(_experiment_file(out, run, "curve_raw", s.repetition))
             _write_csv(written[-1], _RAW_CURVE_COLUMNS,
                        zip(range(1, len(losses) + 1), losses, dev))
-        written.append(out / f"curve_{stem}.csv")
-        _write_curve(out, stem, [s.curve for s in splits])
+        written.append(_experiment_file(out, run, "curve"))
+        _write_curve(written[-1], [s.curve for s in splits])
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
         raise
     _write_csv(out / "results.csv", _RESULTS_COLUMNS,
-               ((*key, s.repetition, s.test, s.trial.best_dev, s.trial.best_epoch)
-                for s in splits), mode="a")
+               ((run.task.name, run.optimizer.value, run.regime.value, s.repetition, s.test,
+                 s.trial.best_dev, s.trial.best_epoch) for s in splits), mode="a")
 
 
 def _csv_rows(path, columns, parsers):
@@ -539,14 +543,15 @@ def aggregate_curve_files(in_dir) -> list[Path]:
     in_dir = Path(in_dir)
     written = []
     for rec in _listed_experiments(in_dir):
-        stem = f"{rec.task.name}_{rec.optimizer.value}_{rec.regime.value}"
-        curves = [_read_raw_curve(in_dir / f"curve_raw_{stem}_split{k}.csv")
+        curves = [_read_raw_curve(_experiment_file(in_dir, rec, "curve_raw", k))
                   for k in range(1, len(rec.scores) + 1)]
         if any(c.losses.size != curves[0].losses.size
                or not np.array_equal(c.dev_steps, curves[0].dev_steps) for c in curves):
-            raise ConfigError(f"{in_dir / f'curve_raw_{stem}_split*.csv'} differ in step "
-                              "count or dev steps: a run directory holds each experiment once")
-        written.append(_write_curve(in_dir, stem, curves))
+            raise ConfigError(f"{_experiment_file(in_dir, rec, 'curve_raw', '*')} differ in "
+                              "step count or dev steps: a run directory holds each experiment "
+                              "once")
+        written.append(_experiment_file(in_dir, rec, "curve"))
+        _write_curve(written[-1], curves)
     return written
 
 

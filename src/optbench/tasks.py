@@ -45,7 +45,6 @@ __all__ = [
     "TARGET_RANGE",
     "TaskSpec",
     "Dataset",
-    "DataSplit",
     "make_task_spec",
     "make_dataset",
     "stratified_split",
@@ -136,15 +135,6 @@ class Dataset:
     spec: TaskSpec
 
 
-@dataclass(frozen=True)
-class DataSplit:
-    """Disjoint, exhaustive index sets into one Dataset."""
-
-    train: np.ndarray
-    dev: np.ndarray
-    test: np.ndarray
-
-
 def _largest_remainder(total: int, fractions) -> list[int]:
     """Integer allocation of ``total`` proportional to ``fractions``.
 
@@ -231,9 +221,10 @@ def _strata(data: Dataset) -> tuple[np.ndarray, str]:
     return np.digitize(data.targets, edges), "target-quintile bin"
 
 
-def stratified_split(data: Dataset, split_seed: int) -> DataSplit:
-    """Stratified train/dev/test partition in ``SPLIT_RATIOS``, deterministic
-    in ``split_seed``.
+def stratified_split(data: Dataset, split_seed: int) -> tuple[Dataset, Dataset, Dataset]:
+    """Stratified train/dev/test partitions of ``data`` in ``SPLIT_RATIOS``,
+    deterministic in ``split_seed``: disjoint, together every row of ``data``,
+    and each holding its rows in ``data``'s row order.
 
     Within every stratum the partition counts are within 1 of exact
     proportionality. Raises if any stratum has fewer than 3 members.
@@ -253,8 +244,8 @@ def stratified_split(data: Dataset, split_seed: int) -> DataSplit:
         for p, n_p in enumerate(counts):
             parts[p].append(perm[start:start + n_p])
             start += n_p
-    train, dev, test = (np.sort(np.concatenate(p)).astype(np.int64) for p in parts)
-    return DataSplit(train=train, dev=dev, test=test)
+    return tuple(Dataset(data.features[rows], data.targets[rows], data.spec)
+                 for rows in (np.sort(np.concatenate(p)) for p in parts))
 
 
 def check_batch_size(train: Dataset, batch_size: int) -> None:

@@ -344,9 +344,18 @@ def save_study_json(study: StudyRecord, path) -> None:
         fh.write(json.dumps(doc, indent=1))
 
 
+def _json_int(doc: dict, key: str) -> int:
+    """``doc[key]``, which must be a JSON integer: a float or a bool is refused,
+    not truncated."""
+    if type(value := doc[key]) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def load_study_json(path) -> StudyRecord:
     """The study ``save_study_json`` wrote to ``path``; text that is not a JSON
-    object, or a bad or missing value, raises a ConfigError that names the file."""
+    object, or a bad or missing value (a seed or trial budget that is not a JSON
+    integer too), raises a ConfigError that names the file."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -354,8 +363,8 @@ def load_study_json(path) -> StudyRecord:
             raise ValueError("not a JSON object")
         study = StudyRecord(optimizer=OptimizerKind.parse(doc["optimizer"]),
                             regime=Regime.parse(doc["regime"]),
-                            sampler_seed=int(doc["sampler_seed"]),
-                            max_trials=int(doc["max_trials"]))
+                            sampler_seed=_json_int(doc, "sampler_seed"),
+                            max_trials=_json_int(doc, "max_trials"))
         for trial_doc in doc["trials"]:
             study.add(_trial_from_doc(trial_doc))
     except KeyError as exc:

@@ -411,7 +411,7 @@ def test_curves_ignores_raw_curves_of_a_failed_write(tmp_path, monkeypatch):
     # later run of the experiment at other parameters overwrites only some
     import optbench.harness as harness
 
-    def write_curve(out_dir, stem, curves):
+    def write_curve(path, curves):
         raise OSError("no space left on device")
 
     with monkeypatch.context() as patch:
@@ -433,10 +433,10 @@ def test_failed_write_leaves_no_file_of_its_experiment(tmp_path, monkeypatch, er
     import optbench.harness as harness
     write_curve = harness._write_curve
 
-    def fail_for_adam(out_dir, stem, curves):
-        if "_adam_" in stem:
+    def fail_for_adam(path, curves):
+        if "_adam_" in path.name:
             raise error("no space left on device")
-        return write_curve(out_dir, stem, curves)
+        return write_curve(path, curves)
 
     monkeypatch.setattr(harness, "_write_curve", fail_for_adam)
     args = small_run_args(tmp_path, optimizer="sgd,adam")

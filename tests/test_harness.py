@@ -27,7 +27,6 @@ from optbench.harness import (
 from optbench.metrics import MetricKind, evaluate
 from optbench.optimizers import OptimizerKind, default_config
 from optbench.tasks import (
-    Dataset,
     init_params,
     loss_and_grad,
     make_dataset,
@@ -46,15 +45,11 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
-def partition(data, rows):
-    return Dataset(data.features[rows], data.targets[rows], data.spec)
-
-
 def small_data(spec=COLA, size=80, data_seed=3, split_seed=1):
     """One split's train and dev partitions."""
-    data = make_dataset(spec, size, seed=data_seed)
-    split = stratified_split(data, split_seed=split_seed)
-    return partition(data, split.train), partition(data, split.dev)
+    train_set, dev_set, _ = stratified_split(make_dataset(spec, size, seed=data_seed),
+                                             split_seed=split_seed)
+    return train_set, dev_set
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +351,8 @@ def per_split_data(run, repetition):
     data_label = repetition if task.resample_per_split else 0
     dataset = make_dataset(task, run.dataset_size,
                            labeled_seed(run.master_seed, task.name, "data", data_label))
-    split = stratified_split(
+    return stratified_split(
         dataset, labeled_seed(run.master_seed, task.name, "split", repetition))
-    return tuple(partition(dataset, rows) for rows in (split.train, split.dev, split.test))
 
 
 def sample_values(parts):

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from optbench.tasks import (
     FEATURE_DIM,
+    SPLIT_RATIOS,
     TASK_NAMES,
     Dataset,
     TaskSpec,
@@ -88,12 +90,35 @@ def test_every_task_skew_within_two_percent():
 # Stratified splits
 # ---------------------------------------------------------------------------
 
+def numbered(data):
+    """``data`` with features that hold each row's number, so a partition's
+    first feature column is its index set into ``data``."""
+    n = data.targets.size
+    return dataclasses.replace(
+        data, features=np.repeat(np.arange(n, dtype=float)[:, None], FEATURE_DIM, axis=1))
+
+
+def split_rows(data, split_seed):
+    """``stratified_split(data, split_seed)``'s (train, dev, test) partitions as
+    index sets into ``data``, read off its ``numbered`` copy; each partition
+    must hold exactly its index set's rows of ``data``."""
+    rows = []
+    for part, tagged in zip(stratified_split(data, split_seed),
+                            stratified_split(numbered(data), split_seed), strict=True):
+        idx = tagged.features[:, 0].astype(np.int64)
+        np.testing.assert_array_equal(part.features, data.features[idx])
+        np.testing.assert_array_equal(part.targets, data.targets[idx])
+        assert part.spec is data.spec
+        rows.append(idx)
+    return tuple(rows)
+
+
 def test_split_proportions_and_stratification():
     data = make_dataset(make_task_spec("cola_like"), 240, seed=1)
-    split = stratified_split(data, split_seed=11)
-    all_idx = np.concatenate([split.train, split.dev, split.test])
+    train, dev, test = split_rows(data, split_seed=11)
+    all_idx = np.concatenate([train, dev, test])
     assert sorted(all_idx.tolist()) == list(range(240))
-    for part, ratio in ((split.train, 0.8), (split.dev, 0.1), (split.test, 0.1)):
+    for part, ratio in ((train, 0.8), (dev, 0.1), (test, 0.1)):
         for c in (0, 1):
             n_c = int(np.sum(data.targets == c))
             got = int(np.sum(data.targets[part] == c))
@@ -104,29 +129,29 @@ def test_split_ten_item_example():
     golds = np.array([0] * 7 + [1] * 3)
     data = Dataset(features=np.zeros((10, 6)), targets=golds,
                    spec=make_task_spec("cola_like"))
-    split = stratified_split(data, split_seed=2)
-    maj = int(np.sum(golds[split.train] == 0))
-    mino = int(np.sum(golds[split.train] == 1))
+    train, dev, test = split_rows(data, split_seed=2)
+    maj = int(np.sum(golds[train] == 0))
+    mino = int(np.sum(golds[train] == 1))
     assert maj in (5, 6) and mino in (2, 3)
-    assert split.dev.size == 1 and split.test.size == 1
+    assert dev.size == 1 and test.size == 1
 
 
 def test_split_single_stratum_exact():
     golds = np.zeros(100, dtype=np.int64)
     data = Dataset(features=np.zeros((100, 6)), targets=golds,
                    spec=make_task_spec("cola_like"))
-    split = stratified_split(data, split_seed=0)
-    assert (split.train.size, split.dev.size, split.test.size) == (80, 10, 10)
+    train, dev, test = split_rows(data, split_seed=0)
+    assert (train.size, dev.size, test.size) == (80, 10, 10)
 
 
 def test_split_determinism_and_seed_sensitivity():
     data = make_dataset(make_task_spec("mrpc_like"), 120, seed=6)
-    a = stratified_split(data, split_seed=5)
-    b = stratified_split(data, split_seed=5)
-    np.testing.assert_array_equal(a.train, b.train)
-    np.testing.assert_array_equal(a.dev, b.dev)
-    c = stratified_split(data, split_seed=6)
-    assert not np.array_equal(a.train, c.train)
+    a = split_rows(data, split_seed=5)
+    b = split_rows(data, split_seed=5)
+    np.testing.assert_array_equal(a[0], b[0])
+    np.testing.assert_array_equal(a[1], b[1])
+    c = split_rows(data, split_seed=6)
+    assert not np.array_equal(a[0], c[0])
 
 
 def test_split_small_class_error_names_class():
@@ -139,14 +164,38 @@ def test_split_small_class_error_names_class():
 
 def test_split_regression_stratifies_by_quintile():
     data = make_dataset(make_task_spec("stsb_like"), 200, seed=2)
-    split = stratified_split(data, split_seed=3)
+    train, dev, test = split_rows(data, split_seed=3)
     edges = np.quantile(data.targets, [0.2, 0.4, 0.6, 0.8])
     bins = np.digitize(data.targets, edges)
-    for part, ratio in ((split.train, 0.8), (split.dev, 0.1), (split.test, 0.1)):
+    for part, ratio in ((train, 0.8), (dev, 0.1), (test, 0.1)):
         for b in range(5):
             n_b = int(np.sum(bins == b))
             got = int(np.sum(bins[part] == b))
             assert abs(got - ratio * n_b) < 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(TASK_NAMES), size=st.integers(50, 300),
+       data_seed=st.integers(0, 2**32 - 1), split_seed=st.integers(0, 2**32 - 1))
+def test_split_partitions_property(name, size, data_seed, split_seed):
+    data = make_dataset(make_task_spec(name), size, seed=data_seed)
+    parts = split_rows(data, split_seed)
+    # together a permutation of the rows, so no row is in two partitions
+    np.testing.assert_array_equal(np.sort(np.concatenate(parts)), np.arange(size))
+    # each in dataset row order, which keeps every result's bits
+    assert all(np.all(np.diff(rows) > 0) for rows in parts)
+    if data.spec.task_type == "classification":
+        strata = data.targets
+    else:
+        strata = np.digitize(data.targets, np.quantile(data.targets, [0.2, 0.4, 0.6, 0.8]))
+    for rows, ratio in zip(parts, SPLIT_RATIOS, strict=True):
+        for stratum in np.unique(strata):
+            n_s = int(np.sum(strata == stratum))
+            assert abs(int(np.sum(strata[rows] == stratum)) - ratio * n_s) < 1.0
+    for a, b in zip(stratified_split(data, split_seed), stratified_split(data, split_seed),
+                    strict=True):
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a.targets.tobytes() == b.targets.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -165,23 +214,19 @@ def batch_rows(data, batches):
     return rows
 
 
-def train_partition(data, split):
-    return Dataset(data.features[split.train], data.targets[split.train], data.spec)
-
-
 def test_epoch_batches_partition_property():
     data = make_dataset(make_task_spec("cola_like"), 60, seed=1)
-    split = stratified_split(data, split_seed=1)
+    train, _, _ = stratified_split(data, split_seed=1)
     rng = np.random.default_rng(0)
-    rows = batch_rows(data, epoch_batches(train_partition(data, split), 4, rng))
+    rows = batch_rows(data, epoch_batches(train, 4, rng))
     assert len(rows) == 12  # 48 train items / 4
     assert all(len(ids) == 4 for ids in rows)
-    assert sorted(sum(rows, [])) == sorted(split.train.tolist())
+    assert sorted(sum(rows, [])) == sorted(split_rows(data, split_seed=1)[0].tolist())
 
 
 def test_epoch_batches_deterministic_given_stream():
     data = make_dataset(make_task_spec("cola_like"), 60, seed=1)
-    train = train_partition(data, stratified_split(data, split_seed=1))
+    train, _, _ = stratified_split(data, split_seed=1)
     a = batch_rows(data, epoch_batches(train, 4, np.random.default_rng(42)))
     b = batch_rows(data, epoch_batches(train, 4, np.random.default_rng(42)))
     assert a == b
@@ -189,11 +234,10 @@ def test_epoch_batches_deterministic_given_stream():
 
 def test_epoch_batches_full_batch_is_exact_gd():
     data = make_dataset(make_task_spec("cola_like"), 60, seed=1)
-    split = stratified_split(data, split_seed=1)
-    rows = batch_rows(data, epoch_batches(train_partition(data, split), split.train.size,
-                                          np.random.default_rng(0)))
+    train, _, _ = stratified_split(data, split_seed=1)
+    rows = batch_rows(data, epoch_batches(train, train.targets.size, np.random.default_rng(0)))
     assert len(rows) == 1
-    assert sorted(rows[0]) == sorted(split.train.tolist())
+    assert sorted(rows[0]) == sorted(split_rows(data, split_seed=1)[0].tolist())
 
 
 @pytest.mark.parametrize("name", ["cola_like", "stsb_like"])
@@ -201,14 +245,14 @@ def test_epoch_batches_reproduce_the_index_shuffle(name):
     # shuffling positions in the train partition draws what shuffling the
     # split's train indices drew, so batch order, and every result, keep their bits
     data = make_dataset(make_task_spec(name), 97, seed=4)
-    split = stratified_split(data, split_seed=2)
-    train = train_partition(data, split)
+    train, _, _ = stratified_split(data, split_seed=2)
+    train_rows = split_rows(data, split_seed=2)[0]
     for seed in (0, 1, 7, 2024):
-        for batch_size in (1, 4, split.train.size):
+        for batch_size in (1, 4, train_rows.size):
             rng, index_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(3):  # epochs drawn from one stream
                 batches = epoch_batches(train, batch_size, rng)
-                order = index_rng.permutation(split.train)
+                order = index_rng.permutation(train_rows)
                 assert [y.size for _, y in batches[:-1]] == [batch_size] * (len(batches) - 1)
                 np.testing.assert_array_equal(np.concatenate([x for x, _ in batches]),
                                               data.features[order])

@@ -489,7 +489,8 @@ STUDY_FILE_TEXT = """{
 
 
 @pytest.mark.parametrize("fault", ["over budget", "no sampler_seed", "null sampler_seed",
-                                   "not json", "json array"])
+                                   "float sampler_seed", "bool sampler_seed",
+                                   "float max_trials", "not json", "json array"])
 def test_load_study_json_names_file(tmp_path, fault):
     study = make_study([make_trial(), make_trial()], regime=Regime.LR_ONLY, budget=2)
     path = tmp_path / "study.json"
@@ -507,9 +508,18 @@ def test_load_study_json_names_file(tmp_path, fault):
     elif fault == "no sampler_seed":
         del doc["sampler_seed"]
         expected = f"{path} lacks key 'sampler_seed'"
+    elif fault == "float sampler_seed":  # refused, not truncated to 7
+        doc["sampler_seed"] = 7.9
+        expected = f"{path}: sampler_seed must be an integer, got 7.9"
+    elif fault == "bool sampler_seed":  # refused, not read as 1
+        doc["sampler_seed"] = True
+        expected = f"{path}: sampler_seed must be an integer, got True"
+    elif fault == "float max_trials":  # refused, not truncated to 3
+        doc["max_trials"] = 3.5
+        expected = f"{path}: max_trials must be an integer, got 3.5"
     else:
         doc["sampler_seed"] = None
-        expected = f"{path}: int() argument"
+        expected = f"{path}: sampler_seed must be an integer, got None"
     path.write_text(doc if fault == "not json" else json.dumps(doc))
     with pytest.raises(ValueError) as info:
         load_study_json(path)
