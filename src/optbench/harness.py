@@ -110,7 +110,9 @@ class NoViableTrialError(RuntimeError):
 
 
 def labeled_rng(master_seed: int, *labels) -> np.random.Generator:
-    """Independent generator for the stream named by ``labels``."""
+    """Independent generator for the stream named by ``labels``. ``_entropy`` keeps
+    only 32 bits of ``master_seed``, so ``train``'s init and batch streams use the
+    low 32 bits of the 64-bit trial seed that ``labeled_seed`` returns."""
     return np.random.default_rng(np.random.SeedSequence(_entropy(master_seed, labels)))
 
 

@@ -70,7 +70,7 @@ class OptimizerKind(str, Enum):
     def parse(cls, text: str) -> "OptimizerKind":
         try:
             return cls(text.strip().lower())
-        except ValueError:
+        except (AttributeError, ValueError):  # AttributeError: not a string
             raise ConfigError(f"unknown optimizer kind: {text!r}") from None
 
 

@@ -81,7 +81,7 @@ class Regime(str, Enum):
     def parse(cls, text: str) -> "Regime":
         try:
             return cls(text.strip().lower().replace("-", "_"))
-        except ValueError:
+        except (AttributeError, ValueError):  # AttributeError: not a string
             raise ConfigError(f"unknown regime: {text!r}") from None
 
 
@@ -169,6 +169,11 @@ class StudyRecord:
     max_trials: int = MAX_TRIALS
 
     def __post_init__(self):
+        for key in ("sampler_seed", "max_trials"):  # a float or a bool is refused
+            if type(value := getattr(self, key)) is not int:
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if self.sampler_seed < 0:
+            raise ConfigError(f"sampler_seed must be >= 0, got {self.sampler_seed}")
         check_trial_budget(self.max_trials)
 
     @property
@@ -298,11 +303,10 @@ def best_trial(study: StudyRecord) -> TrialRecord:
 # ---------------------------------------------------------------------------
 
 def _config_to_doc(config: OptimizerConfig) -> dict:
-    """A config's study-file form, which ``_trial_from_doc`` reads: its fields
-    in order, the kind by name and ``lambda_`` under the key ``lambda``."""
-    doc = {("lambda" if k == "lambda_" else k): v for k, v in vars(config).items()}
-    doc["kind"] = config.kind.value
-    return doc
+    """A config's study-file form, which ``_trial_from_doc`` reads: its fields in
+    order, the kind by name, ``lambda_`` under the key ``lambda`` and the rest as floats."""
+    return {("lambda" if k == "lambda_" else k): v.value if k == "kind" else float(v)
+            for k, v in vars(config).items()}
 
 
 def _trial_to_doc(trial: TrialRecord) -> dict:
@@ -316,46 +320,35 @@ def _trial_to_doc(trial: TrialRecord) -> dict:
 
 
 def _trial_from_doc(doc: dict) -> TrialRecord:
-    """The trial a study-file entry describes; its stored ``best_epoch`` and
-    ``best_dev`` must be the ones its scores and status give."""
-    cfg = dict(doc["config"])
+    """The trial a study-file entry describes, from its config, scores and status."""
+    cfg = dict(doc["config"], kind=OptimizerKind.parse(doc["config"]["kind"]))
     cfg["lambda_"] = cfg.pop("lambda")
-    cfg["kind"] = OptimizerKind.parse(cfg["kind"])
-    trial = TrialRecord(config=OptimizerConfig(**cfg), epoch_scores=doc["epoch_scores"],
-                        status=TrialStatus(doc["status"]))
-    stored = (doc["best_epoch"], float("-inf") if doc["best_dev"] is None else doc["best_dev"])
-    if stored != (trial.best_epoch, trial.best_dev):
-        raise ValueError(f"stored best_epoch/best_dev {stored} disagree with the trial's "
-                         f"scores, which give {(trial.best_epoch, trial.best_dev)}")
-    return trial
+    return TrialRecord(OptimizerConfig(**cfg), doc["epoch_scores"], TrialStatus(doc["status"]))
 
 
-def save_study_json(study: StudyRecord, path) -> None:
-    """Write every init field of ``study``, so ``load_study_json`` returns an
-    equal study that asks for the same next configuration."""
-    doc = {
+def _study_doc(study: StudyRecord) -> dict:
+    """A study's file form: its init fields, each trial with its derived best."""
+    return {
         "optimizer": study.optimizer.value,
         "regime": study.regime.value,
         "sampler_seed": study.sampler_seed,
         "max_trials": study.max_trials,
         "trials": [_trial_to_doc(t) for t in study.trials],
     }
+
+
+def save_study_json(study: StudyRecord, path) -> None:
+    """Write ``_study_doc(study)``, so ``load_study_json`` returns an equal
+    study that asks for the same next configuration."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=1))
-
-
-def _json_int(doc: dict, key: str) -> int:
-    """``doc[key]``, which must be a JSON integer: a float or a bool is refused,
-    not truncated."""
-    if type(value := doc[key]) is not int:
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
+        fh.write(json.dumps(_study_doc(study), indent=1))
 
 
 def load_study_json(path) -> StudyRecord:
-    """The study ``save_study_json`` wrote to ``path``; text that is not a JSON
-    object, or a bad or missing value (a seed or trial budget that is not a JSON
-    integer too), raises a ConfigError that names the file."""
+    """The study ``save_study_json`` wrote to ``path``. A file loads iff it is the
+    JSON document ``save_study_json`` writes for the study it describes; any other
+    (not a JSON object, a missing key, a refused value, ``7.0`` for ``7``, a stored
+    ``best_dev`` its scores do not give) raises a ConfigError naming the file."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -363,10 +356,14 @@ def load_study_json(path) -> StudyRecord:
             raise ValueError("not a JSON object")
         study = StudyRecord(optimizer=OptimizerKind.parse(doc["optimizer"]),
                             regime=Regime.parse(doc["regime"]),
-                            sampler_seed=_json_int(doc, "sampler_seed"),
-                            max_trials=_json_int(doc, "max_trials"))
+                            sampler_seed=doc["sampler_seed"], max_trials=doc["max_trials"])
         for trial_doc in doc["trials"]:
             study.add(_trial_from_doc(trial_doc))
+        saved = {k: json.dumps(v, sort_keys=True) for k, v in _study_doc(study).items()}
+        read = {k: json.dumps(v, sort_keys=True) for k, v in doc.items()}
+        if saved != read:
+            key = next(k for k in {**saved, **read} if saved.get(k) != read.get(k))
+            raise ValueError(f"{key!r} disagrees with the study the file describes")
     except KeyError as exc:
         raise ConfigError(f"{path} lacks key {exc}") from None
     except (TypeError, ValueError) as exc:

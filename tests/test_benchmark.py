@@ -80,6 +80,17 @@ def test_traced_run_passes_the_benchmark_output_checks(tmp_path, bench):
     name_id = spans.names.index("tasks.loss_and_grad")
     assert sum(1 for n in spans.name_id if n == name_id) == counts["steps"] > 0
 
+    # tracer.TAGGERS read the spec, config and study by argument position, so
+    # a refactor that moved them would leave these spans untagged
+    expected_tags = {"tasks.loss_and_grad": {"logistic", "linear"},
+                     "optimizers.apply_step": {"adam", "sgdm"},
+                     "metrics.evaluate": {"matthews", "pearson"},
+                     "tuning.suggest": {"startup"}}
+    for name, expected in expected_tags.items():
+        tagged = spans.names.index(name)
+        tags = {spans.tags[t] for n, t in zip(spans.name_id, spans.tag_id) if n == tagged}
+        assert tags == expected, name
+
 
 def test_run_sequence_passes_the_benchmark_output_checks(tmp_path, bench, monkeypatch):
     # the benchmark's own repetition: the run command and its report and

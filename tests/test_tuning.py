@@ -490,7 +490,10 @@ STUDY_FILE_TEXT = """{
 
 @pytest.mark.parametrize("fault", ["over budget", "no sampler_seed", "null sampler_seed",
                                    "float sampler_seed", "bool sampler_seed",
-                                   "float max_trials", "not json", "json array"])
+                                   "float max_trials", "not json", "json array",
+                                   "string and bool scores", "bool best_epoch", "bool rho1",
+                                   "extra key", "negative sampler_seed", "number regime",
+                                   "number kind"])
 def test_load_study_json_names_file(tmp_path, fault):
     study = make_study([make_trial(), make_trial()], regime=Regime.LR_ONLY, budget=2)
     path = tmp_path / "study.json"
@@ -517,6 +520,27 @@ def test_load_study_json_names_file(tmp_path, fault):
     elif fault == "float max_trials":  # refused, not truncated to 3
         doc["max_trials"] = 3.5
         expected = f"{path}: max_trials must be an integer, got 3.5"
+    elif fault == "string and bool scores":  # refused, not read as (0.5, 0.0)
+        doc["trials"][0]["epoch_scores"] = ["0.5", False]
+        expected = f"{path}: 'trials' disagrees with the study the file describes"
+    elif fault == "bool best_epoch":  # refused, not read as 0
+        doc["trials"][0]["best_epoch"] = False
+        expected = f"{path}: 'trials' disagrees with the study the file describes"
+    elif fault == "bool rho1":  # refused, not read as 0.0
+        doc["trials"][0]["config"]["rho1"] = False
+        expected = f"{path}: 'trials' disagrees with the study the file describes"
+    elif fault == "extra key":
+        doc["note"] = None
+        expected = f"{path}: 'note' disagrees with the study the file describes"
+    elif fault == "negative sampler_seed":  # a ConfigError here, not numpy's at the next ask
+        doc["sampler_seed"] = -1
+        expected = f"{path}: sampler_seed must be >= 0, got -1"
+    elif fault == "number regime":  # a ConfigError, not an AttributeError
+        doc["regime"] = 5
+        expected = f"{path}: unknown regime: 5"
+    elif fault == "number kind":
+        doc["trials"][0]["config"]["kind"] = 1
+        expected = f"{path}: unknown optimizer kind: 1"
     else:
         doc["sampler_seed"] = None
         expected = f"{path}: sampler_seed must be an integer, got None"
@@ -524,6 +548,20 @@ def test_load_study_json_names_file(tmp_path, fault):
     with pytest.raises(ValueError) as info:
         load_study_json(path)
     assert str(info.value).startswith(expected)
+
+
+def test_int_hyperparameter_is_saved_as_a_float(tmp_path):
+    # a config built with an int epsilon is saved as the float the loaded
+    # study is saved as, so the file loads and saves back to the same bytes
+    study = make_study([make_trial(epsilon=1)])
+    path = tmp_path / "study.json"
+    save_study_json(study, path)
+    epsilon = json.loads(path.read_text())["trials"][0]["config"]["epsilon"]
+    assert type(epsilon) is float and epsilon == 1.0
+    back = load_study_json(path)
+    assert back == study
+    save_study_json(back, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_text() == path.read_text()
 
 
 def test_loaded_budget_two_study_is_full(tmp_path):
@@ -571,3 +609,45 @@ def test_study_is_its_stored_fields(tmp_path_factory, kind, regime, seed, budget
     if not study.full:
         assert suggest(study) == suggest(study)
         assert back.ask() == study.ask()
+
+
+def number_paths(node, path=()):
+    """The path to every number in a parsed JSON document, bools aside."""
+    if type(node) in (int, float):
+        return [path]
+    children = (node.items() if isinstance(node, dict) else
+                enumerate(node) if isinstance(node, list) else ())
+    return [p for key, child in children for p in number_paths(child, path + (key,))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(ALL_KINDS), regime=st.sampled_from(list(Regime)),
+       seed=st.integers(0, 2**64 - 1), budget=st.integers(1, MAX_TRIALS),
+       results=_TRIAL_RESULTS, data=st.data())
+def test_study_file_with_one_number_retyped_is_refused(tmp_path_factory, kind, regime, seed,
+                                                       budget, results, data):
+    # a file loads only as the document save_study_json writes: one number
+    # turned into a bool, a string or the other JSON number type is refused
+    study = make_study(kind=kind, regime=regime, seed=seed, budget=budget)
+    for status, scores in results:
+        if study.full:
+            break
+        study.add(TrialRecord(study.ask(), tuple(scores), status))
+    path = tmp_path_factory.mktemp("study") / "study.json"
+    save_study_json(study, path)
+    doc = json.loads(path.read_text())
+    *where, last = data.draw(st.sampled_from(number_paths(doc)))
+    parent = doc
+    for key in where:
+        parent = parent[key]
+    value = parent[last]
+    retyped = [st.booleans(), st.text(max_size=8), st.just(str(value))]
+    if type(value) is int:
+        retyped.append(st.just(float(value)))  # 7 -> 7.0
+    elif value.is_integer():
+        retyped.append(st.just(int(value)))  # 1.0 -> 1
+    parent[last] = data.draw(st.one_of(retyped))
+    path.write_text(json.dumps(doc, indent=1))
+    with pytest.raises(ConfigError) as info:
+        load_study_json(path)
+    assert str(info.value).startswith(str(path))
