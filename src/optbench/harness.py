@@ -518,9 +518,18 @@ def _finite_float_or_none(text: str) -> float | None:
     return _finite_float(text) if text else None
 
 
-def _read_raw_curve(path) -> LearningCurve:
+def _checked_score(path, line: int, metric: MetricKind, value: float) -> float:
+    """A score read from line ``line`` of ``path``, checked by ``check_score``."""
+    try:
+        return check_score(metric, value)
+    except ValueError as exc:
+        raise ConfigError(f"{path} line {line}: {exc}") from None
+
+
+def _read_raw_curve(path, metric: MetricKind) -> LearningCurve:
     """The curve a raw per-split file holds; its steps must run 1, 2, 3, ...
-    (so its dev steps increase) and its losses and dev scores must be finite."""
+    (so its dev steps increase), its losses must be finite and its dev scores
+    must pass ``check_score`` for ``metric``."""
     losses, dev_steps, dev_scores = [], [], []
     rows = _csv_rows(path, _RAW_CURVE_COLUMNS,
                      {"step": int, "loss": _finite_float, "dev": _finite_float_or_none})
@@ -531,7 +540,7 @@ def _read_raw_curve(path) -> LearningCurve:
         losses.append(row["loss"])
         if row["dev"] is not None:
             dev_steps.append(step)
-            dev_scores.append(row["dev"])
+            dev_scores.append(_checked_score(path, line, metric, row["dev"]))
     return LearningCurve(losses=np.asarray(losses, dtype=np.float64),
                          dev_steps=np.asarray(dev_steps, dtype=np.int64),
                          dev_scores=np.asarray(dev_scores, dtype=np.float64))
@@ -545,7 +554,7 @@ def aggregate_curve_files(in_dir) -> list[Path]:
     in_dir = Path(in_dir)
     written = []
     for rec in _listed_experiments(in_dir):
-        curves = [_read_raw_curve(_experiment_file(in_dir, rec, "curve_raw", k))
+        curves = [_read_raw_curve(_experiment_file(in_dir, rec, "curve_raw", k), rec.metric)
                   for k in range(1, len(rec.scores) + 1)]
         if any(c.losses.size != curves[0].losses.size
                or not np.array_equal(c.dev_steps, curves[0].dev_steps) for c in curves):
@@ -570,10 +579,7 @@ def read_results(path) -> list[ScoreRecord]:
                "regime": Regime.parse, "split": int, "test_score": _finite_float}
     scores: dict[tuple[TaskSpec, OptimizerKind, Regime], list[float]] = {}
     for line, row in _csv_rows(path, _RESULTS_COLUMNS, parsers):
-        try:
-            check_score(row["task"].metric, row["test_score"])
-        except ValueError as exc:
-            raise ConfigError(f"{path} line {line}: {exc}") from None
+        _checked_score(path, line, row["task"].metric, row["test_score"])
         key = (row["task"], row["optimizer"], row["regime"])
         held = scores.setdefault(key, [])
         if row["split"] != len(held) + 1:

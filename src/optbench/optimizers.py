@@ -21,16 +21,18 @@ Implemented update rules (all vector operations elementwise, float64):
 The step counter t starts at 0 and is incremented before being used in any
 power term, so the first update uses t' = 1.
 
-``apply_step`` is the one entry point and the one input check: it converts
-theta and g to float64 arrays unless they already are (the training loop's
-always are, so a step converts nothing), raises ValueError unless theta,
-g and the state's s and r are 1-d vectors of one length, and dispatches
-on ``config.kind`` to a private rule that only does arithmetic, with ufuncs
-rather than their Python wrappers. Steps are pure: they never mutate their
-inputs and identical inputs produce identical outputs, so concurrent
-training runs only need to own their own state. A NaN or infinity in the
-gradient propagates into the returned parameters, where the training loop
-detects it.
+``apply_step`` is the one entry point and does a step's bookkeeping once:
+it converts theta and g to float64 arrays unless they already are (the
+training loop's always are, so a step converts nothing), raises ValueError
+unless theta, g and the state's s and r are 1-d vectors of one length,
+computes t' = t + 1, and builds the new state from what the rule for
+``config.kind`` returns. A rule maps (config, t', s, r, theta, g) to
+(theta', s', r') and only does arithmetic, with ufuncs rather than their
+Python wrappers. Steps are pure: they never mutate their inputs and
+identical inputs produce identical outputs, so concurrent training runs
+only need to own their own state. A NaN or infinity in the gradient
+propagates into the returned parameters, where the training loop detects
+it.
 """
 
 from __future__ import annotations
@@ -158,23 +160,20 @@ def init_state(dim: int) -> OptimizerState:
     return OptimizerState(t=0, s=np.zeros(dim), r=np.zeros(dim))
 
 
-def _sgd(config, state, theta, g):
-    theta2 = theta - config.epsilon * g
-    return theta2, OptimizerState(t=state.t + 1, s=state.s, r=state.r)
+def _sgd(config, t2, s, r, theta, g):
+    return theta - config.epsilon * g, s, r
 
 
-def _sgdm(config, state, theta, g):
-    theta2 = theta - config.epsilon * g + config.alpha * state.s
-    s2 = config.alpha * state.s - config.epsilon * g
-    return theta2, OptimizerState(t=state.t + 1, s=s2, r=state.r)
+def _sgdm(config, t2, s, r, theta, g):
+    theta2 = theta - config.epsilon * g + config.alpha * s
+    return theta2, config.alpha * s - config.epsilon * g, r
 
 
-def _adam(config, state, theta, g):
+def _adam(config, t2, s, r, theta, g):
     # Adam, Nadam and AdamW; config.kind picks the bias correction and decay
     rho1, rho2 = config.rho1, config.rho2
-    t2 = state.t + 1
-    s2 = rho1 * state.s + (1.0 - rho1) * g
-    r2 = rho2 * state.r + (1.0 - rho2) * g * g
+    s2 = rho1 * s + (1.0 - rho1) * g
+    r2 = rho2 * r + (1.0 - rho2) * g * g
     if config.kind is OptimizerKind.NADAM:
         s_hat = rho1 * s2 / (1.0 - rho1 ** (t2 + 1)) + (1.0 - rho1) * g / (1.0 - rho1**t2)
         r_hat = rho2 * r2 / (1.0 - rho2**t2)
@@ -186,20 +185,18 @@ def _adam(config, state, theta, g):
     if config.kind is OptimizerKind.ADAMW:
         # decoupled decay of the pre-step theta, not scaled by epsilon
         theta2 = theta2 - config.lambda_ * theta
-    return theta2, OptimizerState(t=t2, s=s2, r=r2)
+    return theta2, s2, r2
 
 
-def _adamax(config, state, theta, g):
+def _adamax(config, t2, s, r, theta, g):
     # a coordinate whose whole gradient history is zero has r' = s' = 0 and
     # moves by 0
     rho1 = config.rho1
-    t2 = state.t + 1
-    s2 = rho1 * state.s + (1.0 - rho1) * g
-    r2 = np.maximum(config.rho2 * state.r, np.abs(g))
+    s2 = rho1 * s + (1.0 - rho1) * g
+    r2 = np.maximum(config.rho2 * r, np.abs(g))
     # != rather than >: a NaN in r' must reach theta' instead of reading as 0
     ratio = np.divide(s2, r2, out=np.zeros(s2.shape), where=r2 != 0.0)
-    theta2 = theta - (config.epsilon / (1.0 - rho1**t2)) * ratio
-    return theta2, OptimizerState(t=t2, s=s2, r=r2)
+    return theta - (config.epsilon / (1.0 - rho1**t2)) * ratio, s2, r2
 
 
 def adabound_bounds(t: int, config: OptimizerConfig) -> tuple[float, float]:
@@ -216,17 +213,15 @@ def adabound_bounds(t: int, config: OptimizerConfig) -> tuple[float, float]:
     return lo, hi
 
 
-def _adabound(config, state, theta, g):
+def _adabound(config, t2, s, r, theta, g):
     # delta guards coordinates with all-zero gradient history; the numerator
     # uses the uncorrected first moment
     rho1, rho2 = config.rho1, config.rho2
-    t2 = state.t + 1
-    s2 = rho1 * state.s + (1.0 - rho1) * g
-    r2 = rho2 * state.r + (1.0 - rho2) * g * g
+    s2 = rho1 * s + (1.0 - rho1) * g
+    r2 = rho2 * r + (1.0 - rho2) * g * g
     lo, hi = adabound_bounds(t2, config)
     eta = np.minimum(np.maximum(config.epsilon / (np.sqrt(r2) + config.delta), lo), hi)
-    theta2 = theta - eta * s2
-    return theta2, OptimizerState(t=t2, s=s2, r=r2)
+    return theta - eta * s2, s2, r2
 
 
 _RULES = {
@@ -250,4 +245,6 @@ def apply_step(config, state, theta, g):
     if theta.ndim != 1 or not theta.shape == g.shape == state.s.shape == state.r.shape:
         raise ValueError(f"theta, g, s and r must be 1-d vectors of one length, got shapes "
                          f"{theta.shape}, {g.shape}, {state.s.shape} and {state.r.shape}")
-    return _RULES[config.kind](config, state, theta, g)
+    t2 = state.t + 1
+    theta2, s2, r2 = _RULES[config.kind](config, t2, state.s, state.r, theta, g)
+    return theta2, OptimizerState(t=t2, s=s2, r=r2)

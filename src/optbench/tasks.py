@@ -52,7 +52,6 @@ __all__ = [
     "epoch_batches",
     "param_layout",
     "init_params",
-    "segments",
     "loss_and_grad",
     "predict",
 ]
@@ -285,33 +284,30 @@ def init_params(spec: TaskSpec, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-INIT_SCALE, INIT_SCALE, size=spec._theta_slices[0])
 
 
-def segments(theta: np.ndarray, spec: TaskSpec) -> list[np.ndarray]:
-    """Views of the flat vector θ reshaped per ``param_layout(spec)`` segment, in
-    layout order, from the slice table the spec works out once.
+def _forward(theta: np.ndarray, x: np.ndarray, spec: TaskSpec):
+    """The model's output for the batch ``x`` (real scores for the linear model,
+    one logit per class for the classifiers), θ's views per ``param_layout(spec)``
+    segment from the slice table the spec works out once, and the MLP's hidden
+    activations (None for the other families).
 
-    Raises ValueError unless θ is 1-d with exactly the layout's length.
+    The forward pass's two input rules, each a ValueError when broken: θ is 1-d
+    with exactly the layout's length, and ``x`` is (m, FEATURE_DIM).
     """
     n, table = spec._theta_slices
     if theta.shape != (n,):
         raise ValueError(f"{spec.model} layout covers {n} values, theta has shape {theta.shape}")
-    return [theta[part].reshape(shape) for part, shape in table]
-
-
-def _forward(seg: list[np.ndarray], x: np.ndarray, spec: TaskSpec):
-    """Model output for the batch ``x``, which must be (m, FEATURE_DIM), and the
-    MLP's hidden activations (None for the linear and logistic families): real
-    scores for the linear model, one logit per class for the classifiers."""
     if x.ndim != 2 or x.shape[1] != FEATURE_DIM:
         raise ValueError(f"features must be (m, {FEATURE_DIM}), got {x.shape}")
+    seg = [theta[part].reshape(shape) for part, shape in table]
     if spec.model == "linear":
         w, b = seg
-        return x @ w + b[0], None
+        return x @ w + b[0], seg, None
     if spec.model == "logistic":
         W, b = seg
-        return x @ W.T + b, None
+        return x @ W.T + b, seg, None
     W1, b1, W2, b2 = seg
     hidden = np.tanh(x @ W1.T + b1)
-    return hidden @ W2.T + b2, hidden
+    return hidden @ W2.T + b2, seg, hidden
 
 
 def loss_and_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, spec: TaskSpec
@@ -320,13 +316,12 @@ def loss_and_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, spec: TaskSpe
     a new flat vector laid out like θ by ``param_layout(spec)``.
 
     Classification: softmax cross-entropy (natural log). Regression: mean
-    squared error on the raw model output. θ is split into segments once,
-    and the forward pass is the one ``predict`` uses. Sums and maxima call
-    the ufuncs' ``reduce`` directly, which is what ``sum``, ``max`` and
-    ``mean`` compute, without their Python wrappers.
+    squared error on the raw model output. The forward pass is the one
+    ``predict`` uses. Sums and maxima call the ufuncs' ``reduce`` directly,
+    which is what ``sum``, ``max`` and ``mean`` compute, without their Python
+    wrappers.
     """
-    seg = segments(theta, spec)
-    out, hidden = _forward(seg, x, spec)
+    out, seg, hidden = _forward(theta, x, spec)
     m = x.shape[0]
     if m == 0:
         raise ValueError("empty batch")
@@ -356,7 +351,7 @@ def predict(theta: np.ndarray, x: np.ndarray, spec: TaskSpec) -> np.ndarray:
     """Class labels (argmax, ties to the lowest index) or clamped real scores
     of the model whose flat parameter vector is θ, from the forward pass
     ``loss_and_grad`` uses."""
-    out, _ = _forward(segments(theta, spec), x, spec)
+    out, _, _ = _forward(theta, x, spec)
     if spec.task_type == "regression":
         return np.clip(out, *TARGET_RANGE)
     return np.argmax(out, axis=1)

@@ -290,7 +290,7 @@ def test_run_writes_results_rows_after_the_other_files(tmp_path, capsys, monkeyp
 def test_run_reads_no_raw_curve(tmp_path, monkeypatch):
     import optbench.harness as harness
 
-    def read_raw_curve(path):
+    def read_raw_curve(path, metric):
         raise AssertionError(f"run read {path}")
 
     monkeypatch.setattr(harness, "_read_raw_curve", read_raw_curve)
@@ -574,12 +574,18 @@ TEXT_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("fault", ["short row", "renamed column", "gapped steps", *TEXT_FAULTS])
+@pytest.mark.parametrize("fault", ["short row", "renamed column", "gapped steps",
+                                   "dev out of range", *TEXT_FAULTS])
 def test_curves_rejects_malformed_raw_curve(tmp_path, capsys, fault):
     assert run_cli(*small_run_args(tmp_path)) == EXIT_OK
     raw = tmp_path / "curve_raw_stsb_like_sgd_lr_only_split1.csv"
     lines = raw.read_text().splitlines()
-    if fault == "short row":
+    if fault == "dev out of range":
+        # the first epoch's dev score, a Pearson r, set past its upper bound 1
+        i = next(i for i, line in enumerate(lines) if i and not line.endswith(","))
+        lines[i] = lines[i].rsplit(",", 1)[0] + ",1.5"
+        expected = f"{raw} line {i + 1}: pearson score must be finite and in [-1.0, 1], got 1.5"
+    elif fault == "short row":
         lines[2] = lines[2].split(",")[0]
         expected = f"{raw} line 3 does not have the header's 3 fields"
     elif fault == "gapped steps":

@@ -4,14 +4,16 @@ import ast
 import importlib
 import json
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import optbench
 
-LAYER_MAP = json.loads(
-    (Path(__file__).resolve().parents[1] / "perfbench" / "layer_map.json").read_text())
+REPO = Path(__file__).resolve().parents[1]
+LAYER_MAP = json.loads((REPO / "perfbench" / "layer_map.json").read_text())
 MODULES = [optbench] + [importlib.import_module(f"optbench.{info.name}")
                         for info in pkgutil.iter_modules(optbench.__path__)]
 # Public names whose only callers are tests. ROADMAP item 6: item 2's budget
@@ -80,3 +82,22 @@ def test_every_public_name_has_a_caller_in_src():
             if not any(read == name and id(node) not in inside for read, node in reads):
                 uncalled.add(qualified)
     assert uncalled == WITHOUT_SRC_CALLER
+
+
+def test_failing_hypothesis_test_prints_its_falsifying_example(tmp_path):
+    # under the suite's own pytest configuration, where warnings are errors, a
+    # failing @given test reports its example rather than ending the session in
+    # an INTERNALERROR raised from hypothesis's report hook
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(database=None)\n"
+        "@given(st.integers(0, 10))\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(REPO / "pyproject.toml"), "--rootdir", str(tmp_path), "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Falsifying example" in proc.stdout
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr

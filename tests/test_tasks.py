@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from optbench.tasks import (
     FEATURE_DIM,
     SPLIT_RATIOS,
+    TARGET_RANGE,
     TASK_NAMES,
     Dataset,
     TaskSpec,
@@ -20,7 +21,6 @@ from optbench.tasks import (
     make_task_spec,
     param_layout,
     predict,
-    segments,
     stratified_split,
 )
 
@@ -358,31 +358,51 @@ def test_loss_and_predict_share_one_feature_shape_check(name):
         predict(theta, x, spec)
 
 
+def layout_size(spec):
+    return sum(math.prod(shape) for _, shape in param_layout(spec))
+
+
 def test_segments_cover_theta():
     for name in TASK_NAMES:
         spec = make_task_spec(name)
         theta = init_params(spec, np.random.default_rng(1))
-        segs = segments(theta, spec)
-        total = sum(v.size for v in segs)
-        assert total == theta.size
+        x = np.zeros((2, FEATURE_DIM))
+        y = np.zeros(2) if spec.task_type == "regression" else np.zeros(2, dtype=np.int64)
+        _, grad = loss_and_grad(theta, x, y, spec)
+        assert theta.shape == grad.shape == (layout_size(spec),)
+
+
+def forward_by_hand(theta, x, spec):
+    """The model's output, from θ cut by hand into ``param_layout``'s shapes."""
+    layout = param_layout(spec)
+    cuts = np.cumsum([math.prod(shape) for _, shape in layout])[:-1]
+    seg = [part.reshape(shape) for part, (_, shape) in zip(np.split(theta, cuts), layout)]
+    if spec.model == "linear":
+        return np.clip(x @ seg[0] + seg[1][0], *TARGET_RANGE)
+    if spec.model == "logistic":
+        return np.argmax(x @ seg[0].T + seg[1], axis=1)
+    hidden = np.tanh(x @ seg[0].T + seg[1])
+    return np.argmax(hidden @ seg[2].T + seg[3], axis=1)
 
 
 def test_segments_slice_table_follows_each_layout():
     # the slice table is cached per spec: a spec that changes only the class
     # count or the model after its task's table is cached must still get its
-    # own layout
+    # own layout, in loss_and_grad's gradient and in predict's forward pass
     specs = [make_task_spec(name) for name in TASK_NAMES]
     specs += [dataclasses.replace(make_task_spec(name), class_probs=(0.5, 0.3, 0.2))
               for name in ("cola_like", "mrpc_like")]
     specs += [dataclasses.replace(make_task_spec("cola_like"), model="mlp"),
               dataclasses.replace(make_task_spec("mrpc_like"), model="logistic")]
+    rng = np.random.default_rng(5)
     for spec in specs + specs[::-1]:
-        theta = init_params(spec, np.random.default_rng(5))
-        layout = param_layout(spec)
-        segs = segments(theta, spec)
-        assert [v.shape for v in segs] == [shape for _, shape in layout]
-        assert all(np.shares_memory(v, theta) for v in segs)
-        np.testing.assert_array_equal(np.concatenate(segs, axis=None), theta)
+        theta = rng.normal(size=layout_size(spec))
+        x = rng.normal(size=(9, FEATURE_DIM))
+        y = (rng.normal(size=9) if spec.task_type == "regression"
+             else rng.integers(0, spec.n_classes, size=9))
+        _, grad = loss_and_grad(theta, x, y, spec)
+        assert grad.shape == theta.shape
+        np.testing.assert_array_equal(predict(theta, x, spec), forward_by_hand(theta, x, spec))
 
 
 @pytest.mark.parametrize("name", ["cola_like", "mrpc_like", "stsb_like"])
