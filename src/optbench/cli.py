@@ -19,7 +19,8 @@ curves of the splits listed there. Exit codes: 0 success, 1 internal failure (a
 traceback), 2 bad input or an unusable path, 3 no viable trial (every trial
 diverged). Bad input is a ``ConfigError``: a value the user chose (an option or
 name, a protocol parameter, a hyperparameter or a run-directory file) is wrong.
-An unusable path is an ``OSError``. Any other exception is the program's fault.
+An empty ``--out`` or ``--in`` is bad input, not the working directory. An
+unusable path is an ``OSError``. Any other exception is the program's fault.
 """
 
 from __future__ import annotations
@@ -129,6 +130,9 @@ def _cmd_run(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        option, path = ("--out", args.out) if args.command == "run" else ("--in", args.in_dir)
+        if not path:  # almost always an unset shell variable, not the working directory
+            raise ConfigError(f"{option} must not be empty")
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "report":

@@ -21,18 +21,19 @@ Implemented update rules (all vector operations elementwise, float64):
 The step counter t starts at 0 and is incremented before being used in any
 power term, so the first update uses t' = 1.
 
+An optimizer's state is the triple (t, s, r) that ``init_state`` starts.
 ``apply_step`` is the one entry point and does a step's bookkeeping once:
 it converts theta and g to float64 arrays unless they already are (the
 training loop's always are, so a step converts nothing), raises ValueError
-unless theta, g and the state's s and r are 1-d vectors of one length,
-computes t' = t + 1, and builds the new state from what the rule for
-``config.kind`` returns. A rule maps (config, t', s, r, theta, g) to
-(theta', s', r') and only does arithmetic, with ufuncs rather than their
-Python wrappers. Steps are pure: they never mutate their inputs and
-identical inputs produce identical outputs, so concurrent training runs
-only need to own their own state. A NaN or infinity in the gradient
-propagates into the returned parameters, where the training loop detects
-it.
+unless the state is three values and theta, g, s and r are 1-d vectors of
+one length, computes t' = t + 1, and returns theta' with the next triple
+(t', s', r'), whose s' and r' the rule for ``config.kind`` returns. A
+rule maps (config, t', s, r, theta, g) to (theta', s', r') and only does
+arithmetic, with ufuncs rather than their Python wrappers. Steps are pure:
+they never mutate their inputs and identical inputs produce identical
+outputs, so concurrent training runs only need to own their own state. A NaN
+or infinity in the gradient propagates into the returned parameters, where
+the training loop detects it.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ import numpy as np
 __all__ = [
     "OptimizerKind",
     "OptimizerConfig",
-    "OptimizerState",
     "ConfigError",
     "default_config",
     "init_state",
@@ -137,27 +137,16 @@ def default_config(kind: OptimizerKind) -> OptimizerConfig:
     return OptimizerConfig(kind=kind, epsilon=epsilon, alpha=alpha)
 
 
-@dataclass(frozen=True)
-class OptimizerState:
-    """Optimizer memory after t steps, frozen: a step returns a new state.
+def init_state(dim: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Zero-initialized state (t, s, r) for a ``dim``-dimensional parameter vector.
 
     t  step counter, incremented by exactly 1 per step
     s  first moment (Adam family, AdaBound), or velocity (SGDM); SGD reads neither
     r  second moment (sum of squares, or running max of |g| for AdaMax)
-
-    ``apply_step`` requires s and r to be 1-d vectors of θ's length.
     """
-
-    t: int
-    s: np.ndarray
-    r: np.ndarray
-
-
-def init_state(dim: int) -> OptimizerState:
-    """Zero-initialized state for a ``dim``-dimensional parameter vector."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    return OptimizerState(t=0, s=np.zeros(dim), r=np.zeros(dim))
+    return 0, np.zeros(dim), np.zeros(dim)
 
 
 def _sgd(config, t2, s, r, theta, g):
@@ -236,15 +225,16 @@ _RULES = {
 
 
 def apply_step(config, state, theta, g):
-    """One update step of ``config.kind``'s rule, after the one check on a step's
-    inputs (see the module docstring). Returns (theta', state')."""
+    """One update step of ``config.kind``'s rule on ``state`` = (t, s, r), after
+    the one check on a step's inputs (see the module docstring). Returns
+    (theta', (t', s', r'))."""
     if type(theta) is not np.ndarray or theta.dtype != np.float64:
         theta = np.asarray(theta, dtype=np.float64)
     if type(g) is not np.ndarray or g.dtype != np.float64:
         g = np.asarray(g, dtype=np.float64)
-    if theta.ndim != 1 or not theta.shape == g.shape == state.s.shape == state.r.shape:
+    t, s, r = state
+    if theta.ndim != 1 or not theta.shape == g.shape == s.shape == r.shape:
         raise ValueError(f"theta, g, s and r must be 1-d vectors of one length, got shapes "
-                         f"{theta.shape}, {g.shape}, {state.s.shape} and {state.r.shape}")
-    t2 = state.t + 1
-    theta2, s2, r2 = _RULES[config.kind](config, t2, state.s, state.r, theta, g)
-    return theta2, OptimizerState(t=t2, s=s2, r=r2)
+                         f"{theta.shape}, {g.shape}, {s.shape} and {r.shape}")
+    theta2, s2, r2 = _RULES[config.kind](config, t + 1, s, r, theta, g)
+    return theta2, (t + 1, s2, r2)

@@ -28,7 +28,6 @@ from optbench.harness import (
 from optbench.metrics import accuracy, evaluate, macro_f1, matthews_corr, pearson_corr
 from optbench.optimizers import (
     OptimizerKind,
-    OptimizerState,
     apply_step,
     default_config,
     init_state,
@@ -73,21 +72,20 @@ def test_criterion_1_optimizer_oracle_suite():
                 eps_star=10.0 ** rng.uniform(-2, -1),
                 gamma=10.0 ** rng.uniform(-4, 0))
             dim = int(rng.integers(1, 8))
-            state = OptimizerState(t=int(rng.integers(0, 40)),
-                                   s=rng.normal(0, 1, dim),
-                                   r=np.abs(rng.normal(0, 1, dim)))
+            t, s, r = (int(rng.integers(0, 40)), rng.normal(0, 1, dim),
+                       np.abs(rng.normal(0, 1, dim)))
             theta = rng.normal(0, 2, dim)
             g = rng.normal(0, 3, dim)
-            theta2, state2 = apply_step(c, state, theta, g)
+            theta2, (t2, s2, r2) = apply_step(c, (t, s, r), theta, g)
             # SGDM keeps its velocity, the reference's v, in s
             ref_theta, ref_s, ref_r, ref_v, ref_t = ref_step(
-                kind.value, dataclasses.asdict(c), state.t, theta.tolist(),
-                g.tolist(), state.s.tolist(), state.r.tolist(), state.s.tolist())
+                kind.value, dataclasses.asdict(c), t, theta.tolist(),
+                g.tolist(), s.tolist(), r.tolist(), s.tolist())
             np.testing.assert_allclose(theta2, ref_theta, rtol=1e-9, atol=0)
             np.testing.assert_allclose(
-                state2.s, ref_v if kind is OptimizerKind.SGDM else ref_s, rtol=1e-9)
-            np.testing.assert_allclose(state2.r, ref_r, rtol=1e-9)
-            assert state2.t == ref_t
+                s2, ref_v if kind is OptimizerKind.SGDM else ref_s, rtol=1e-9)
+            np.testing.assert_allclose(r2, ref_r, rtol=1e-9)
+            assert t2 == ref_t
 
     # the six derived step examples; stated values carry 6 significant
     # figures (some truncated, not rounded), so allow one ulp at figure six
@@ -98,9 +96,9 @@ def test_criterion_1_optimizer_oracle_suite():
 
     c = dataclasses.replace(default_config(OptimizerKind.SGDM), epsilon=0.1, alpha=0.9)
     theta, st = apply_step(c, init_state(1), [1.0], [0.5])
-    theta, st = apply_step(c, st, theta, [0.5])
+    theta, (_, s, _) = apply_step(c, st, theta, [0.5])
     np.testing.assert_allclose(theta, [0.855], **sigfig6)
-    np.testing.assert_allclose(st.s, [-0.095], **sigfig6)
+    np.testing.assert_allclose(s, [-0.095], **sigfig6)
 
     c = default_config(OptimizerKind.ADAM)
     theta, _ = apply_step(c, init_state(1), [0.0], [1.0])
@@ -149,9 +147,9 @@ def test_criterion_2_identity_suite():
     theta, state = np.zeros(3), init_state(3)
     for _ in range(100):
         theta, state = apply_step(c, state, theta, g_star)
-        np.testing.assert_allclose(state.s / (1 - c.rho1**state.t), g_star, rtol=1e-12)
-        np.testing.assert_allclose(state.r / (1 - c.rho2**state.t), g_star**2,
-                                   rtol=1e-12)
+        t, s, r = state
+        np.testing.assert_allclose(s / (1 - c.rho1**t), g_star, rtol=1e-12)
+        np.testing.assert_allclose(r / (1 - c.rho2**t), g_star**2, rtol=1e-12)
 
     zero = np.zeros(4)
     theta0 = np.array([0.3, -1.1, 2.0, 0.0])
@@ -198,12 +196,12 @@ def test_criterion_3_adabound_bounds():
     c = dataclasses.replace(default_config(OptimizerKind.ADABOUND),
         epsilon=1.0, eps_star=0.01, gamma=10.0)
     lo1, hi1 = adabound_bounds(1, c)
-    theta, state = apply_step(c, init_state(1), np.zeros(1), np.array([1e-9]))
-    assert theta[0] == -hi1 * state.s[0]  # raw rate far above hi -> clipped to hi
+    theta, (_, s, _) = apply_step(c, init_state(1), np.zeros(1), np.array([1e-9]))
+    assert theta[0] == -hi1 * s[0]  # raw rate far above hi -> clipped to hi
     c2 = dataclasses.replace(c, epsilon=1e-9, eps_star=0.9)
     lo2, hi2 = adabound_bounds(1, c2)
-    theta2, state2 = apply_step(c2, init_state(1), np.zeros(1), np.array([5.0]))
-    assert theta2[0] == -lo2 * state2.s[0]  # raw rate far below lo -> clipped to lo
+    theta2, (_, s2, _) = apply_step(c2, init_state(1), np.zeros(1), np.array([5.0]))
+    assert theta2[0] == -lo2 * s2[0]  # raw rate far below lo -> clipped to lo
 
     report("3 adabound bounds", "monotone, bracket eps_star, converge at 1e6/gamma")
 

@@ -503,6 +503,22 @@ def test_run_out_not_a_directory(tmp_path, capsys, monkeypatch, under):
     assert capsys.readouterr().err == f"error: --out {out} is not a directory\n"
 
 
+@pytest.mark.parametrize("command", ["run", "report", "curves"])
+def test_empty_path_is_rejected_before_any_work(tmp_path, capsys, monkeypatch, command):
+    # an empty --out or --in (an unset shell variable) must not mean the working directory
+    import optbench.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "experiment_data", calls.append)
+    monkeypatch.chdir(tmp_path)
+    argv = small_run_args("") if command == "run" else [command, "--in", ""]
+    assert run_cli(*argv) == EXIT_INVALID_CONFIG
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+    option = "--out" if command == "run" else "--in"
+    assert capsys.readouterr().err == f"error: {option} must not be empty\n"
+
+
 def test_optimizer_all_expands(tmp_path):
     assert run_cli(*small_run_args(
         tmp_path, optimizer="all",

@@ -10,7 +10,6 @@ import pytest
 from optbench.optimizers import (
     ConfigError,
     OptimizerKind,
-    OptimizerState,
     adabound_bounds,
     apply_step,
     default_config,
@@ -44,22 +43,22 @@ def cfg(kind, **kw):
 # ---------------------------------------------------------------------------
 
 def test_init_state_zero():
-    state = init_state(3)
-    assert state.t == 0
-    np.testing.assert_array_equal(state.s, [0, 0, 0])
-    np.testing.assert_array_equal(state.r, [0, 0, 0])
+    t, s, r = init_state(3)
+    assert t == 0
+    np.testing.assert_array_equal(s, [0, 0, 0])
+    np.testing.assert_array_equal(r, [0, 0, 0])
 
 
 def test_init_state_sgdm_and_adabound():
     # one zero state starts every kind: SGDM's velocity and AdaBound's moments
     g = np.array([1.0, -2.0])
     c = default_config(OptimizerKind.SGDM)
-    _, st = apply_step(c, init_state(2), np.zeros(2), g)
-    assert st.t == 1 and st.s.tolist() == (-c.epsilon * g).tolist()
+    _, (t, s, _) = apply_step(c, init_state(2), np.zeros(2), g)
+    assert t == 1 and s.tolist() == (-c.epsilon * g).tolist()
     c = default_config(OptimizerKind.ADABOUND)
-    _, st = apply_step(c, init_state(2), np.zeros(2), g)
-    assert st.s.tolist() == ((1.0 - c.rho1) * g).tolist()
-    assert st.r.tolist() == ((1.0 - c.rho2) * g * g).tolist()
+    _, (_, s, r) = apply_step(c, init_state(2), np.zeros(2), g)
+    assert s.tolist() == ((1.0 - c.rho1) * g).tolist()
+    assert r.tolist() == ((1.0 - c.rho2) * g * g).tolist()
 
 
 def test_init_state_rejects_dim_zero():
@@ -73,9 +72,9 @@ def test_init_state_rejects_dim_zero():
 
 def test_sgd_scalar_step():
     c = cfg(OptimizerKind.SGD, epsilon=0.1)
-    theta, state = apply_step(c, init_state(1), [1.0], [0.5])
+    theta, (t, _, _) = apply_step(c, init_state(1), [1.0], [0.5])
     np.testing.assert_allclose(theta, [0.95], rtol=1e-12)
-    assert state.t == 1
+    assert t == 1
 
 
 def test_sgd_zero_gradient():
@@ -95,18 +94,19 @@ def test_sgdm_two_steps():
     c = cfg(OptimizerKind.SGDM, epsilon=0.1, alpha=0.9)
     state = init_state(1)
     theta, state = apply_step(c, state, [1.0], [0.5])
+    _, s, _ = state
     np.testing.assert_allclose(theta, [0.95], rtol=1e-12)
-    np.testing.assert_allclose(state.s, [-0.05], rtol=1e-12)
-    theta, state = apply_step(c, state, theta, [0.5])
+    np.testing.assert_allclose(s, [-0.05], rtol=1e-12)
+    theta, (_, s, _) = apply_step(c, state, theta, [0.5])
     np.testing.assert_allclose(theta, [0.855], rtol=1e-12)
-    np.testing.assert_allclose(state.s, [-0.095], rtol=1e-12)
+    np.testing.assert_allclose(s, [-0.095], rtol=1e-12)
 
 
 def test_adam_first_step():
     c = default_config(OptimizerKind.ADAM)
-    theta, state = apply_step(c, init_state(1), [0.0], [1.0])
-    np.testing.assert_allclose(state.s, [0.1], rtol=1e-12)
-    np.testing.assert_allclose(state.r, [0.001], rtol=1e-12)
+    theta, (_, s, r) = apply_step(c, init_state(1), [0.0], [1.0])
+    np.testing.assert_allclose(s, [0.1], rtol=1e-12)
+    np.testing.assert_allclose(r, [0.001], rtol=1e-12)
     np.testing.assert_allclose(theta, [-9.99999990e-4], rtol=1e-6)
 
 
@@ -125,9 +125,9 @@ def test_adamw_first_step():
 
 def test_adamax_first_step():
     c = cfg(OptimizerKind.ADAMAX, epsilon=2e-3)
-    theta, state = apply_step(c, init_state(1), [0.0], [1.0])
-    np.testing.assert_allclose(state.s, [0.1], rtol=1e-12)
-    np.testing.assert_allclose(state.r, [1.0], rtol=1e-12)
+    theta, (_, s, r) = apply_step(c, init_state(1), [0.0], [1.0])
+    np.testing.assert_allclose(s, [0.1], rtol=1e-12)
+    np.testing.assert_allclose(r, [1.0], rtol=1e-12)
     np.testing.assert_allclose(theta, [-0.002], rtol=1e-9)
 
 
@@ -141,8 +141,8 @@ def test_adamax_second_moment_is_decaying_max():
     c = cfg(OptimizerKind.ADAMAX, rho2=0.999)
     state = init_state(1)
     theta, state = apply_step(c, state, [0.0], [1.0])
-    theta, state = apply_step(c, state, theta, [0.5])
-    np.testing.assert_allclose(state.r, [0.999], rtol=1e-12)
+    theta, (_, _, r) = apply_step(c, state, theta, [0.5])
+    np.testing.assert_allclose(r, [0.999], rtol=1e-12)
 
 
 def test_adabound_bounds_examples():
@@ -158,8 +158,8 @@ def test_adabound_bounds_examples():
 
 def test_adabound_first_step():
     c = default_config(OptimizerKind.ADABOUND)
-    theta, state = apply_step(c, init_state(1), [0.0], [1.0])
-    np.testing.assert_allclose(state.r, [0.001], rtol=1e-12)
+    theta, (_, _, r) = apply_step(c, init_state(1), [0.0], [1.0])
+    np.testing.assert_allclose(r, [0.001], rtol=1e-12)
     np.testing.assert_allclose(theta, [-3.16227e-3], rtol=1e-5)
 
 
@@ -168,17 +168,17 @@ def test_adabound_clip_saturates_at_upper_bound():
     # saturation by making the raw rate enormous via a tiny gradient
     c = cfg(OptimizerKind.ADABOUND, epsilon=1.0, eps_star=0.01, gamma=10.0)
     _, hi = adabound_bounds(1, c)
-    theta, state = apply_step(c, init_state(1), [0.0], [1e-8])
+    theta, (_, s, _) = apply_step(c, init_state(1), [0.0], [1e-8])
     # raw eta = 1.0 / (1e-8*sqrt(1-rho2) + delta) >> hi, so eta == hi exactly
-    expected = -hi * state.s[0]
+    expected = -hi * s[0]
     np.testing.assert_allclose(theta, [expected], rtol=0, atol=0)
 
 
 def test_adabound_point_clip_reduces_to_momentum_update():
     c = cfg(OptimizerKind.ADABOUND, epsilon=1e-3, eps_star=0.05, gamma=1e6)
     # with huge gamma both bounds are eps_star to ~1e-6 relative: update ~ -c*s'
-    theta, state = apply_step(c, init_state(1), [0.0], [1.0])
-    np.testing.assert_allclose(theta, [-0.05 * state.s[0]], rtol=1e-5)
+    theta, (_, s, _) = apply_step(c, init_state(1), [0.0], [1.0])
+    np.testing.assert_allclose(theta, [-0.05 * s[0]], rtol=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +210,16 @@ def test_randomized_steps_match_scalar_reference(kind):
         g = rng.normal(0, 3, dim)
         s = rng.normal(0, 1, dim)
         r = np.abs(rng.normal(0, 1, dim))
-        state = OptimizerState(t=t0, s=s.copy(), r=r.copy())
-        theta2, state2 = apply_step(c, state, theta, g)
+        theta2, (t2, s2, r2) = apply_step(c, (t0, s.copy(), r.copy()), theta, g)
         # SGDM keeps its velocity, the reference's v, in s
         ref_theta, ref_s, ref_r, ref_v, ref_t = ref_step(
             kind.value, asdict(c), t0, theta.tolist(), g.tolist(),
             s.tolist(), r.tolist(), s.tolist())
-        assert state2.t == ref_t
+        assert t2 == ref_t
         np.testing.assert_allclose(theta2, ref_theta, rtol=1e-9, atol=0)
-        np.testing.assert_allclose(state2.s, ref_v if kind is OptimizerKind.SGDM else ref_s,
+        np.testing.assert_allclose(s2, ref_v if kind is OptimizerKind.SGDM else ref_s,
                                    rtol=1e-9)
-        np.testing.assert_allclose(state2.r, ref_r, rtol=1e-9)
+        np.testing.assert_allclose(r2, ref_r, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +247,9 @@ def test_bias_correction_identity_constant_gradient(variant):
     state = init_state(3)
     for _ in range(100):
         theta, state = apply_step(c, state, theta, g_star)
-        s_hat = state.s / (1 - c.rho1 ** state.t)
-        r_hat = state.r / (1 - c.rho2 ** state.t)
+        t, s, r = state
+        s_hat = s / (1 - c.rho1 ** t)
+        r_hat = r / (1 - c.rho2 ** t)
         np.testing.assert_allclose(s_hat, g_star, rtol=1e-12)
         np.testing.assert_allclose(r_hat, g_star**2, rtol=1e-12)
 
@@ -285,7 +285,8 @@ def test_adamax_brute_force_max_history():
         theta, state = apply_step(c, state, theta, grads[t])
         expected = np.max(
             [c.rho2 ** (t - j) * np.abs(grads[j]) for j in range(t + 1)], axis=0)
-        np.testing.assert_allclose(state.r, expected, rtol=1e-12)
+        _, _, r = state
+        np.testing.assert_allclose(r, expected, rtol=1e-12)
 
 
 def test_adabound_bound_monotonicity_and_convergence():
@@ -319,16 +320,16 @@ def test_steps_are_pure_and_do_not_mutate_inputs():
         c = default_config(kind)
         theta = rng.normal(0, 1, 4)
         g = rng.normal(0, 1, 4)
-        state = init_state(4)
-        snap = (theta.copy(), g.copy(), state.s.copy(), state.r.copy())
+        state = t, s, r = init_state(4)
+        snap = (theta.copy(), g.copy(), s.copy(), r.copy())
         out1 = apply_step(c, state, theta, g)
         out2 = apply_step(c, state, theta, g)
         np.testing.assert_array_equal(out1[0], out2[0])
         np.testing.assert_array_equal(theta, snap[0])
         np.testing.assert_array_equal(g, snap[1])
-        np.testing.assert_array_equal(state.s, snap[2])
-        np.testing.assert_array_equal(state.r, snap[3])
-        assert state.t == 0
+        np.testing.assert_array_equal(s, snap[2])
+        np.testing.assert_array_equal(r, snap[3])
+        assert t == 0
 
 
 def test_updates_finite_for_finite_inputs():
@@ -338,9 +339,9 @@ def test_updates_finite_for_finite_inputs():
             c = random_config(kind, rng)
             state = init_state(3)
             theta, g = rng.normal(0, 1e6, 3), rng.normal(0, 1e6, 3)
-            theta2, state2 = apply_step(c, state, theta, g)
+            theta2, (_, s2, r2) = apply_step(c, state, theta, g)
             assert np.isfinite(theta2).all()
-            for arr in (state2.s, state2.r):
+            for arr in (s2, r2):
                 assert np.isfinite(arr).all()
 
 
@@ -362,9 +363,15 @@ def test_dimension_mismatch_raises(kind):
         apply_step(c, init_state(2), [[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0])
     with pytest.raises(ValueError, match=SHAPES):
         apply_step(c, init_state(2), [1.0, 2.0], [[1.0], [2.0]])
-    short = OptimizerState(t=0, s=np.zeros(1), r=np.zeros(1))
+    short = (0, np.zeros(1), np.zeros(1))
     with pytest.raises(ValueError, match=SHAPES):
         apply_step(c, short, [1.0, 2.0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_state_that_is_not_three_values_raises(kind):
+    with pytest.raises(ValueError, match="expected 3"):
+        apply_step(default_config(kind), (0, np.zeros(2)), [1.0, 2.0], [1.0, 2.0])
 
 
 @pytest.mark.parametrize("s, r, theta", [
@@ -376,7 +383,7 @@ def test_dimension_mismatch_raises(kind):
 ])
 def test_state_rejects_mismatched_moments(s, r, theta):
     # theta and g share a shape, so only the moments (or the rank) are wrong
-    state = OptimizerState(t=0, s=np.zeros(s), r=np.zeros(r))
+    state = (0, np.zeros(s), np.zeros(r))
     for kind in ALL_KINDS:
         with pytest.raises(ValueError, match=SHAPES):
             apply_step(default_config(kind), state, np.zeros(theta), np.zeros(theta))
@@ -452,12 +459,12 @@ def test_every_searched_hyperparameter_but_the_unread_ones_changes_a_step():
     # lower bound, so epsilon acts; at t' = 10**4 the bounds have closed in on
     # eps_star and clip every coordinate, so eps_star and gamma act.
     theta, g = np.array([0.5, -1.0, 2.0]), np.array([0.3, -0.2, 1e-4])
-    states = [OptimizerState(t=t, s=np.array([0.1, -0.05, 1e-5]), r=np.array([0.5, 0.01, 1e-8]))
+    states = [(t, np.array([0.1, -0.05, 1e-5]), np.array([0.5, 0.01, 1e-8]))
               for t in (0, 9_999)]
 
     def step(kind, name, value, state):
-        theta2, state2 = apply_step(cfg(kind, **{name: value}), state, theta, g)
-        return theta2, state2.s, state2.r
+        theta2, (_, s2, r2) = apply_step(cfg(kind, **{name: value}), state, theta, g)
+        return theta2, s2, r2
 
     read = set()
     for kind, params in _SEARCHED.items():
