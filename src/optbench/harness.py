@@ -68,7 +68,6 @@ from optbench.tuning import (
 
 __all__ = [
     "RunSpec",
-    "LearningCurve",
     "SplitResult",
     "ScoreRecord",
     "NoViableTrialError",
@@ -157,19 +156,9 @@ class RunSpec:
         check_trial_budget(self.trial_budget)
 
 
-@dataclass(frozen=True)
-class LearningCurve:
-    """Finite training loss per step (``losses[i]`` is step ``i + 1``'s) and the dev
-    score at each epoch's last step, as ``train`` builds and ``_read_raw_curve`` checks."""
-
-    losses: np.ndarray
-    dev_steps: np.ndarray
-    dev_scores: np.ndarray
-
-
 def train(config: OptimizerConfig, train_set: Dataset, dev_set: Dataset, *,
           epochs: int, batch_size: int, seed: int, prune_hook=None
-          ) -> tuple[np.ndarray, TrialRecord, LearningCurve]:
+          ) -> tuple[np.ndarray, TrialRecord, np.ndarray]:
     """Train one configuration on a split's train partition, scoring it on the
     dev partition; no test row reaches it.
 
@@ -179,7 +168,9 @@ def train(config: OptimizerConfig, train_set: Dataset, dev_set: Dataset, *,
     step is one ``loss_and_grad`` and one ``apply_step`` call, looked up in
     this module, so a test or tracer may wrap either. Returns the
     flat parameter vector θ (segments: ``param_layout(train_set.spec)``) of
-    the record's ``best_epoch``, or the initial θ if no epoch finished.
+    the record's ``best_epoch``, or the initial θ if no epoch finished; the
+    record, whose ``epoch_scores`` are the dev scores; and the finite losses as
+    a float64 array, ``losses[i]`` being step ``i + 1``'s.
     ``prune_hook(epoch, dev_score) -> bool`` may stop the trial early
     (status ``pruned``). A non-finite loss or
     updated parameter vector stops it with status ``diverged``, whose score
@@ -192,7 +183,7 @@ def train(config: OptimizerConfig, train_set: Dataset, dev_set: Dataset, *,
     batch_rng = labeled_rng(seed, "batches")
     state = init_state(theta.shape[0])
 
-    losses, dev_steps, dev_scores = [], [], []
+    losses, dev_scores = [], []
     snapshots = []  # theta after each evaluated epoch
     status = TrialStatus.COMPLETED
     # divergence (overflow to inf/NaN) is normal control flow here
@@ -211,7 +202,6 @@ def train(config: OptimizerConfig, train_set: Dataset, dev_set: Dataset, *,
             if status is TrialStatus.DIVERGED:
                 break
             score = evaluate(spec, predict(theta, dev_set.features, spec), dev_set.targets)
-            dev_steps.append(len(losses))
             dev_scores.append(score)
             snapshots.append(theta)
             if prune_hook is not None and prune_hook(epoch, score):
@@ -219,25 +209,20 @@ def train(config: OptimizerConfig, train_set: Dataset, dev_set: Dataset, *,
                 break
 
     record = TrialRecord(config, dev_scores, status)
-    curve = LearningCurve(
-        losses=np.asarray(losses, dtype=np.float64),
-        dev_steps=np.asarray(dev_steps, dtype=np.int64),
-        dev_scores=np.asarray(dev_scores, dtype=np.float64),
-    )
     best_theta = theta0 if record.best_epoch is None else snapshots[record.best_epoch]
-    return best_theta, record, curve
+    return best_theta, record, np.asarray(losses, dtype=np.float64)
 
 
 @dataclass(frozen=True)
 class SplitResult:
-    """One split's study, the parameter vector θ and learning curve of its
-    best trial (``trial``, derived from the study), and that θ's score on
-    the test partition."""
+    """One split's study, the parameter vector θ and per-step training losses of
+    its best trial (``trial``, derived from the study, whose ``epoch_scores`` are
+    the curve's dev scores), and that θ's score on the test partition."""
 
     repetition: int
     test: float
     theta: np.ndarray
-    curve: LearningCurve
+    losses: np.ndarray
     study: StudyRecord
 
     @property
@@ -255,16 +240,16 @@ def run_study(run: RunSpec, train_set: Dataset, dev_set: Dataset, test_set: Data
                                 run.regime.value, repetition, "sampler")
     study = StudyRecord(optimizer=run.optimizer, regime=run.regime,
                         sampler_seed=sampler_seed, max_trials=run.trial_budget)
-    artifacts = []  # (theta, curve) of each trial, in study.trials order
+    artifacts = []  # (theta, losses) of each trial, in study.trials order
     while not study.full:
-        theta, record, curve = train(
+        theta, record, losses = train(
             study.ask(), train_set, dev_set, epochs=run.epochs, batch_size=run.batch_size,
             seed=labeled_seed(run.master_seed, run.task.name, run.optimizer.value,
                               repetition, "trial", len(study.trials)),
             prune_hook=lambda epoch, score: should_prune(study, epoch, score),
         )
         study.add(record)
-        artifacts.append((theta, curve))
+        artifacts.append((theta, losses))
     try:
         best = best_trial(study)
     except ValueError:
@@ -272,9 +257,9 @@ def run_study(run: RunSpec, train_set: Dataset, dev_set: Dataset, test_set: Data
             f"every trial diverged: {run.task.name}/{run.optimizer.value}"
             f"/{run.regime.value} split {repetition}"
         ) from None
-    theta, curve = artifacts[next(i for i, t in enumerate(study.trials) if t is best)]
+    theta, losses = artifacts[next(i for i, t in enumerate(study.trials) if t is best)]
     score = evaluate(run.task, predict(theta, test_set.features, run.task), test_set.targets)
-    return SplitResult(repetition=repetition, test=score, theta=theta, curve=curve,
+    return SplitResult(repetition=repetition, test=score, theta=theta, losses=losses,
                        study=study)
 
 
@@ -416,12 +401,14 @@ def _write_csv(path, columns, rows, mode="w") -> None:
         writer.writerows(rows)
 
 
-def _epoch_column(n_steps: int, dev_steps: np.ndarray, values: np.ndarray) -> list:
-    """A per-epoch series on rows 1..n_steps: ``values[j]`` on row ``dev_steps[j]``,
-    None elsewhere. ``_read_raw_curve`` reads a raw curve's dev column back."""
+def _epoch_column(n_steps: int, values) -> list:
+    """A per-epoch series of a completed trial on rows 1..n_steps: ``values[j]`` on
+    the last row of epoch j, None elsewhere. Such a trial ran every epoch in full,
+    so epoch j ends on step ``(j + 1) * n_steps // len(values)``; ``_read_raw_curve``
+    checks that a raw curve's dev column is such a series."""
     column = [None] * n_steps
-    for step, value in zip(dev_steps.tolist(), values.tolist()):
-        column[step - 1] = value
+    for epoch, value in enumerate(values, start=1):
+        column[epoch * n_steps // len(values) - 1] = value
     return column
 
 
@@ -436,20 +423,20 @@ def _experiment_file(out_dir: Path, experiment, kind: str, split=None) -> Path:
     return out_dir / (name + (".json" if kind == "study" else ".csv"))
 
 
-def _write_curve(path: Path, curves: list[LearningCurve]) -> None:
-    """Write an aggregated curve to ``path``: per step, the mean/std across one
-    experiment's curves (in split order, with one step count and dev steps) of the
-    loss, and of the dev score at epoch-end steps, None elsewhere."""
+def _write_curve(path: Path, curves) -> None:
+    """Write an aggregated curve to ``path`` from one experiment's (losses, dev
+    scores) pairs, in split order, with one step count and epoch count: per step,
+    the mean/std across splits of the loss, and of the dev score at epoch-end
+    steps, None elsewhere."""
     # step-major, so each step reduces one contiguous vector of its splits;
     # a reduction along axis 0 of a split-major stack groups the float sums
     # differently and can change the last bits
-    losses = np.stack([c.losses for c in curves], axis=1)
-    devs = np.stack([c.dev_scores for c in curves], axis=1)
-    n_steps, dev_steps = losses.shape[0], curves[0].dev_steps
+    losses, devs = (np.stack(columns, axis=1) for columns in zip(*curves))
+    n_steps = losses.shape[0]
     _write_csv(path, _CURVE_COLUMNS, zip(
         range(1, n_steps + 1), losses.mean(axis=1).tolist(), losses.std(axis=1).tolist(),
-        _epoch_column(n_steps, dev_steps, devs.mean(axis=1)),
-        _epoch_column(n_steps, dev_steps, devs.std(axis=1))))
+        _epoch_column(n_steps, devs.mean(axis=1).tolist()),
+        _epoch_column(n_steps, devs.std(axis=1).tolist())))
 
 
 def write_run_outputs(run: RunSpec, splits, out_dir) -> None:
@@ -466,13 +453,13 @@ def write_run_outputs(run: RunSpec, splits, out_dir) -> None:
         for s in splits:
             written.append(_experiment_file(out, run, "study", s.repetition))
             save_study_json(s.study, written[-1])
-            losses = s.curve.losses.tolist()
-            dev = _epoch_column(len(losses), s.curve.dev_steps, s.curve.dev_scores)
+            losses = s.losses.tolist()
+            dev = _epoch_column(len(losses), s.trial.epoch_scores)
             written.append(_experiment_file(out, run, "curve_raw", s.repetition))
             _write_csv(written[-1], _RAW_CURVE_COLUMNS,
                        zip(range(1, len(losses) + 1), losses, dev))
         written.append(_experiment_file(out, run, "curve"))
-        _write_curve(written[-1], [s.curve for s in splits])
+        _write_curve(written[-1], [(s.losses, s.trial.epoch_scores) for s in splits])
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
@@ -514,8 +501,8 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _finite_float_or_none(text: str) -> float | None:
-    return _finite_float(text) if text else None
+def _float_or_none(text: str) -> float | None:
+    return float(text) if text else None
 
 
 def _checked_score(path, line: int, metric: MetricKind, value: float) -> float:
@@ -526,38 +513,39 @@ def _checked_score(path, line: int, metric: MetricKind, value: float) -> float:
         raise ConfigError(f"{path} line {line}: {exc}") from None
 
 
-def _read_raw_curve(path, metric: MetricKind) -> LearningCurve:
-    """The curve a raw per-split file holds; its steps must run 1, 2, 3, ...
-    (so its dev steps increase), its losses must be finite and its dev scores
-    must pass ``check_score`` for ``metric``."""
-    losses, dev_steps, dev_scores = [], [], []
+def _read_raw_curve(path, metric: MetricKind) -> tuple[list, list]:
+    """The losses and dev scores a raw per-split file holds. Its steps must run
+    1, 2, 3, ..., its losses must be finite, and its dev scores must pass
+    ``check_score`` for ``metric`` and end equal epochs, the last one on the last
+    step, as ``_epoch_column`` places a completed trial's."""
+    losses, dev = [], []
     rows = _csv_rows(path, _RAW_CURVE_COLUMNS,
-                     {"step": int, "loss": _finite_float, "dev": _finite_float_or_none})
+                     {"step": int, "loss": _finite_float, "dev": _float_or_none})
     for step, (line, row) in enumerate(rows, start=1):
         if row["step"] != step:
             raise ConfigError(f"{path} line {line}: step {row['step']}, "
                               f"expected {step} (steps run 1, 2, 3, ...)")
         losses.append(row["loss"])
-        if row["dev"] is not None:
-            dev_steps.append(step)
-            dev_scores.append(_checked_score(path, line, metric, row["dev"]))
-    return LearningCurve(losses=np.asarray(losses, dtype=np.float64),
-                         dev_steps=np.asarray(dev_steps, dtype=np.int64),
-                         dev_scores=np.asarray(dev_scores, dtype=np.float64))
+        dev.append(row["dev"] if row["dev"] is None
+                   else _checked_score(path, line, metric, row["dev"]))
+    scores = [score for score in dev if score is not None]
+    if not scores or len(losses) % len(scores) or _epoch_column(len(losses), scores) != dev:
+        raise ConfigError(f"{path}: {len(scores)} dev score(s) in {len(losses)} steps do "
+                          "not end equal epochs, the last one on the last step")
+    return losses, scores
 
 
 def aggregate_curve_files(in_dir) -> list[Path]:
     """Rebuild, for ``curves``, each curve_<...>.csv ``write_run_outputs`` wrote, byte
     for byte, from the raw curves of the splits results.csv lists and no other file.
-    Raises ConfigError when an experiment's raw curves differ in step count or dev
-    steps, and OSError when one is missing."""
+    Raises ConfigError when an experiment's raw curves differ in step count or
+    epoch count, and OSError when one is missing."""
     in_dir = Path(in_dir)
     written = []
     for rec in _listed_experiments(in_dir):
         curves = [_read_raw_curve(_experiment_file(in_dir, rec, "curve_raw", k), rec.metric)
                   for k in range(1, len(rec.scores) + 1)]
-        if any(c.losses.size != curves[0].losses.size
-               or not np.array_equal(c.dev_steps, curves[0].dev_steps) for c in curves):
+        if len({(len(losses), len(scores)) for losses, scores in curves}) > 1:
             raise ConfigError(f"{_experiment_file(in_dir, rec, 'curve_raw', '*')} differ in "
                               "step count or dev steps: a run directory holds each experiment "
                               "once")
@@ -576,7 +564,7 @@ def read_results(path) -> list[ScoreRecord]:
     if Path(path).stat().st_size == 0:  # a run killed before it wrote the header
         return []
     parsers = {"task": make_task_spec, "optimizer": OptimizerKind.parse,
-               "regime": Regime.parse, "split": int, "test_score": _finite_float}
+               "regime": Regime.parse, "split": int, "test_score": float}
     scores: dict[tuple[TaskSpec, OptimizerKind, Regime], list[float]] = {}
     for line, row in _csv_rows(path, _RESULTS_COLUMNS, parsers):
         _checked_score(path, line, row["task"].metric, row["test_score"])

@@ -591,12 +591,29 @@ TEXT_FAULTS = {
 
 
 @pytest.mark.parametrize("fault", ["short row", "renamed column", "gapped steps",
-                                   "dev out of range", *TEXT_FAULTS])
+                                   "dev out of range", "dev mid-epoch", "truncated",
+                                   *TEXT_FAULTS])
 def test_curves_rejects_malformed_raw_curve(tmp_path, capsys, fault):
-    assert run_cli(*small_run_args(tmp_path)) == EXIT_OK
+    # a one-split experiment has no other split whose dev rows could disagree
+    splits = "1" if fault == "dev mid-epoch" else "2"
+    assert run_cli(*small_run_args(tmp_path, **{"--splits": splits})) == EXIT_OK
     raw = tmp_path / "curve_raw_stsb_like_sgd_lr_only_split1.csv"
     lines = raw.read_text().splitlines()
-    if fault == "dev out of range":
+    n_steps = len(lines) - 1
+    if fault == "dev mid-epoch":
+        # the first epoch's dev score moved one step up
+        i = next(i for i, line in enumerate(lines) if i and not line.endswith(","))
+        head, dev = lines[i].rsplit(",", 1)
+        lines[i - 1] += dev
+        lines[i] = head + ","
+        expected = (f"{raw}: 2 dev score(s) in {n_steps} steps do not end equal epochs, "
+                    "the last one on the last step")
+    elif fault == "truncated":
+        # the last row, which holds the last epoch's dev score, is lost
+        del lines[-1]
+        expected = (f"{raw}: 1 dev score(s) in {n_steps - 1} steps do not end equal "
+                    "epochs, the last one on the last step")
+    elif fault == "dev out of range":
         # the first epoch's dev score, a Pearson r, set past its upper bound 1
         i = next(i for i, line in enumerate(lines) if i and not line.endswith(","))
         lines[i] = lines[i].rsplit(",", 1)[0] + ",1.5"
@@ -652,12 +669,12 @@ def test_non_numeric_field_names_file_and_line(tmp_path, capsys, fault):
 
 
 @pytest.mark.parametrize("task, score, problem", [
-    ("sst2_like", "nan", "cannot read test_score 'nan'"),
-    ("sst2_like", "inf", "cannot read test_score 'inf'"),
+    ("sst2_like", "nan", "accuracy score must be finite and in [0.0, 1], got nan"),
+    ("sst2_like", "inf", "accuracy score must be finite and in [0.0, 1], got inf"),
     ("sst2_like", "1.5", "accuracy score must be finite and in [0.0, 1], got 1.5"),
     ("sst2_like", "-0.25", "accuracy score must be finite and in [0.0, 1], got -0.25"),
-    ("stsb_like", "nan", "cannot read test_score 'nan'"),
-    ("stsb_like", "-inf", "cannot read test_score '-inf'"),
+    ("stsb_like", "nan", "pearson score must be finite and in [-1.0, 1], got nan"),
+    ("stsb_like", "-inf", "pearson score must be finite and in [-1.0, 1], got -inf"),
     ("stsb_like", "-1.5", "pearson score must be finite and in [-1.0, 1], got -1.5"),
     ("cola_like", "7.5", "matthews score must be finite and in [-1.0, 1], got 7.5"),
 ])

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,10 +77,10 @@ def test_learning_curve_validation(tmp_path):
         ("1,0.5,\n2,0.5,0.1\n2,0.5,0.1", "line 4: step 2, expected 3"),  # a repeated dev step
         ("1,0.5,\n2,inf,0.1", "line 3: cannot read loss 'inf'"),
         ("1,0.5,\n2,0.5,0.1\n3,nan,", "line 4: cannot read loss 'nan'"),
-        ("1,0.5,\n2,0.5,nan", "line 3: cannot read dev 'nan'"),
+        ("1,0.5,\n2,0.5,nan", "line 3: matthews score must be finite and in [-1.0, 1], got nan"),
     ):
         path.write_text(f"step,loss,dev\n{rows}\n")
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=re.escape(match)):
             aggregate_curve_files(tmp_path)
 
 
@@ -92,12 +93,10 @@ def test_train_deterministic_bitwise():
     config = default_config(OptimizerKind.ADAM)
     runs = [train(config, train_set, dev_set, epochs=4, batch_size=4, seed=11)
             for _ in range(2)]
-    (p1, r1, c1), (p2, r2, c2) = runs
+    (p1, r1, l1), (p2, r2, l2) = runs
     np.testing.assert_array_equal(p1, p2)
     assert r1.epoch_scores == r2.epoch_scores
-    np.testing.assert_array_equal(c1.dev_steps, c2.dev_steps)
-    np.testing.assert_array_equal(c1.losses, c2.losses)
-    np.testing.assert_array_equal(c1.dev_scores, c2.dev_scores)
+    np.testing.assert_array_equal(l1, l2)
 
 
 def test_train_returns_best_epoch_snapshot():
@@ -125,31 +124,37 @@ def test_train_returns_best_epoch_snapshot():
 def test_train_frozen_model_keeps_first_epoch():
     train_set, dev_set = small_data()
     config = dataclasses.replace(default_config(OptimizerKind.SGD), epsilon=1e-300)
-    _, record, curve = train(config, train_set, dev_set, epochs=5, batch_size=4, seed=2)
+    _, record, losses = train(config, train_set, dev_set, epochs=5, batch_size=4, seed=2)
     assert len(set(record.epoch_scores)) == 1
     assert record.best_epoch == 0
-    assert curve.dev_steps.tolist() == [(k + 1) * (train_set.targets.size // 4) * 1
-                                        for k in range(5)]
+    # every epoch ran in full: five dev scores, one per epoch's last step
+    assert len(record.epoch_scores) == 5
+    assert losses.size == 5 * (train_set.targets.size // 4)
 
 
-def test_train_step_and_dev_indices_align():
-    train_set, dev_set = small_data()
-    config = default_config(OptimizerKind.SGDM)
-    _, record, curve = train(config, train_set, dev_set, epochs=3, batch_size=4, seed=4)
-    steps_per_epoch = math.ceil(train_set.targets.size / 4)
-    assert curve.losses.size == 3 * steps_per_epoch
-    assert curve.dev_steps.tolist() == [steps_per_epoch * (k + 1) for k in range(3)]
-    assert len(record.epoch_scores) == 3
+def test_train_step_and_dev_indices_align(tmp_path):
+    # the raw curve holds the chosen trial's dev score on each epoch's last step
+    run = run_spec(optimizer=OptimizerKind.SGDM, regime=Regime.DEFAULTS, n_splits=1)
+    data = experiment_data(run)
+    (split,) = run_experiment(run, data)
+    write_run_outputs(run, [split], tmp_path)
+    rows = read_csv(tmp_path / "curve_raw_cola_like_sgdm_defaults_split1.csv")
+    steps_per_epoch = math.ceil(data[0][0].targets.size / 4)
+    assert split.losses.size == len(rows) == 3 * steps_per_epoch
+    assert [int(r["step"]) for r in rows if r["dev"]] == [steps_per_epoch * (k + 1)
+                                                         for k in range(3)]
+    assert [float(r["dev"]) for r in rows if r["dev"]] == list(split.trial.epoch_scores)
+    assert len(split.trial.epoch_scores) == 3
 
 
 def test_train_marks_divergence():
     spec = dataclasses.replace(STSB, feature_scale=300.0)
     train_set, dev_set = small_data(spec, data_seed=5)
     config = default_config(OptimizerKind.SGD)  # 1e-3 is unstable at this scale
-    params, record, curve = train(config, train_set, dev_set, epochs=6, batch_size=4, seed=1)
+    params, record, losses = train(config, train_set, dev_set, epochs=6, batch_size=4, seed=1)
     assert record.status is TrialStatus.DIVERGED
     assert record.best_dev == -math.inf
-    assert np.isfinite(curve.losses).all()
+    assert np.isfinite(losses).all()
 
 
 @pytest.mark.parametrize("fault", ["theta", "loss"])
@@ -158,10 +163,10 @@ def test_train_stops_at_first_nonfinite_step(monkeypatch, fault):
 
     train_set, dev_set = small_data()
     config = default_config(OptimizerKind.ADAM)
-    first_params, _, first_curve = train(config, train_set, dev_set, epochs=1,
-                                         batch_size=4, seed=6)
-    _, _, full_curve = train(config, train_set, dev_set, epochs=3, batch_size=4, seed=6)
-    bad_call = first_curve.losses.size + 3  # a step in the middle of epoch 2
+    first_params, _, first_losses = train(config, train_set, dev_set, epochs=1,
+                                          batch_size=4, seed=6)
+    _, _, full_losses = train(config, train_set, dev_set, epochs=3, batch_size=4, seed=6)
+    bad_call = first_losses.size + 3  # a step in the middle of epoch 2
 
     def fault_at(real, spoil):
         calls = []
@@ -178,13 +183,13 @@ def test_train_stops_at_first_nonfinite_step(monkeypatch, fault):
     else:
         monkeypatch.setattr(harness, "loss_and_grad", fault_at(
             harness.loss_and_grad, lambda loss, grad: (math.inf, grad)))
-    params, record, curve = train(config, train_set, dev_set, epochs=3, batch_size=4, seed=6)
+    params, record, losses = train(config, train_set, dev_set, epochs=3, batch_size=4, seed=6)
     assert record.status is TrialStatus.DIVERGED
     assert record.best_dev == -math.inf
     assert len(record.epoch_scores) == 1
     # the loss of the step whose update failed is kept; an inf loss is not
     n_losses = bad_call if fault == "theta" else bad_call - 1
-    np.testing.assert_array_equal(curve.losses, full_curve.losses[:n_losses])
+    np.testing.assert_array_equal(losses, full_losses[:n_losses])
     np.testing.assert_array_equal(params, first_params)
 
 
@@ -342,7 +347,7 @@ def test_run_experiment_deterministic():
     for sa, sb in zip(a, b):
         assert sa.test == sb.test
         assert sa.trial.config == sb.trial.config
-        np.testing.assert_array_equal(sa.curve.losses, sb.curve.losses)
+        np.testing.assert_array_equal(sa.losses, sb.losses)
 
 
 def per_split_data(run, repetition):
@@ -392,8 +397,8 @@ def test_run_study_reads_no_test_rows(task, optimizer):
     b = run_study(run, train_set, dev_set, negated, repetition=1)
     assert a.study == b.study  # every trial's config, epoch scores and status
     np.testing.assert_array_equal(a.theta, b.theta)
-    for field in ("losses", "dev_steps", "dev_scores"):
-        np.testing.assert_array_equal(getattr(a.curve, field), getattr(b.curve, field))
+    np.testing.assert_array_equal(a.losses, b.losses)
+    assert a.trial.epoch_scores == b.trial.epoch_scores
     assert b.test == evaluate(task, predict(b.theta, negated.features, task), negated.targets)
     assert a.test != b.test
 
@@ -482,7 +487,8 @@ def test_aggregate_curve_files_identical_splits_zero_std(tmp_path):
     assert float(rows[0]["mean_loss"]) == pytest.approx(0.5)
 
 
-@pytest.mark.parametrize("second", [([0.6, 0.6], {2: 0.7}), ([0.6, 0.6, 0.6], {2: 0.7})],
+@pytest.mark.parametrize("second", [([0.6, 0.6], {2: 0.7}),
+                                    ([0.6, 0.6, 0.6], {1: 0.7, 2: 0.7, 3: 0.7})],
                          ids=["fewer steps", "other dev step"])
 def test_aggregate_curve_files_rejects_splits_of_two_runs(tmp_path, second):
     write_raw_curves(tmp_path, [([0.4, 0.4, 0.4], {3: 0.5}), second])
@@ -546,18 +552,20 @@ def test_write_run_outputs_and_rebuild(tmp_path):
 
 
 def expected_curve_rows(curves):
-    """CSV rows of the pointwise mean/std of equal-length curves, each step
-    reduced over the splits in the given order."""
-    dev_index = {step: j for j, step in enumerate(curves[0].dev_steps.tolist())}
+    """CSV rows of the pointwise mean/std of equal-length (losses, epoch scores)
+    pairs, each step reduced over the splits in the given order, with the dev
+    scores on each epoch's last step."""
+    n_steps, n_epochs = len(curves[0][0]), len(curves[0][1])
+    dev_index = {(j + 1) * (n_steps // n_epochs): j for j in range(n_epochs)}
     rows = []
-    for step in range(1, curves[0].losses.size + 1):
-        losses = np.array([c.losses[step - 1] for c in curves])
+    for step in range(1, n_steps + 1):
+        losses = np.array([c[0][step - 1] for c in curves])
         row = [str(step), repr(float(losses.mean())), repr(float(losses.std()))]
         j = dev_index.get(step)
         if j is None:
             row += ["", ""]
         else:
-            devs = np.array([c.dev_scores[j] for c in curves])
+            devs = np.array([c[1][j] for c in curves])
             row += [repr(float(devs.mean())), repr(float(devs.std()))]
         rows.append(row)
     return rows
@@ -583,7 +591,8 @@ def test_aggregate_curve_files_matches_run_with_ten_plus_splits(tmp_path):
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["step", "mean_loss", "std_loss", "mean_dev", "std_dev"]
-        assert rows[1:] == expected_curve_rows([s.curve for s in splits]), path.name
+        assert rows[1:] == expected_curve_rows(
+            [(s.losses, s.trial.epoch_scores) for s in splits]), path.name
 
 
 # ---------------------------------------------------------------------------
