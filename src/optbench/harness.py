@@ -215,13 +215,12 @@ def train(config: OptimizerConfig, train_set: Dataset, dev_set: Dataset, *,
 
 @dataclass(frozen=True)
 class SplitResult:
-    """One split's study, the parameter vector θ and per-step training losses of
-    its best trial (``trial``, derived from the study, whose ``epoch_scores`` are
-    the curve's dev scores), and that θ's score on the test partition."""
+    """One split's study, the per-step training losses of its best trial
+    (``trial``, derived from the study, whose ``epoch_scores`` are the curve's dev
+    scores), and the test-partition score of that trial's best-epoch θ."""
 
     repetition: int
     test: float
-    theta: np.ndarray
     losses: np.ndarray
     study: StudyRecord
 
@@ -234,8 +233,8 @@ def run_study(run: RunSpec, train_set: Dataset, dev_set: Dataset, test_set: Data
               repetition: int) -> SplitResult:
     """Ask/train/tell loop on one split's train and dev partitions until the
     study is full, then the best trial's best-epoch θ scored once on the test
-    partition. The study picks every configuration; this loop only labels each
-    trial's training seed."""
+    partition; the result keeps the score, not θ. The study picks every
+    configuration; this loop only labels each trial's training seed."""
     sampler_seed = labeled_seed(run.master_seed, run.task.name, run.optimizer.value,
                                 run.regime.value, repetition, "sampler")
     study = StudyRecord(optimizer=run.optimizer, regime=run.regime,
@@ -259,8 +258,7 @@ def run_study(run: RunSpec, train_set: Dataset, dev_set: Dataset, test_set: Data
         ) from None
     theta, losses = artifacts[next(i for i, t in enumerate(study.trials) if t is best)]
     score = evaluate(run.task, predict(theta, test_set.features, run.task), test_set.targets)
-    return SplitResult(repetition=repetition, test=score, theta=theta, losses=losses,
-                       study=study)
+    return SplitResult(repetition=repetition, test=score, losses=losses, study=study)
 
 
 @dataclass(frozen=True)

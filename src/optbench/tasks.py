@@ -204,11 +204,8 @@ def make_dataset(spec: TaskSpec, size: int, seed: int) -> Dataset:
     w_true = np.array([(-1.0) ** i for i in range(d)]) / math.sqrt(d)
     latent = z @ w_true + NOISE * rng.standard_normal(size)
     lo, hi = TARGET_RANGE
-    span = latent.max() - latent.min()
-    if span == 0.0:
-        targets = np.full(size, 0.5 * (lo + hi))
-    else:
-        targets = lo + (hi - lo) * (latent - latent.min()) / span
+    low = latent.min()  # a continuous draw of size >= 50, so max > min
+    targets = lo + (hi - lo) * (latent - low) / (latent.max() - low)
     return Dataset(features=z * spec.feature_scale, targets=targets, spec=spec)
 
 

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from optbench import harness
 from optbench.harness import (
     NoViableTrialError,
     RunSpec,
@@ -159,8 +160,6 @@ def test_train_marks_divergence():
 
 @pytest.mark.parametrize("fault", ["theta", "loss"])
 def test_train_stops_at_first_nonfinite_step(monkeypatch, fault):
-    import optbench.harness as harness
-
     train_set, dev_set = small_data()
     config = default_config(OptimizerKind.ADAM)
     first_params, _, first_losses = train(config, train_set, dev_set, epochs=1,
@@ -220,16 +219,37 @@ def run_spec(task=COLA, optimizer=OptimizerKind.ADAM, regime=Regime.LR_ONLY, **k
     return RunSpec(task=task, optimizer=optimizer, regime=regime, **defaults)
 
 
-def test_run_study_defaults_regime_single_table_trial():
+def run_study_scoring(monkeypatch, run, train_set, dev_set, test_set, repetition=1):
+    """``run_study``'s SplitResult and the θ it scored on the test partition, taken
+    from the one ``predict`` call on the test features."""
+    scored = []
+
+    def recording_predict(theta, features, spec):
+        if features is test_set.features:
+            scored.append(theta)
+        return predict(theta, features, spec)
+
+    monkeypatch.setattr(harness, "predict", recording_predict)
+    outcome = run_study(run, train_set, dev_set, test_set, repetition=repetition)
+    (theta,) = scored
+    return outcome, theta
+
+
+def test_run_study_defaults_regime_single_table_trial(monkeypatch):
     run = run_spec(regime=Regime.DEFAULTS)
-    parts = experiment_data(run)[0]
-    outcome = run_study(run, *parts, repetition=1)
+    train_set, dev_set, test_set = experiment_data(run)[0]
+    outcome, theta = run_study_scoring(monkeypatch, run, train_set, dev_set, test_set)
     assert len(outcome.study.trials) == 1
     assert outcome.study.trials[0].config == default_config(OptimizerKind.ADAM)
     assert outcome.trial is outcome.study.trials[0]
     # the chosen trial's best-epoch θ, scored once on the test partition
-    test_set = parts[2]
-    assert outcome.test == evaluate(COLA, predict(outcome.theta, test_set.features, COLA),
+    chosen, record, _ = train(outcome.trial.config, train_set, dev_set, epochs=run.epochs,
+                              batch_size=run.batch_size,
+                              seed=labeled_seed(run.master_seed, COLA.name, "adam", 1,
+                                                "trial", 0))
+    assert record == outcome.trial
+    np.testing.assert_array_equal(theta, chosen)
+    assert outcome.test == evaluate(COLA, predict(chosen, test_set.features, COLA),
                                     test_set.targets)
 
 
@@ -386,20 +406,20 @@ def test_experiment_data_resampling_policy():
 
 @pytest.mark.parametrize("task, optimizer", [(COLA, OptimizerKind.ADAM),
                                              (STSB, OptimizerKind.SGDM)], ids=["cola", "stsb"])
-def test_run_study_reads_no_test_rows(task, optimizer):
+def test_run_study_reads_no_test_rows(task, optimizer, monkeypatch):
     # tuning sees the train and dev partitions only: other test rows change
     # the test score and nothing else
     run = run_spec(task=task, optimizer=optimizer, regime=Regime.FULL, n_splits=1,
                    trial_budget=4)
     train_set, dev_set, test_set = experiment_data(run)[0]
     negated = dataclasses.replace(test_set, features=-test_set.features)
-    a = run_study(run, train_set, dev_set, test_set, repetition=1)
-    b = run_study(run, train_set, dev_set, negated, repetition=1)
+    a, theta_a = run_study_scoring(monkeypatch, run, train_set, dev_set, test_set)
+    b, theta_b = run_study_scoring(monkeypatch, run, train_set, dev_set, negated)
     assert a.study == b.study  # every trial's config, epoch scores and status
-    np.testing.assert_array_equal(a.theta, b.theta)
+    np.testing.assert_array_equal(theta_a, theta_b)
     np.testing.assert_array_equal(a.losses, b.losses)
     assert a.trial.epoch_scores == b.trial.epoch_scores
-    assert b.test == evaluate(task, predict(b.theta, negated.features, task), negated.targets)
+    assert b.test == evaluate(task, predict(theta_b, negated.features, task), negated.targets)
     assert a.test != b.test
 
 
@@ -615,13 +635,13 @@ def gd_line_search_loss(spec, x, y, iters=400, seed=0):
     return loss
 
 
-def test_tuned_sgd_matches_line_searched_gd_on_convex_task():
+def test_tuned_sgd_matches_line_searched_gd_on_convex_task(monkeypatch):
     run = RunSpec(task=STSB, optimizer=OptimizerKind.SGD, regime=Regime.LR_ONLY,
                   epochs=100, batch_size=4, n_splits=1, master_seed=5,
                   trial_budget=30, dataset_size=150)
     parts = experiment_data(run)[0]
     x, y = parts[0].features, parts[0].targets
     gd_loss = gd_line_search_loss(STSB, x, y)
-    outcome = run_study(run, *parts, repetition=1)
-    tuned_loss, _ = loss_and_grad(outcome.theta, x, y, STSB)
+    _, theta = run_study_scoring(monkeypatch, run, *parts)
+    tuned_loss, _ = loss_and_grad(theta, x, y, STSB)
     assert tuned_loss <= gd_loss + 1e-2

@@ -17,6 +17,8 @@ REPO = Path(__file__).resolve().parents[1]
 LAYER_MAP = json.loads((REPO / "perfbench" / "layer_map.json").read_text())
 MODULES = [optbench] + [importlib.import_module(f"optbench.{info.name}")
                         for info in pkgutil.iter_modules(optbench.__path__)]
+SRC_TREES = [ast.parse(path.read_text())
+             for path in sorted(Path(optbench.__file__).parent.glob("*.py"))]
 # Public names whose only callers are tests. The acceptance gate reads both:
 # criterion 6 loads every study file of the protocol run with load_study_json,
 # and criterion 7 checks each study's best_so_far, so both stay until a src/
@@ -72,18 +74,47 @@ def test_every_public_name_has_a_caller_in_src():
     # a name or attribute read anywhere in src/ outside the definition itself;
     # a method matches any attribute of its name, and __all__'s strings are no
     # references.
-    trees = [ast.parse(path.read_text())
-             for path in sorted(Path(optbench.__file__).parent.glob("*.py"))]
     reads = [(node.id if isinstance(node, ast.Name) else node.attr, node)
-             for tree in trees for node in ast.walk(tree)
+             for tree in SRC_TREES for node in ast.walk(tree)
              if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
     uncalled = set()
-    for tree in trees:
+    for tree in SRC_TREES:
         for qualified, name, definition in public_definitions(tree):
             inside = {id(node) for node in ast.walk(definition)}
             if not any(read == name and id(node) not in inside for read, node in reads):
                 uncalled.add(qualified)
     assert uncalled == WITHOUT_SRC_CALLER
+
+
+def dataclass_definitions(tree):
+    """Each class in one module's syntax tree whose decorators include
+    ``dataclass``, bare, called or as ``dataclasses.dataclass``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+                   for d in decorators):
+                yield node
+
+
+def test_every_record_field_is_read_in_src():
+    # aim 2 for record fields: each annotated field of a src/ dataclass is read
+    # as an attribute of its name somewhere in src/, outside its own class's
+    # __post_init__, so a field that only tests read cannot come back unnoticed
+    attribute_reads = [node for tree in SRC_TREES for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    fields, unread = [], []
+    for tree in SRC_TREES:
+        for cls in dataclass_definitions(tree):
+            checks = {id(node) for item in cls.body
+                      if isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
+                      for node in ast.walk(item)}
+            reads = {node.attr for node in attribute_reads if id(node) not in checks}
+            names = [item.target.id for item in cls.body if isinstance(item, ast.AnnAssign)]
+            fields += [f"{cls.name}.{name}" for name in names]
+            unread += [f"{cls.name}.{name}" for name in names if name not in reads]
+    assert "SplitResult.test" in fields  # the scan finds the records
+    assert unread == []
 
 
 def test_readme_python_examples_run():
